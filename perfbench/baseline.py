@@ -1,15 +1,14 @@
 """Time the single CLI invocations of the ROADMAP baseline table.
 
-    python3 perfbench/baseline.py [--repeats 3]
+    python3 perfbench/baseline.py
 
-Each row runs in-process through `nonbasis.cli.main`, `--repeats` times;
+Each row runs in-process through `nonbasis.cli.main`, REPEATS times;
 the fastest and the median wall time are printed, with the exit code.
 The benchmark proper is run.py; this only re-measures those fixed rows.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import os
@@ -18,6 +17,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPEATS = 3
 
 ROWS = (
     "catalog --h 2 --s 0 --t 1 --domain n0 --gap geometric,2,1 --window 0:100000",
@@ -30,15 +30,12 @@ ROWS = (
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--repeats", type=int, default=3)
-    args = ap.parse_args()
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from nonbasis import cli
 
     for row in ROWS:
         times = []
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = cli.main(row.split())

@@ -6,12 +6,15 @@
 Runs one workload (or all four in turn) against the library in ../src.
 Each pass is a fresh worker process (worker.py), started only after the
 previous one has ended, so at most one workload process runs at a time.
-Passes repeat until --seconds is used up (at least three are made).
+The number of passes depends only on the workload and --seconds, never on
+how fast the passes run: --seconds over the workload's nominal pass time
+(PASS_S), at least three.
 
---trace 0 reports the end-to-end metrics of BENCHMARK.json, each the median
-over the passes.  --trace 1 alternates untraced and traced passes and
-reports the per-layer metrics (medians over the traced passes) and
-trace.overhead_ratio, the traced over the untraced median solve time.
+--trace 0 reports the end-to-end metrics of BENCHMARK.json: setup_s and
+solve_s at their fastest over the passes, peak_rss_mb the median.
+--trace 1 alternates untraced and traced passes and reports the per-layer
+metrics (medians over the traced passes) and trace.overhead_ratio, the
+traced over the untraced solve time.
 The last line of standard output is one JSON object:
 {"correct", "attempted", "failed", "metrics"}.  A record of the run with the
 environment and every pass goes to perfbench/out/.
@@ -32,8 +35,14 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT = os.path.join(HERE, "out")
 MIN_PASSES = 3
-MIN_TRACED_PAIRS = 2
 PASS_TIMEOUT_S = 150
+# No pass is started once a run has taken this long, so that a run ends
+# within 180 s even if the program gets several times slower.
+RUN_CAP_S = 120
+# Wall time of one whole untraced pass at full size (spawn, set-up, calls,
+# checks) on the reference machine in a slow phase; a run of --seconds
+# makes --seconds / PASS_S passes.
+PASS_S = {"catalog": 2.3, "adjoin": 2.7, "dichotomy": 1.75, "lemma": 3.3}
 
 
 def load_spec() -> dict:
@@ -94,10 +103,18 @@ def fastest_pass(passes: list[dict]) -> float:
     """Wall time of one pass with every call at its fastest over the passes.
 
     Every pass makes the same calls in the same order.  Other tenants of a
-    shared machine slow it in phases of a few seconds, which only ever add
-    time, so the fastest time of each call is the steadiest estimate.
+    shared machine slow it in phases of a few seconds, so the fastest time
+    of each call is the steadiest estimate.  It is a lower envelope, not the
+    wall time of any one pass, and it falls with the number of passes; that
+    number is fixed per workload and --seconds (see pass_count).
     """
     return sum(min(times) for times in zip(*(p["op_times"] for p in passes)))
+
+
+def pass_count(workload: str, seconds: float, trace: bool) -> int:
+    """Passes in a run; a traced run alternates untraced and traced ones."""
+    n = max(MIN_PASSES, int(seconds / PASS_S[workload]))
+    return 2 * max(2, (n + 1) // 2) if trace else n
 
 
 def run_workload(workload: str, seed: int, seconds: float, trace: bool, size: str,
@@ -105,18 +122,13 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, size: st
     plain: list[dict] = []
     traced: list[dict] = []
     start = time.perf_counter()
-    index = 0
-    while True:
+    for index in range(pass_count(workload, seconds, trace)):
         is_traced = trace and index % 2 == 1
+        # the cap leaves at least four passes, and whole untraced/traced pairs
+        if not is_traced and index >= 4 and time.perf_counter() - start > RUN_CAP_S:
+            break
         res = run_pass(workload, seed, index, is_traced, size, corrupt)
         (traced if is_traced else plain).append(res)
-        index += 1
-        if trace and index % 2 == 1:
-            continue  # end on a whole untraced/traced pair
-        elapsed = time.perf_counter() - start
-        enough = len(traced) >= MIN_TRACED_PAIRS if trace else len(plain) >= MIN_PASSES
-        if enough and elapsed * (index + (2 if trace else 1)) / index > seconds:
-            break
 
     passes = plain + traced
     attempted = sum(p["attempted"] for p in passes)
@@ -133,7 +145,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, size: st
         units = {m["name"]: m["unit"] for m in spec["per_layer"]}
     else:
         values = {
-            "setup_s": statistics.median(p["setup_s"] for p in plain),
+            "setup_s": min(p["setup_s"] for p in plain),
             "solve_s": solve,
             "points_per_s": plain[0]["points"] / solve,
             "peak_rss_mb": statistics.median(p["peak_rss_kb"] for p in plain) / 1024,

@@ -3,7 +3,9 @@
     python3 perfbench/selftest.py
 
 Runs every workload at the tiny size, untraced and traced, and checks the
-shape of the result line; then runs each with one output corrupted per
+shape of the result line and that every per-layer metric the README maps
+to the workload is above 0 in the traced run, so that a call path the
+tracer misses shows; then runs each with one output corrupted per
 pass and checks that exactly those operations are counted as failed; then
 checks that the benchmark refuses to run in a directory that holds only
 BENCHMARK.json and perfbench/.  Prints one line per check and exits 1 if
@@ -21,6 +23,22 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BARE = os.path.join(HERE, "out", "bare")
+
+# The functions whose per-layer metrics (every stat) each workload moves,
+# as in the README's layer table; each must read above 0 when traced.
+EXERCISED = {
+    "catalog": ("verify.classify", "verify.decide_kX", "verify.complement_catalog",
+                "gapset.is_member", "gapset.gap_radius", "families.Family.x_spec",
+                "report.catalog_checks", "verify.exceptional_bound", "sumset.witness"),
+    "adjoin": ("verify.escape_check", "verify.augment_check", "report.escape_checks",
+               "report.augment_checks", "intset.materialize", "sumset.hfold",
+               "sumset.pairwise_sum", "sumset.arith_chains", "intset.DenseSet.members",
+               "intset.dilate_or"),
+    "dichotomy": ("sumset.multiplicity_pair", "report.uniqueness_check",
+                  "report.dichotomy_checks", "cli.main", "report.render_json"),
+    "lemma": ("sumset.pairwise_sum", "sumset.arith_chains", "intset.DenseSet.members",
+              "intset.dilate_or", "verify.lemma_basis_check", "report.lemma_checks"),
+}
 
 
 def bench(args: list[str], cwd: str = ROOT) -> subprocess.CompletedProcess:
@@ -74,8 +92,13 @@ def main() -> int:
             if not res["correct"] or res["failed"]:
                 problems.append(f"correct {res['correct']}, failed {res['failed']} on sound outputs")
             if trace == 0:
-                problems += [f"{n} is {res['metrics'][n]['value']}" for n in names
-                             if not res["metrics"][n]["value"] > 0]
+                must_move = names
+            else:
+                must_move = ["trace.overhead_ratio"] + [
+                    n for n in names if n.rpartition(".")[0] in EXERCISED[w]
+                ]
+            problems += [f"{n} is {res['metrics'][n]['value']}" for n in must_move
+                         if n in res["metrics"] and not res["metrics"][n]["value"] > 0]
             report(f"{w} trace {trace}", problems)
         # three untraced passes, one corrupted output in each
         try:
