@@ -6,9 +6,8 @@
 Runs one workload (or all four in turn) against the library in ../src.
 Each pass is a fresh worker process (worker.py), started only after the
 previous one has ended, so at most one workload process runs at a time.
-The number of passes depends only on the workload and --seconds, never on
-how fast the passes run: --seconds over the workload's nominal pass time
-(PASS_S), at least three.
+The number of passes depends only on --seconds, never on how fast the
+passes run: --seconds over the nominal pass time (PASS_S), at least three.
 
 --trace 0 reports the end-to-end metrics of BENCHMARK.json: setup_s and
 solve_s at their fastest over the passes, peak_rss_mb the median.
@@ -40,9 +39,10 @@ PASS_TIMEOUT_S = 150
 # within 180 s even if the program gets several times slower.
 RUN_CAP_S = 120
 # Wall time of one whole untraced pass at full size (spawn, set-up, calls,
-# checks) on the reference machine in a slow phase; a run of --seconds
-# makes --seconds / PASS_S passes.
-PASS_S = {"catalog": 2.3, "adjoin": 2.7, "dichotomy": 1.75, "lemma": 3.3}
+# checks) on the reference machine in a slow phase, the same for every
+# workload since each is sized to it; a run of --seconds makes
+# --seconds / PASS_S passes.
+PASS_S = 1.2
 
 
 def load_spec() -> dict:
@@ -106,14 +106,14 @@ def fastest_pass(passes: list[dict]) -> float:
     shared machine slow it in phases of a few seconds, so the fastest time
     of each call is the steadiest estimate.  It is a lower envelope, not the
     wall time of any one pass, and it falls with the number of passes; that
-    number is fixed per workload and --seconds (see pass_count).
+    number is fixed by --seconds (see pass_count).
     """
     return sum(min(times) for times in zip(*(p["op_times"] for p in passes)))
 
 
-def pass_count(workload: str, seconds: float, trace: bool) -> int:
+def pass_count(seconds: float, trace: bool) -> int:
     """Passes in a run; a traced run alternates untraced and traced ones."""
-    n = max(MIN_PASSES, int(seconds / PASS_S[workload]))
+    n = max(MIN_PASSES, int(seconds / PASS_S))
     return 2 * max(2, (n + 1) // 2) if trace else n
 
 
@@ -122,7 +122,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, size: st
     plain: list[dict] = []
     traced: list[dict] = []
     start = time.perf_counter()
-    for index in range(pass_count(workload, seconds, trace)):
+    for index in range(pass_count(seconds, trace)):
         is_traced = trace and index % 2 == 1
         # the cap leaves at least four passes, and whole untraced/traced pairs
         if not is_traced and index >= 4 and time.perf_counter() - start > RUN_CAP_S:

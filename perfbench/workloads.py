@@ -95,9 +95,10 @@ class Capture:
 
 CATALOG_FAMILIES = (
     # (command, h, gap, domain, [(s, t), ...], window top)
-    ("catalog", 5, ref.GEOMETRIC2, ref.N0, [(0, 1), (1, 0), (2, 1), (0, 3), (4, 2)], 10_000),
-    ("catalog", 3, ref.TRIANGULAR, ref.N0, [(0, 1), (1, 0), (2, 0), (0, 2)], 8_000),
-    ("thm2", 2, ref.GEOMETRIC2, ref.Z, [(0, 1), (1, 0), (3, 0), (-1, 2)], 4_000),
+    ("catalog", 5, ref.GEOMETRIC2, ref.N0,
+     [(0, 1), (1, 0), (2, 1), (0, 3), (4, 2), (3, 1), (1, 2), (0, 4)], 2_500),
+    ("catalog", 3, ref.TRIANGULAR, ref.N0, [(0, 1), (1, 0), (2, 0), (0, 2), (3, 1), (1, 3)], 2_000),
+    ("thm2", 2, ref.GEOMETRIC2, ref.Z, [(0, 1), (1, 0), (3, 0), (-1, 2), (2, -1), (0, -1)], 1_000),
 )
 
 
@@ -196,7 +197,7 @@ def adjoin_build(seed: int, size: str) -> list[Op]:
     ops = []
     w_hi = jitter(rng, 300 if tiny else 1000)
     hs = (2, 3) if tiny else range(2, 7)
-    st = range(0, 3) if tiny else range(0, 11)
+    st = range(0, 3) if tiny else range(0, 8)
     for h in hs:
         for s in st:
             for t in st:
@@ -216,7 +217,7 @@ def adjoin_build(seed: int, size: str) -> list[Op]:
                         lambda out, rng, fam=fam, w_hi=w_hi: escape_check(out, rng, fam, w_hi),
                     )
                 )
-    a_hi = jitter(rng, 3000 if tiny else 150_000)
+    a_hi = jitter(rng, 3000 if tiny else 30_000)
     for fam in AUGMENT_FAMILIES[:2] if tiny else AUGMENT_FAMILIES:
         lib, window = lib_family(fam), Window(0, a_hi)
         ops.append(
@@ -300,8 +301,8 @@ def dichotomy_build(seed: int, size: str) -> list[Op]:
     ops = []
     hi = jitter(rng, 200 if tiny else 2000)
     for domain, preset, st, lo in (
-        (ref.Z, "thm1", range(-1, 2) if tiny else range(-2, 3), -hi),
-        (ref.N0, "thm3", range(0, 3) if tiny else range(0, 5), 0),
+        (ref.Z, "thm1", range(-1, 2) if tiny else range(-1, 3), -hi),
+        (ref.N0, "thm3", range(0, 3) if tiny else range(0, 4), 0),
     ):
         for h in (2, 3) if tiny else range(2, 7):
             for s in st:
@@ -377,10 +378,10 @@ def dichotomy_corrupt(ops: list[Op]) -> None:
 # ------------------------------------------------------------------ lemma
 
 LEMMA_WINDOWS = {
-    ref.GEOMETRIC2: 1_000_000,
-    ref.GEOMETRIC3: 200_000,
-    ref.FACTORIAL: 200_000,
-    ref.TRIANGULAR: 150_000,
+    ref.GEOMETRIC2: 250_000,
+    ref.GEOMETRIC3: 100_000,
+    ref.FACTORIAL: 100_000,
+    ref.TRIANGULAR: 50_000,
 }
 
 
