@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 invalid parameters,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -94,6 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window")
     _add_io_args(p)
     return ap
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so one serves every call.
+    return build_parser()
 
 
 def _family_from_args(args, domain: str | None = None) -> Family:
@@ -264,8 +271,7 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except NonbasisError as exc:

@@ -35,3 +35,7 @@ class WrongResidue(NonbasisError):
 
 class BNotOutside(NonbasisError):
     """Augmentation candidate already belongs to the set."""
+
+
+class OracleDisagreement(NonbasisError):
+    """A certified membership verdict contradicts the sumset oracle."""

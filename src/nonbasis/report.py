@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 
 from . import gapset, grammar, intset, sumset, verify
+from .errors import OracleDisagreement
 from .families import DOMAIN_N0, DOMAIN_Z, Family, Params, build_full, gcd_case
 from .intset import Window
 
@@ -114,20 +115,10 @@ def exit_code(checks: list[Check]) -> int:
     return 0
 
 
-def _z_source(params: Params, window: Window) -> Window:
-    h, s, t = params.h, params.s, params.t
-    slack = h * (abs(s) + abs(t) + h + 2)
-    reach = max(abs(window.lo), abs(window.hi))
-    return Window(-(reach + slack), reach + slack)
-
-
 def full_family_oracle(params: Params, window: Window) -> sumset.SumsetResult:
     fam = build_full(params)
-    if params.domain == DOMAIN_N0:
-        dense = intset.materialize(fam.spec, Window(0, window.hi))
-        return sumset.hfold_exact_bounded_below(dense, params.h, target=window)
-    dense = intset.materialize(fam.spec, _z_source(params, window))
-    return sumset.hfold_truncated(dense, params.h, target=window)
+    dense = intset.materialize(fam.spec, verify.oracle_source(params, window))
+    return verify.oracle_fold(fam, dense, window)
 
 
 def residue_class_bits(window: Window, h: int, r: int) -> int:
@@ -332,13 +323,23 @@ def augment_checks(
     even = verify.augment_check(
         family, verify.YPrimeFilter("even_indices"), window, budget_probes
     )
-    checks.append(
-        check(
-            "augment_even_indices",
-            even.verdict == "stays_nonbasis",
-            f"verdict {even.verdict}; missing {list(even.missing_shifted[:8])}",
+    if even.dropped_in_window:
+        checks.append(
+            check(
+                "augment_even_indices",
+                even.verdict == "stays_nonbasis",
+                f"verdict {even.verdict}; missing {list(even.missing_shifted[:8])}",
+            )
         )
-    )
+    else:
+        checks.append(
+            Check(
+                "augment_even_indices",
+                UNKNOWN,
+                f"verdict {even.verdict}; no dropped shifted-Y value lies in "
+                f"window {window.lo}:{window.hi}, too small to tell",
+            )
+        )
     first_y = next(gapset.values(family.y))
     drop = verify.augment_check(
         family, verify.YPrimeFilter("drop_values", (first_y,)), window, budget_probes
@@ -360,20 +361,24 @@ def catalog_checks(
 ) -> tuple[verify.Catalog, list[Check]]:
     """Complement characterization plus certificate hygiene on a window."""
     n0 = family.domain == DOMAIN_N0
-    checks = []
     try:
         catalog = verify.complement_catalog(
             family, window, budget_probes, crosscheck=n0
         )
-        agree = True
-        agree_detail = "classification agrees with the oracle pointwise"
-    except AssertionError as exc:  # oracle/classify contradiction
-        catalog = verify.Catalog((), (), ())
-        agree = False
-        agree_detail = str(exc)
-    checks.append(check("oracle_agreement", agree, agree_detail))
-    if not agree:
-        return catalog, checks
+    except OracleDisagreement as exc:
+        return verify.Catalog((), (), ()), [check("oracle_agreement", False, str(exc))]
+    if catalog.unknown_members:
+        agreement = Check(
+            "oracle_agreement",
+            UNKNOWN,
+            f"classify left {len(catalog.unknown_members)} points the oracle "
+            "contains unknown (probe budget exhausted)",
+        )
+    else:
+        agreement = check(
+            "oracle_agreement", True, "classification agrees with the oracle pointwise"
+        )
+    checks = [agreement]
 
     predicted = [
         n for n in verify._shifted_values_in(family, window) if n >= window.lo
@@ -422,16 +427,13 @@ def catalog_checks(
 
 def stability_check(family: Family, window: Window) -> Check:
     """Z-case: the windowed complement must not move when the truncation grows."""
-    h = family.h
-    small = verify._z_source(family, window)
+    oracle = verify.base_oracle(family, window)
+    small = oracle.source
     big = Window(small.lo * 2, small.hi * 2)
-    comps = []
-    for src in (small, big):
-        dense = intset.materialize(family.spec, src)
-        folded = sumset.hfold_truncated(dense, h, target=window)
-        comps.append(folded.dense.complement().members())
+    dense = intset.materialize(family.spec, big)
+    wide = verify.oracle_fold(family, dense, window).dense.complement().members()
     return check(
         "truncation_stability",
-        comps[0] == comps[1],
+        list(oracle.complement) == wide,
         f"complement stable across source radii {small.hi} and {big.hi}",
     )

@@ -11,7 +11,7 @@ are bit-identical to the per-element loop (property-tested).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import TargetExceedsSafeRange
 from .intset import DenseSet, Window, dilate_or
@@ -26,11 +26,20 @@ _DOUBLING_CHAIN_THRESHOLD = 48
 
 @dataclass(frozen=True)
 class SumsetResult:
+    """An h-fold sumset on target, folded from a set on source.
+
+    partials[k] is the k-fold sumset kA on the clip window of the k-th fold
+    step (the k-element subtotals that h-k more source elements can still
+    complete to a target value), or None where that window is empty, for
+    k = 0..h.  The iterate strategy fills it; other folds leave it empty.
+    """
+
     h: int
     source: Window
     target: Window
     dense: DenseSet
     exactness: str
+    partials: tuple[DenseSet | None, ...] = field(default=(), compare=False, repr=False)
 
     def member(self, n: int) -> bool:
         return self.dense.member(n)
@@ -94,31 +103,52 @@ def _empty_on(target: Window) -> DenseSet:
     return DenseSet(target, 0)
 
 
-def _fold(a: DenseSet, h: int, target: Window, strategy: str) -> DenseSet:
-    src = a.window
-    if h == 1:
-        return DenseSet(target, _slice_bits(a, target))
-    w1 = _clip_window(1, h, src, target)
-    if w1 is None or a.bits == 0:
-        return _empty_on(target)
-    chains = arith_chains(a.members())
+def _fold(
+    a: DenseSet, h: int, target: Window, strategy: str
+) -> tuple[DenseSet, tuple[DenseSet | None, ...]]:
+    chains = arith_chains(a.members()) if h > 1 else []
     if strategy == "auto":
         strategy = (
             "double"
             if h >= 4 and len(chains) > _DOUBLING_CHAIN_THRESHOLD
             else "iterate"
         )
-
     if strategy == "iterate":
-        s = DenseSet(w1, _slice_bits(a, w1))
-        for k in range(2, h + 1):
-            wk = _clip_window(k, h, src, target)
-            if wk is None:
-                return _empty_on(target)
-            s = pairwise_sum(s, a, wk, chains)
-        return _align(s, target)
+        partials = _iterate_partials(a, h, target, chains)
+        top = partials[h]
+        return (_empty_on(target) if top is None else _align(top, target)), partials
+    return _fold_double(a, h, target), ()
 
+
+def _iterate_partials(
+    a: DenseSet, h: int, target: Window, chains: list[tuple[int, int, int]]
+) -> tuple[DenseSet | None, ...]:
+    # kA on its clip window for k = 0..h, each step one pairwise sum with a.
+    # A nonempty clip window has a nonempty one before it, so the empty
+    # windows are a suffix.
+    src = a.window
+    out: list[DenseSet | None] = []
+    for k in range(h + 1):
+        wk = _clip_window(k, h, src, target)
+        if wk is None:
+            return tuple(out) + (None,) * (h + 1 - k)
+        if k == 0:
+            out.append(DenseSet(wk, 1))  # the window is [0, 0]
+        elif k == 1:
+            out.append(DenseSet(wk, _slice_bits(a, wk)))
+        else:
+            out.append(pairwise_sum(out[-1], a, wk, chains))
+    return tuple(out)
+
+
+def _fold_double(a: DenseSet, h: int, target: Window) -> DenseSet:
     # binary powering on the fold count
+    src = a.window
+    if h == 1:
+        return DenseSet(target, _slice_bits(a, target))
+    w1 = _clip_window(1, h, src, target)
+    if w1 is None or a.bits == 0:
+        return _empty_on(target)
     pow_set = DenseSet(w1, _slice_bits(a, w1))
     pow_k = 1
     acc: DenseSet | None = None
@@ -190,8 +220,8 @@ def hfold_exact_bounded_below(
         raise TargetExceedsSafeRange(
             f"target {target.lo}:{target.hi} outside safe range {safe.lo}:{safe.hi}"
         )
-    dense = _fold_chunked(a, h, target, chunks, strategy)
-    return SumsetResult(h, a.window, target, dense, EXACT)
+    dense, partials = _fold_chunked(a, h, target, chunks, strategy)
+    return SumsetResult(h, a.window, target, dense, EXACT, partials)
 
 
 def hfold_truncated(
@@ -208,11 +238,13 @@ def hfold_truncated(
     """
     if h < 1:
         raise TargetExceedsSafeRange(f"h must be >= 1, got {h}")
-    dense = _fold_chunked(a, h, target, chunks, strategy)
-    return SumsetResult(h, a.window, target, dense, LOWER_BOUND)
+    dense, partials = _fold_chunked(a, h, target, chunks, strategy)
+    return SumsetResult(h, a.window, target, dense, LOWER_BOUND, partials)
 
 
-def _fold_chunked(a: DenseSet, h: int, target: Window, chunks: int, strategy: str) -> DenseSet:
+def _fold_chunked(
+    a: DenseSet, h: int, target: Window, chunks: int, strategy: str
+) -> tuple[DenseSet, tuple[DenseSet | None, ...]]:
     if chunks <= 1 or target.width <= chunks:
         return _fold(a, h, target, strategy)
     acc = 0
@@ -220,10 +252,32 @@ def _fold_chunked(a: DenseSet, h: int, target: Window, chunks: int, strategy: st
     lo = target.lo
     while lo <= target.hi:
         piece = Window(lo, min(lo + step - 1, target.hi))
-        part = _fold(a, h, piece, strategy)
+        part, _ = _fold(a, h, piece, strategy)
         acc |= part.bits << (piece.lo - target.lo)
         lo = piece.hi + 1
-    return DenseSet(target, acc)
+    return DenseSet(target, acc), ()
+
+
+def adjoin(result: SumsetResult, b: int) -> SumsetResult:
+    """h(A u {b}) on result's target, built from the partials of hA.
+
+    A u {b} is taken on the same source window, so a b outside it adds
+    nothing.  h(A u {b}) is the union over j = 0..h of j*b + (h-j)A, and
+    with b in the source every (h-j)A value that lands in the target lies
+    in the clip window of its partial, so this is h shifts and no fold.
+    """
+    if not result.partials:
+        raise ValueError("adjoin needs the k-fold partials of an iterate fold")
+    h, target = result.h, result.target
+    bits = result.dense.bits
+    if result.source.contains(b):
+        for j in range(1, h + 1):
+            part = result.partials[h - j]
+            if part is None:
+                continue
+            moved = Window(part.window.lo + j * b, part.window.hi + j * b)
+            bits |= _slice_bits(DenseSet(moved, part.bits), target)
+    return SumsetResult(h, result.source, target, DenseSet(target, bits), result.exactness)
 
 
 def representation_count(a: DenseSet, h: int, n: int) -> int:

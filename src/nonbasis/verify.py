@@ -19,6 +19,7 @@ from .errors import (
     BNotOutside,
     DomainConstraint,
     GcdViolation,
+    OracleDisagreement,
     UncertifiableTail,
     WrongResidue,
 )
@@ -309,6 +310,9 @@ class Catalog:
     shifted_y: tuple[int, ...]
     exceptional: tuple[int, ...]
     unknown: tuple[int, ...]
+    # Window points the oracle contains that classify left Unknown: no
+    # contradiction, and not part of the complement.
+    unknown_members: tuple[int, ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -333,22 +337,64 @@ def _shifted_values_in(family: Family, window: Window) -> list[int]:
     ]
 
 
-def _z_source(family: Family, window: Window) -> Window:
-    h, s, t = family.h, family.s, family.t
+def oracle_source(params: Params, window: Window) -> Window:
+    """The window a family is materialized on for its oracle sumset on window.
+
+    Over N0 the set is bounded below, so [0, window.hi] makes the fold
+    exact on the window.  Over Z the truncation reaches past the window by
+    a slack that holds the representations the structural checks rely on.
+    """
+    if params.domain == DOMAIN_N0:
+        return Window(0, window.hi)
+    h, s, t = params.h, params.s, params.t
     slack = h * (abs(s) + abs(t) + h + 2)
     reach = max(abs(window.lo), abs(window.hi))
     return Window(-(reach + slack), reach + slack)
 
 
-def _family_oracle(family: Family, window: Window) -> sumset.SumsetResult:
-    """Windowed oracle sumset: exact for N0 families, truncated for Z."""
+def oracle_fold(family: Family, dense: DenseSet, window: Window) -> sumset.SumsetResult:
+    """hA on window of a set materialized on its oracle source.
+
+    Exact for N0 families, truncated for Z.  Family sets have one chain per
+    gap of Y, and on those the iterate fold beats binary powering by an
+    order of magnitude; it also keeps the k-fold partials.
+    """
     if family.domain == DOMAIN_N0:
-        src = Window(0, window.hi)
-        dense = intset.materialize(family.spec, src)
-        return sumset.hfold_exact_bounded_below(dense, family.h, target=window)
-    src = _z_source(family, window)
-    dense = intset.materialize(family.spec, src)
-    return sumset.hfold_truncated(dense, family.h, target=window)
+        return sumset.hfold_exact_bounded_below(
+            dense, family.h, target=window, strategy="iterate"
+        )
+    return sumset.hfold_truncated(dense, family.h, target=window, strategy="iterate")
+
+
+@dataclass(frozen=True, eq=False)
+class BaseOracle:
+    """hA of one family on one window, and the sets read off it.
+
+    dense is A on source; folded is hA on the window with its k-fold
+    partials; complement lists the window points outside hA, shifted the
+    shifted-Y values (h-1)s + h*y + t in the window, and f_window the
+    complement points that are not shifted-Y values.
+    """
+
+    source: Window
+    dense: DenseSet
+    folded: sumset.SumsetResult
+    complement: tuple[int, ...]
+    shifted: tuple[int, ...]
+    f_window: frozenset[int]
+
+
+@lru_cache(maxsize=8)
+def base_oracle(family: Family, window: Window) -> BaseOracle:
+    """The oracle shared by the catalog and every adjunction check of a window."""
+    source = oracle_source(family.params, window)
+    dense = intset.materialize(family.spec, source)
+    folded = oracle_fold(family, dense, window)
+    complement = tuple(folded.dense.complement().members())
+    shifted = tuple(_shifted_values_in(family, window))
+    return BaseOracle(
+        source, dense, folded, complement, shifted, frozenset(complement).difference(shifted)
+    )
 
 
 def complement_catalog(
@@ -370,13 +416,15 @@ def complement_catalog(
     n0 = family.domain == DOMAIN_N0
     if n0 and window.lo < 0:
         raise DomainConstraint("N0 catalog window must start at 0 or above")
-    oracle = _family_oracle(family, window)
+    base = base_oracle(family, window)
+    oracle = base.folded
     shifted: list[int] = []
     exceptional: list[int] = []
     unknown: list[int] = []
+    unknown_members: list[int] = []
 
     if n0:
-        candidates = oracle.dense.complement().members()
+        candidates = base.complement
     else:
         candidates = range(window.lo, window.hi + 1)
 
@@ -384,12 +432,15 @@ def complement_catalog(
         v = classify(family, n, Budget(budget_probes))
         if isinstance(v, InSumset):
             if n0:
-                raise AssertionError(
+                raise OracleDisagreement(
                     f"classify says {n} is a member but the exact oracle disagrees"
                 )
             continue
         if oracle.member(n):
-            raise AssertionError(
+            if isinstance(v, Unknown):
+                unknown_members.append(n)
+                continue
+            raise OracleDisagreement(
                 f"oracle contains {n} but classify returned {type(v).__name__}"
             )
         if isinstance(v, OutShiftedY):
@@ -405,11 +456,15 @@ def complement_catalog(
             if n in comp:
                 continue
             v = classify(family, n, Budget(budget_probes))
-            if not isinstance(v, InSumset):
-                raise AssertionError(
+            if isinstance(v, Unknown):
+                unknown_members.append(n)
+            elif not isinstance(v, InSumset):
+                raise OracleDisagreement(
                     f"oracle contains {n} but classify returned {type(v).__name__}"
                 )
-    return Catalog(tuple(shifted), tuple(exceptional), tuple(unknown))
+    return Catalog(
+        tuple(shifted), tuple(exceptional), tuple(unknown), tuple(unknown_members)
+    )
 
 
 @dataclass(frozen=True)
@@ -434,27 +489,6 @@ class EscapeReport:
             "added": list(self.added),
             "remaining_shifted": list(self.remaining_shifted),
         }
-
-
-def _oracle_pair_with(family: Family, extra: list[int], window: Window):
-    """Oracle sumsets of A and of A plus the extra elements, same source."""
-    if family.domain == DOMAIN_N0:
-        src = Window(0, window.hi)
-    else:
-        src = _z_source(family, window)
-    dense_a = intset.materialize(family.spec, src)
-    bits = dense_a.bits
-    for b in extra:
-        if src.contains(b):
-            bits |= 1 << (b - src.lo)
-    dense_ab = DenseSet(src, bits)
-    if family.domain == DOMAIN_N0:
-        fa = sumset.hfold_exact_bounded_below(dense_a, family.h, target=window)
-        fab = sumset.hfold_exact_bounded_below(dense_ab, family.h, target=window)
-    else:
-        fa = sumset.hfold_truncated(dense_a, family.h, target=window)
-        fab = sumset.hfold_truncated(dense_ab, family.h, target=window)
-    return fa, fab
 
 
 def escape_check(
@@ -487,20 +521,18 @@ def escape_check(
     else:
         case = "not_st"
 
-    fa, fab = _oracle_pair_with(family, [b], window)
-    comp_a = set(fa.dense.complement().members())
+    oracle = base_oracle(family, window)
+    fa = oracle.folded
+    fab = sumset.adjoin(fa, b)
     comp_ab_list = fab.dense.complement().members()
     comp_ab = set(comp_ab_list)
-    shifted_all = set(_shifted_values_in(family, window))
-    f_window = comp_a - shifted_all
+    f_window = oracle.f_window
 
     if case == "eq_t":
-        added = sorted(
-            DenseSet(window, fab.dense.bits & ~fa.dense.bits).members()
-        )
+        added = DenseSet(window, fab.dense.bits & ~fa.dense.bits).members()
         cover = (h - 1) * s + b
         ok = set(added) <= f_window | {cover}
-        remaining = sorted(comp_ab & (shifted_all - {cover}))
+        remaining = [n for n in oracle.shifted if n != cover and n in comp_ab]
         return EscapeReport(
             b,
             case,
@@ -517,7 +549,7 @@ def escape_check(
     threshold = window.lo
     if case == "eq_s":
         u = (b - s) // h
-        for n in _shifted_values_in(family, window):
+        for n in oracle.shifted:
             y = (n - (h - 1) * s - t) // h
             w_val = y - (h - 1) * u
             if (n0 and w_val < 0) or family.y_contains(w_val):
@@ -532,7 +564,7 @@ def escape_check(
         kk = h - i - 1
         if n0:
             threshold = b + (h - 3) * s + (h - 1) * t
-        for n in _shifted_values_in(family, window):
+        for n in oracle.shifted:
             if n < threshold:
                 continue
             num = n - b - i * s - (h - i - 1) * t
@@ -607,6 +639,7 @@ class AugmentReport:
     missing_shifted: tuple[int, ...]
     extras: tuple[int, ...]
     leftover: tuple[int, ...]
+    dropped_in_window: int  # shifted-Y values of Y minus Y' inside the window
 
     def as_dict(self) -> dict:
         return {
@@ -615,6 +648,7 @@ class AugmentReport:
             "missing_shifted": list(self.missing_shifted),
             "extras": list(self.extras),
             "leftover": list(self.leftover),
+            "dropped_in_window": self.dropped_in_window,
         }
 
 
@@ -633,10 +667,11 @@ def augment_check(
     if not family.is_gapped:
         raise GcdViolation("augment check applies to gapped families only")
     h, s, t = family.h, family.s, family.t
+    oracle = base_oracle(family, window)
+    src = oracle.source
     # Over Z, adjoined elements above the window can still reach it with
     # negative partners, so B is collected across the whole oracle source.
-    src_hi = window.hi if family.domain == DOMAIN_N0 else _z_source(family, window).hi
-    ymax = max((src_hi - t) // h, 0)
+    ymax = max((src.hi - t) // h, 0)
     selected_b: list[int] = []
     dropped_shifted: set[int] = set()
     for idx, y in gapset.indexed_elements_in(family.y, Window(0, ymax)):
@@ -647,14 +682,13 @@ def augment_check(
             if window.contains(n):
                 dropped_shifted.add(n)
 
-    fa, fab = _oracle_pair_with(family, selected_b, window)
-    comp_a = set(fa.dense.complement().members())
+    bits = oracle.dense.bits
+    for b in selected_b:
+        if src.contains(b):
+            bits |= 1 << (b - src.lo)
+    fab = oracle_fold(family, DenseSet(src, bits), window)
     comp_ab_list = fab.dense.complement().members()
-    comp_ab = set(comp_ab_list)
-    shifted_all = set(_shifted_values_in(family, window))
-    f_window = comp_a - shifted_all
-
-    beyond_f = comp_ab - f_window
+    beyond_f = set(comp_ab_list) - oracle.f_window
     missing = sorted(beyond_f & dropped_shifted)
     extras = sorted(beyond_f - dropped_shifted)
 
@@ -670,6 +704,7 @@ def augment_check(
         tuple(missing[:64]),
         tuple(extras[:64]),
         tuple(comp_ab_list),
+        len(dropped_shifted),
     )
 
 

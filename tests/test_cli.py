@@ -234,3 +234,43 @@ def test_uniqueness_vacuous_region_is_unknown():
 
     c = rpt.uniqueness_check(Params(6, 10, 9, "n0"), 50)  # threshold 114 > 50
     assert c.status == "unknown"
+
+
+def test_verify_budget_exhaustion_is_unknown(capsys):
+    code, out, _ = run(
+        capsys,
+        ["verify", "thm4", "--h", "3", "--s", "0", "--t", "1", "--gap", "triangular",
+         "--budget", "3"],
+    )
+    assert code == 3
+    rep = json.loads(out)
+    agreement = rep["checks"][0]
+    assert (agreement["name"], agreement["status"]) == ("oracle_agreement", "unknown")
+    assert rep["catalog"]["shifted_y"][:3] == [1, 4, 10]
+    assert all(c["status"] != "fail" for c in rep["checks"])
+
+
+def test_verify_window_too_small_for_augmentation_is_unknown(capsys):
+    code, out, _ = run(capsys, ["verify", "thm4", *FAM_ARGS, "--window", "0:2"])
+    assert code == 3
+    statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert statuses["augment_even_indices"] == "unknown"
+    assert "fail" not in statuses.values()
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        for n in ("5", "6"):
+            assert run(capsys, ["classify", *FAM_ARGS, "--n", n])[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from nonbasis import gapset, sumset
 from nonbasis.errors import TargetExceedsSafeRange
 from nonbasis.families import Params, build_full, build_gapped
-from nonbasis.intset import Window, dense_from_iter, materialize
+from nonbasis.intset import DenseSet, Window, dense_from_iter, materialize
 
 
 def brute_sumset(values, h, target):
@@ -191,3 +193,62 @@ def test_arith_chains():
     assert sumset.arith_chains([5]) == [(5, 1, 1)]
     assert sumset.arith_chains([1, 3, 5, 7]) == [(1, 2, 4)]
     assert sumset.arith_chains([0, 1, 3, 6, 7, 8]) == [(0, 1, 2), (3, 3, 2), (7, 1, 2)]
+
+
+def per_element_kfold(values, k):
+    """kA by the per-element shift-OR loop, as a set of integers."""
+    if k == 0:
+        return {0}
+    if not values:
+        return set()
+    m = min(values)
+    acc = 1  # bit i is the value i + j*m after j folds
+    for _ in range(k):
+        acc = functools.reduce(operator.or_, (acc << (v - m) for v in values), 0)
+    return {i + k * m for i in range(acc.bit_length()) if (acc >> i) & 1}
+
+
+TARGETS = st.integers(-30, 30).flatmap(
+    lambda lo: st.integers(0, 40).map(lambda w: Window(lo, lo + w))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SMALL_SETS, st.integers(1, 4), TARGETS)
+def test_partials_are_clipped_kfolds(a, h, target):
+    r = sumset.hfold_truncated(a, h, target, strategy="iterate")
+    vals = a.members()
+    assert len(r.partials) == h + 1
+    folds = [per_element_kfold(vals, k) for k in range(h + 1)]
+    for k, part in enumerate(r.partials):
+        # every k-element subtotal that h-k more elements complete to a
+        # target value lies in the partial's window, and the partial is
+        # exactly kA there
+        needed = {
+            v for v in folds[k] if any(target.contains(v + u) for u in folds[h - k])
+        }
+        if part is None:
+            assert not needed
+            continue
+        assert part.members() == sorted(v for v in folds[k] if part.window.contains(v))
+        assert needed <= set(part.members())
+    assert r.members() == sorted(v for v in folds[h] if target.contains(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SMALL_SETS, st.integers(1, 4), TARGETS, st.integers(-20, 30))
+def test_adjoin_matches_direct_fold(a, h, target, b):
+    base = sumset.hfold_truncated(a, h, target, strategy="iterate")
+    got = sumset.adjoin(base, b)
+    bits = a.bits | (1 << (b - a.window.lo) if a.window.contains(b) else 0)
+    direct = sumset.hfold_truncated(DenseSet(a.window, bits), h, target)
+    assert got.dense == direct.dense
+    assert got.exactness == sumset.LOWER_BOUND
+
+
+def test_adjoin_needs_partials():
+    a = dense_from_iter([0, 1, 3], Window(0, 3))
+    folded = sumset.hfold_exact_bounded_below(a, 4, strategy="double")
+    assert folded.partials == ()
+    with pytest.raises(ValueError):
+        sumset.adjoin(folded, 2)

@@ -1,9 +1,11 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonbasis import gapset, intset, sumset, verify
-from nonbasis.errors import BNotOutside, GcdViolation, WrongResidue
+from nonbasis import gapset, intset, report, sumset, verify
+from nonbasis.errors import BNotOutside, GcdViolation, OracleDisagreement, WrongResidue
 from nonbasis.families import Params, build_full, build_gapped
 from nonbasis.intset import Window, materialize
 from nonbasis.verify import (
@@ -336,3 +338,107 @@ def test_verdict_certificates_resum():
         elif isinstance(v, OutShiftedY):
             assert fam.shifted_y_value(v.y) == n
             assert fam.y_contains(v.y)
+
+
+ORACLE_GAPS = (GEOM2, gapset.Geometric(3, 1), gapset.Triangular(), gapset.Factorial())
+
+
+@st.composite
+def escape_cases(draw):
+    """A small gapped family, a window and a b outside A, over N0 or Z."""
+    n0 = draw(st.booleans())
+    h = draw(st.integers(2, 4))
+    s = draw(st.integers(0 if n0 else -4, 4))
+    t = draw(st.integers(0 if n0 else -4, 4))
+    assume(math.gcd(h, abs(s - t)) == 1)
+    fam = build_gapped(Params(h, s, t, "n0" if n0 else "z"), draw(st.sampled_from(ORACLE_GAPS)))
+    lo = draw(st.integers(0, 20) if n0 else st.integers(-40, 10))
+    window = Window(lo, lo + draw(st.integers(0, 50)))
+    src = verify.oracle_source(fam.params, window)
+    # b ranges past the source window on both sides (negative over Z)
+    b = draw(st.integers(0 if n0 else src.lo - 10, src.hi + 10))
+    assume(not fam.a_contains(b))
+    return fam, window, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(escape_cases())
+def test_escape_check_matches_direct_fold(case):
+    fam, window, b = case
+    oracle = verify.base_oracle(fam, window)
+    src, h = oracle.source, fam.h
+    a = materialize(fam.spec, src)
+    assert oracle.dense == a
+    folds = [{0}]
+    for _ in range(h):  # per-element reference loop
+        folds.append({x + v for x in folds[-1] for v in a.members()})
+    for k, part in enumerate(oracle.folded.partials):
+        assert part is not None
+        assert part.members() == sorted(v for v in folds[k] if part.window.contains(v))
+
+    bits = a.bits | (1 << (b - src.lo) if src.contains(b) else 0)
+    fold = (
+        sumset.hfold_exact_bounded_below if fam.domain == "n0" else sumset.hfold_truncated
+    )
+    fa = fold(a, h, target=window)
+    fab = fold(intset.DenseSet(src, bits), h, target=window)
+    rep = verify.escape_check(fam, b, window)
+    assert rep.leftover == tuple(fab.dense.complement().members())
+    if rep.residue_case == "eq_t":
+        assert rep.added == tuple(
+            intset.DenseSet(window, fab.dense.bits & ~fa.dense.bits).members()
+        )
+
+
+def test_escape_checks_fold_once(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("hfold_exact_bounded_below", "hfold_truncated"):
+        monkeypatch.setattr(sumset, name, counting(getattr(sumset, name)))
+    verify.base_oracle.cache_clear()
+    checks = report.escape_checks(fam301(), Window(0, 3000))
+    assert len(checks) == 9
+    assert calls == ["hfold_exact_bounded_below"]
+
+
+def test_catalog_budget_exhaustion_on_members_is_not_disagreement():
+    fam = build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular())
+    cat = verify.complement_catalog(fam, Window(0, 2000), budget_probes=3)
+    assert 14 in cat.unknown_members
+    assert cat.shifted_y[:4] == (1, 4, 10, 19)
+    oracle = verify.base_oracle(fam, Window(0, 2000)).folded
+    assert all(oracle.member(n) for n in cat.unknown_members)
+
+
+def test_catalog_disagreement_raises_its_own_error(monkeypatch):
+    monkeypatch.setattr(verify, "classify", lambda fam, n, budget=None: OutExceptional("F0"))
+    with pytest.raises(OracleDisagreement):
+        verify.complement_catalog(fam201(), Window(0, 40))
+    catalog, checks = report.catalog_checks(fam201(), Window(0, 40))
+    assert catalog == verify.Catalog((), (), ())
+    assert [(c.name, c.status) for c in checks] == [("oracle_agreement", "fail")]
+
+
+def test_catalog_checks_lets_internal_errors_through(monkeypatch):
+    def broken(fam, n, budget=None):
+        raise AssertionError("internal")
+
+    monkeypatch.setattr(verify, "classify", broken)
+    with pytest.raises(AssertionError):
+        report.catalog_checks(fam201(), Window(0, 40))
+
+
+def test_augment_window_without_dropped_values():
+    rep = verify.augment_check(fam201(), YPrimeFilter("even_indices"), Window(0, 2))
+    assert rep.dropped_in_window == 0
+    checks = report.augment_checks(fam201(), Window(0, 2))
+    even = checks[0]
+    assert (even.name, even.status) == ("augment_even_indices", "unknown")
+    assert "no dropped shifted-Y value" in even.details
