@@ -50,8 +50,6 @@ from .intset import (
     Singleton,
     Union,
     Window,
-    complement_in,
-    enumerate_dense,
     materialize,
     member,
     union_of,

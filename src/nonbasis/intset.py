@@ -299,13 +299,3 @@ def _affine_bits(spec: SetSpec, c: int, d: int, w: Window) -> int:
 def materialize(spec: SetSpec, window: Window) -> DenseSet:
     """Exact membership bits of the described set on the window."""
     return DenseSet(window, _affine_bits(spec, 0, 1, window))
-
-
-def enumerate_dense(dense: DenseSet) -> list[int]:
-    """Ascending, duplicate-free list of the set bits."""
-    return dense.members()
-
-
-def complement_in(dense: DenseSet) -> DenseSet:
-    """Bitwise negation within the same window."""
-    return dense.complement()

@@ -1,16 +1,18 @@
 """Brute-force h-fold sumset kernels on windowed bitsets.
 
-The ground truth the structural theorems are checked against.  Sumsets are
-computed as iterated shift-ORs over a bitset: to add one more copy of A,
-OR together the accumulator shifted by every element of A.  Runs of set
-bits with a common stride are shifted as a group via doubling, which is an
-algebraic identity on OR-over-shifts and keeps dense inputs cheap; results
-are bit-identical to the per-element loop (property-tested).
+The ground truth the structural theorems are checked against.  hA is
+computed by one loop: kA is (k-1)A + A, the OR of one operand shifted by
+every member of the other.  Members that form a run with a common stride
+are shifted as a group via doubling, which is an algebraic identity on
+OR-over-shifts, and each step walks the runs of whichever operand has
+fewer.  Results are bit-identical to the per-element loop (property-tested).
 """
 
 from __future__ import annotations
 
 import bisect
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import TargetExceedsSafeRange
@@ -19,9 +21,13 @@ from .intset import DenseSet, Window, dilate_or
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
 
-# Above this many chains the binary-powering fold usually wins, because
-# intermediate sumsets collapse into long runs with few chains.
-_DOUBLING_CHAIN_THRESHOLD = 48
+# Strides always tried when splitting a set into runs.  The gaps between
+# its lowest _HEAD_MEMBERS members (those within _HEAD_BITS of the
+# smallest) are tried too, so a family of stride h > 8 finds h.
+_SMALL_STRIDES = range(1, 9)
+_HEAD_MEMBERS = 9
+_HEAD_BITS = 4096
+_NONZERO_BYTES = re.compile(rb"[^\x00]+")
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,7 @@ class SumsetResult:
     partials[k] is the k-fold sumset kA on the clip window of the k-th fold
     step (the k-element subtotals that h-k more source elements can still
     complete to a target value), or None where that window is empty, for
-    k = 0..h.  The iterate strategy fills it; other folds leave it empty.
+    k = 0..h.  Every fold fills it; a result built by adjoin has none.
     """
 
     h: int
@@ -48,21 +54,65 @@ class SumsetResult:
         return self.dense.members()
 
 
-def arith_chains(positions: list[int]) -> list[tuple[int, int, int]]:
-    """Greedy split of sorted positions into (start, stride, count) runs."""
-    chains = []
-    i, n = 0, len(positions)
-    while i < n:
-        if i + 1 == n:
-            chains.append((positions[i], 1, 1))
+def _bit_offsets(bits: int) -> list[int]:
+    # Ascending offsets of the set bits of a raw int.  Only nonzero bytes
+    # are visited, so sparse run starts and ends cost what they hold, where
+    # DenseSet.members walks every byte of the window.
+    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    out = []
+    for run in _NONZERO_BYTES.finditer(raw):
+        for bi in range(run.start(), run.end()):
+            byte = raw[bi]
+            while byte:
+                low = byte & -byte
+                out.append(8 * bi + low.bit_length() - 1)
+                byte ^= low
+    return out
+
+
+def _fewest_runs(bits: int) -> tuple[int, int]:
+    """(stride, run count) of the candidate stride with the fewest runs.
+
+    A stride-g run starts at each member whose g-predecessor is not a
+    member, so the runs are counted by one popcount per candidate.
+    """
+    if not bits:
+        return 1, 0
+    strides = set(_SMALL_STRIDES)
+    # the lowest members, shifted so that the first one is bit 0
+    head = (bits >> ((bits & -bits).bit_length() - 1)) & ((1 << _HEAD_BITS) - 1)
+    prev = 0
+    for _ in range(_HEAD_MEMBERS - 1):
+        head &= head - 1  # drop the member at prev
+        if not head:
             break
-        stride = positions[i + 1] - positions[i]
-        j = i + 1
-        while j + 1 < n and positions[j + 1] - positions[j] == stride:
-            j += 1
-        chains.append((positions[i], stride, j - i + 1))
-        i = j + 1
-    return chains
+        at = (head & -head).bit_length() - 1
+        strides.add(at - prev)
+        prev = at
+    runs = {g: (bits & ~(bits << g)).bit_count() for g in sorted(strides)}
+    g = min(runs, key=runs.get)
+    return g, runs[g]
+
+
+def arith_chains(a: DenseSet) -> list[tuple[int, int, int]]:
+    """The members of a as (start, stride, count) runs, in ascending order.
+
+    Every run has the candidate stride g with the fewest runs.  Run starts
+    are the members without a g-predecessor and run ends the members
+    without a g-successor, both read off the bits; within one residue class
+    mod g the starts and ends alternate, so they pair up in order.
+    """
+    x = a.bits
+    g, _ = _fewest_runs(x)
+    ends_of: dict[int, list[int]] = {}
+    for e in _bit_offsets(x & ~(x >> g)):
+        ends_of.setdefault(e % g, []).append(e)
+    ends = {r: iter(es) for r, es in ends_of.items()}
+    lo = a.window.lo
+    return [
+        (lo + b, g, (next(ends[b % g]) - b) // g + 1)
+        for b in _bit_offsets(x & ~(x << g))
+    ]
 
 
 def pairwise_sum(
@@ -73,7 +123,7 @@ def pairwise_sum(
 ) -> DenseSet:
     """(p + q) intersected with target; exact as a set sum of the two sets."""
     if q_chains is None:
-        q_chains = arith_chains(q.members())
+        q_chains = arith_chains(q)
     acc = 0
     for a0, g, cnt in q_chains:
         frame_lo = p.window.lo + a0
@@ -99,34 +149,13 @@ def _clip_window(k: int, h: int, src: Window, target: Window) -> Window | None:
     return Window(lo, hi)
 
 
-def _empty_on(target: Window) -> DenseSet:
-    return DenseSet(target, 0)
-
-
-def _fold(
-    a: DenseSet, h: int, target: Window, strategy: str
-) -> tuple[DenseSet, tuple[DenseSet | None, ...]]:
-    chains = arith_chains(a.members()) if h > 1 else []
-    if strategy == "auto":
-        strategy = (
-            "double"
-            if h >= 4 and len(chains) > _DOUBLING_CHAIN_THRESHOLD
-            else "iterate"
-        )
-    if strategy == "iterate":
-        partials = _iterate_partials(a, h, target, chains)
-        top = partials[h]
-        return (_empty_on(target) if top is None else _align(top, target)), partials
-    return _fold_double(a, h, target), ()
-
-
-def _iterate_partials(
-    a: DenseSet, h: int, target: Window, chains: list[tuple[int, int, int]]
-) -> tuple[DenseSet | None, ...]:
+def _fold(a: DenseSet, h: int, target: Window) -> tuple[DenseSet | None, ...]:
     # kA on its clip window for k = 0..h, each step one pairwise sum with a.
     # A nonempty clip window has a nonempty one before it, so the empty
-    # windows are a suffix.
+    # windows are a suffix.  The set sum is symmetric, so walking the runs
+    # of (k-1)A instead of A's, when it has fewer, gives the same bits.
     src = a.window
+    chains = arith_chains(a) if h > 1 else []
     out: list[DenseSet | None] = []
     for k in range(h + 1):
         wk = _clip_window(k, h, src, target)
@@ -136,51 +165,18 @@ def _iterate_partials(
             out.append(DenseSet(wk, 1))  # the window is [0, 0]
         elif k == 1:
             out.append(DenseSet(wk, _slice_bits(a, wk)))
+        elif _fewest_runs(out[-1].bits)[1] < len(chains):
+            out.append(pairwise_sum(a, out[-1], wk, arith_chains(out[-1])))
         else:
             out.append(pairwise_sum(out[-1], a, wk, chains))
     return tuple(out)
 
 
-def _fold_double(a: DenseSet, h: int, target: Window) -> DenseSet:
-    # binary powering on the fold count
-    src = a.window
-    if h == 1:
-        return DenseSet(target, _slice_bits(a, target))
-    w1 = _clip_window(1, h, src, target)
-    if w1 is None or a.bits == 0:
-        return _empty_on(target)
-    pow_set = DenseSet(w1, _slice_bits(a, w1))
-    pow_k = 1
-    acc: DenseSet | None = None
-    acc_k = 0
-    e = h
-    while e:
-        if e & 1:
-            new_k = acc_k + pow_k
-            wk = _clip_window(new_k, h, src, target)
-            if wk is None:
-                return _empty_on(target)
-            if acc is None:
-                acc = DenseSet(wk, _slice_bits(pow_set, wk))
-            else:
-                sparser, other = (
-                    (pow_set, acc) if pow_set.popcount() < acc.popcount() else (acc, pow_set)
-                )
-                acc = pairwise_sum(other, sparser, wk)
-            acc_k = new_k
-        e >>= 1
-        if e:
-            new_k = 2 * pow_k
-            wk = _clip_window(new_k, h, src, target)
-            if wk is None:
-                # remaining powers are unreachable; only valid if acc already done
-                if acc is None or e:
-                    return _empty_on(target)
-                break
-            pow_set = pairwise_sum(pow_set, pow_set, wk)
-            pow_k = new_k
-    assert acc is not None and acc_k == h
-    return _align(acc, target)
+def _folded(a: DenseSet, h: int, target: Window, exactness: str) -> SumsetResult:
+    partials = _fold(a, h, target)
+    top = partials[h]
+    dense = DenseSet(target, 0) if top is None else _align(top, target)
+    return SumsetResult(h, a.window, target, dense, exactness, partials)
 
 
 def _slice_bits(a: DenseSet, w: Window) -> int:
@@ -200,8 +196,6 @@ def hfold_exact_bounded_below(
     a: DenseSet,
     h: int,
     target: Window | None = None,
-    chunks: int = 1,
-    strategy: str = "auto",
 ) -> SumsetResult:
     """Exact h-fold sumset of a set bounded below by its window.
 
@@ -220,17 +214,10 @@ def hfold_exact_bounded_below(
         raise TargetExceedsSafeRange(
             f"target {target.lo}:{target.hi} outside safe range {safe.lo}:{safe.hi}"
         )
-    dense, partials = _fold_chunked(a, h, target, chunks, strategy)
-    return SumsetResult(h, a.window, target, dense, EXACT, partials)
+    return _folded(a, h, target, EXACT)
 
 
-def hfold_truncated(
-    a: DenseSet,
-    h: int,
-    target: Window,
-    chunks: int = 1,
-    strategy: str = "auto",
-) -> SumsetResult:
+def hfold_truncated(a: DenseSet, h: int, target: Window) -> SumsetResult:
     """Exact h-fold sumset of the truncated set a, clipped to target.
 
     Sound lower bound for the sumset of any superset of a: every reported
@@ -238,24 +225,7 @@ def hfold_truncated(
     """
     if h < 1:
         raise TargetExceedsSafeRange(f"h must be >= 1, got {h}")
-    dense, partials = _fold_chunked(a, h, target, chunks, strategy)
-    return SumsetResult(h, a.window, target, dense, LOWER_BOUND, partials)
-
-
-def _fold_chunked(
-    a: DenseSet, h: int, target: Window, chunks: int, strategy: str
-) -> tuple[DenseSet, tuple[DenseSet | None, ...]]:
-    if chunks <= 1 or target.width <= chunks:
-        return _fold(a, h, target, strategy)
-    acc = 0
-    step = (target.width + chunks - 1) // chunks
-    lo = target.lo
-    while lo <= target.hi:
-        piece = Window(lo, min(lo + step - 1, target.hi))
-        part, _ = _fold(a, h, piece, strategy)
-        acc |= part.bits << (piece.lo - target.lo)
-        lo = piece.hi + 1
-    return DenseSet(target, acc), ()
+    return _folded(a, h, target, LOWER_BOUND)
 
 
 def adjoin(result: SumsetResult, b: int) -> SumsetResult:
@@ -267,7 +237,7 @@ def adjoin(result: SumsetResult, b: int) -> SumsetResult:
     in the clip window of its partial, so this is h shifts and no fold.
     """
     if not result.partials:
-        raise ValueError("adjoin needs the k-fold partials of an iterate fold")
+        raise ValueError("adjoin needs the k-fold partials of a fold")
     h, target = result.h, result.target
     bits = result.dense.bits
     if result.source.contains(b):
@@ -280,59 +250,43 @@ def adjoin(result: SumsetResult, b: int) -> SumsetResult:
     return SumsetResult(h, result.source, target, DenseSet(target, bits), result.exactness)
 
 
-def representation_count(a: DenseSet, h: int, n: int) -> int:
-    """Number of multisets of h elements of a summing to n."""
+def _multisets(a: DenseSet, h: int, n: int) -> Iterator[tuple[int, ...]]:
+    # Sorted multisets of h elements of a summing to n, lexicographically.
     if h == 0:
-        return 1 if n == 0 else 0
+        if n == 0:
+            yield ()
+        return
     vals = a.members()
     if not vals:
-        return 0
+        return
     vmax = vals[-1]
 
-    def count(k: int, rest: int, idx: int) -> int:
+    def search(k: int, rest: int, idx: int) -> Iterator[tuple[int, ...]]:
         if k == 1:
             j = bisect.bisect_left(vals, rest, idx)
-            return 1 if j < len(vals) and vals[j] == rest else 0
-        total = 0
+            if j < len(vals) and vals[j] == rest:
+                yield (rest,)
+            return
         for j in range(idx, len(vals)):
             v = vals[j]
             if k * v > rest:
                 break
             if rest - v > (k - 1) * vmax:
                 continue
-            total += count(k - 1, rest - v, j)
-        return total
+            for sub in search(k - 1, rest - v, j):
+                yield (v,) + sub
 
-    return count(h, n, 0)
+    yield from search(h, n, 0)
+
+
+def representation_count(a: DenseSet, h: int, n: int) -> int:
+    """Number of multisets of h elements of a summing to n."""
+    return sum(1 for _ in _multisets(a, h, n))
 
 
 def witness(a: DenseSet, h: int, n: int) -> tuple[int, ...] | None:
     """Lexicographically smallest sorted multiset of h elements summing to n."""
-    if h == 0:
-        return () if n == 0 else None
-    vals = a.members()
-    if not vals:
-        return None
-    vmax = vals[-1]
-
-    def search(k: int, rest: int, idx: int) -> tuple[int, ...] | None:
-        if k == 1:
-            j = bisect.bisect_left(vals, rest, idx)
-            if j < len(vals) and vals[j] == rest:
-                return (rest,)
-            return None
-        for j in range(idx, len(vals)):
-            v = vals[j]
-            if k * v > rest:
-                break
-            if rest - v > (k - 1) * vmax:
-                continue
-            sub = search(k - 1, rest - v, j)
-            if sub is not None:
-                return (v,) + sub
-        return None
-
-    return search(h, n, 0)
+    return next(_multisets(a, h, n), None)
 
 
 def multiplicity_pair(a: DenseSet, h: int, hi: int) -> tuple[int, int]:

@@ -259,7 +259,12 @@ def classify(family: Family, n: int, budget: Budget | None = None) -> Verdict:
 
 
 def verify_certificate(family: Family, n: int, verdict: Verdict) -> bool:
-    """Re-check a verdict by plain arithmetic and membership tests."""
+    """Re-check a verdict by plain arithmetic and membership tests.
+
+    An F0 verdict over N0 is replayed: n must be off the F1 class, at most
+    exceptional_bound, and outside hA as folded afresh from A on [0, n].
+    Over Z an F0 verdict is only checked to be off the F1 class.
+    """
     h, s, t = family.h, family.s, family.t
     if isinstance(verdict, InSumset):
         if verdict.s_count + len(verdict.xs) != h:
@@ -278,7 +283,16 @@ def verify_certificate(family: Family, n: int, verdict: Verdict) -> bool:
                 and (n - (t - s)) % h == 0
                 and n < (h - 1) * s + t
             )
-        return (n - (t - s)) % h != 0
+        off_f1 = (n - (t - s)) % h != 0
+        if family.domain != DOMAIN_N0:
+            return off_f1
+        return (
+            off_f1
+            and 0 <= n <= exceptional_bound(family)
+            and not sumset.hfold_exact_bounded_below(
+                intset.materialize(family.spec, Window(0, n)), h, target=Window(n, n)
+            ).member(n)
+        )
     return isinstance(verdict, Unknown)
 
 
@@ -355,15 +369,12 @@ def oracle_source(params: Params, window: Window) -> Window:
 def oracle_fold(family: Family, dense: DenseSet, window: Window) -> sumset.SumsetResult:
     """hA on window of a set materialized on its oracle source.
 
-    Exact for N0 families, truncated for Z.  Family sets have one chain per
-    gap of Y, and on those the iterate fold beats binary powering by an
-    order of magnitude; it also keeps the k-fold partials.
+    Exact for N0 families, truncated for Z; either way the result keeps the
+    k-fold partials that the adjunction checks build on.
     """
     if family.domain == DOMAIN_N0:
-        return sumset.hfold_exact_bounded_below(
-            dense, family.h, target=window, strategy="iterate"
-        )
-    return sumset.hfold_truncated(dense, family.h, target=window, strategy="iterate")
+        return sumset.hfold_exact_bounded_below(dense, family.h, target=window)
+    return sumset.hfold_truncated(dense, family.h, target=window)
 
 
 @dataclass(frozen=True, eq=False)

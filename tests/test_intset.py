@@ -15,9 +15,7 @@ from nonbasis.intset import (
     ShiftScale,
     Singleton,
     Window,
-    complement_in,
     dense_from_iter,
-    enumerate_dense,
     materialize,
     member,
     union_of,
@@ -63,11 +61,11 @@ def test_member_gapped_family():
 
 def test_enumerate_and_complement():
     d = materialize(ModClass(2, 1), Window(0, 6))
-    assert enumerate_dense(d) == [1, 3, 5]
-    assert enumerate_dense(complement_in(d)) == [0, 2, 4, 6]
-    assert enumerate_dense(dense_from_iter([], Window(0, 3))) == []
+    assert d.members() == [1, 3, 5]
+    assert d.complement().members() == [0, 2, 4, 6]
+    assert dense_from_iter([], Window(0, 3)).members() == []
     full = dense_from_iter(range(0, 7), Window(0, 6))
-    assert complement_in(full).members() == []
+    assert full.complement().members() == []
 
 
 def test_modclass_normalization():
@@ -186,7 +184,7 @@ def test_shiftscale_matches_pointwise_image(spec, w, c, d):
 @given(SPECS, WINDOWS)
 def test_double_complement_identity(spec, w):
     dense = materialize(spec, w)
-    assert complement_in(complement_in(dense)) == dense
+    assert dense.complement().complement() == dense
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from nonbasis import gapset, sumset
 from nonbasis.errors import TargetExceedsSafeRange
 from nonbasis.families import Params, build_full, build_gapped
-from nonbasis.intset import DenseSet, Window, dense_from_iter, materialize
+from nonbasis.intset import (
+    DenseSet,
+    Diff,
+    GapTail,
+    ModClassNonneg,
+    Window,
+    dense_from_iter,
+    materialize,
+)
 
 
 def brute_sumset(values, h, target):
@@ -101,10 +109,10 @@ SMALL_SETS = st.integers(-8, 6).flatmap(
 
 
 @settings(max_examples=250, deadline=None)
-@given(SMALL_SETS, st.integers(1, 5), st.sampled_from(["iterate", "double"]))
-def test_kernel_matches_brute_force(a, h, strategy):
+@given(SMALL_SETS, st.integers(1, 5))
+def test_kernel_matches_brute_force(a, h):
     target = Window(h * a.window.lo, h * a.window.hi)
-    got = sumset.hfold_truncated(a, h, target, strategy=strategy)
+    got = sumset.hfold_truncated(a, h, target)
     vals = a.members()
     want = brute_sumset(vals, h, target) if vals else []
     assert got.members() == want
@@ -112,20 +120,10 @@ def test_kernel_matches_brute_force(a, h, strategy):
 
 @settings(max_examples=150, deadline=None)
 @given(SMALL_SETS, st.integers(1, 4))
-def test_strategies_bit_identical(a, h):
+def test_fold_matches_per_element_loop(a, h):
     target = Window(h * a.window.lo, h * a.window.hi)
-    r1 = sumset.hfold_truncated(a, h, target, strategy="iterate")
-    r2 = sumset.hfold_truncated(a, h, target, strategy="double")
-    assert r1.dense.bits == r2.dense.bits
-
-
-@settings(max_examples=150, deadline=None)
-@given(SMALL_SETS, st.integers(1, 4), st.integers(2, 7))
-def test_chunked_bit_identity(a, h, chunks):
-    target = Window(h * a.window.lo, h * a.window.hi)
-    whole = sumset.hfold_truncated(a, h, target)
-    split = sumset.hfold_truncated(a, h, target, chunks=chunks)
-    assert whole.dense.bits == split.dense.bits
+    want = dense_from_iter(per_element_kfold(a.members(), h), target)
+    assert sumset.hfold_truncated(a, h, target).dense.bits == want.bits
 
 
 @settings(max_examples=150, deadline=None)
@@ -189,10 +187,30 @@ def test_multiplicity_pair_matches_counts(a, h):
 
 
 def test_arith_chains():
-    assert sumset.arith_chains([]) == []
-    assert sumset.arith_chains([5]) == [(5, 1, 1)]
-    assert sumset.arith_chains([1, 3, 5, 7]) == [(1, 2, 4)]
-    assert sumset.arith_chains([0, 1, 3, 6, 7, 8]) == [(0, 1, 2), (3, 3, 2), (7, 1, 2)]
+    def chains(vals, window=Window(0, 20)):
+        return sumset.arith_chains(dense_from_iter(vals, window))
+
+    assert chains([]) == []
+    assert chains([5]) == [(5, 1, 1)]
+    assert chains([1, 3, 5, 7]) == [(1, 2, 4)]
+    # one stride for every run: the one with the fewest runs
+    assert chains([0, 1, 3, 6, 7, 8]) == [(0, 1, 2), (3, 1, 1), (6, 1, 3)]
+    # runs of different residue classes interleave
+    assert chains([10, 11, 12, 13, 14, 16, 18], Window(8, 20)) == [(10, 2, 5), (11, 2, 2)]
+    # a stride above the small ones is found from the gaps of the lowest members
+    assert chains([3, 13, 23, 33, 43], Window(-5, 50)) == [(3, 10, 5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(SMALL_SETS)
+def test_arith_chains_partition_members_in_order(a):
+    chains = sumset.arith_chains(a)
+    starts = [c[0] for c in chains]
+    assert starts == sorted(set(starts))
+    assert len({g for _, g, _ in chains}) <= 1
+    covered = [b + i * g for b, g, cnt in chains for i in range(cnt)]
+    assert all(cnt >= 1 for _, _, cnt in chains)
+    assert sorted(covered) == a.members()
 
 
 def per_element_kfold(values, k):
@@ -216,7 +234,7 @@ TARGETS = st.integers(-30, 30).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(SMALL_SETS, st.integers(1, 4), TARGETS)
 def test_partials_are_clipped_kfolds(a, h, target):
-    r = sumset.hfold_truncated(a, h, target, strategy="iterate")
+    r = sumset.hfold_truncated(a, h, target)
     vals = a.members()
     assert len(r.partials) == h + 1
     folds = [per_element_kfold(vals, k) for k in range(h + 1)]
@@ -238,7 +256,7 @@ def test_partials_are_clipped_kfolds(a, h, target):
 @settings(max_examples=200, deadline=None)
 @given(SMALL_SETS, st.integers(1, 4), TARGETS, st.integers(-20, 30))
 def test_adjoin_matches_direct_fold(a, h, target, b):
-    base = sumset.hfold_truncated(a, h, target, strategy="iterate")
+    base = sumset.hfold_truncated(a, h, target)
     got = sumset.adjoin(base, b)
     bits = a.bits | (1 << (b - a.window.lo) if a.window.contains(b) else 0)
     direct = sumset.hfold_truncated(DenseSet(a.window, bits), h, target)
@@ -248,7 +266,29 @@ def test_adjoin_matches_direct_fold(a, h, target, b):
 
 def test_adjoin_needs_partials():
     a = dense_from_iter([0, 1, 3], Window(0, 3))
-    folded = sumset.hfold_exact_bounded_below(a, 4, strategy="double")
-    assert folded.partials == ()
+    adjoined = sumset.adjoin(sumset.hfold_exact_bounded_below(a, 4), 2)
+    assert adjoined.partials == ()
     with pytest.raises(ValueError):
-        sumset.adjoin(folded, 2)
+        sumset.adjoin(adjoined, 2)
+
+
+@pytest.mark.parametrize("h", [2, 3, 5, 11])
+def test_stride_h_family_matches_reference_loop(h):
+    # every member is its own stride-1 run, while stride h has one run per
+    # gap of Y; h = 11 is found only from the gaps of the lowest members
+    fam = build_gapped(Params(h, 0, 1, "n0"), gapset.Geometric(2, 1))
+    a = materialize(fam.spec, Window(0, 40 * h))
+    chains = sumset.arith_chains(a)
+    assert {g for _, g, _ in chains} == {h}
+    assert 4 * len(chains) < a.popcount()
+    r = sumset.hfold_exact_bounded_below(a, h)
+    assert r.dense == dense_from_iter(per_element_kfold(a.members(), h), r.target)
+
+
+def test_fold_walks_the_partial_with_fewer_runs():
+    # N0 minus the triangular numbers has a stride-1 run per gap of Y; 2A
+    # is nearly one interval, so later steps walk the partial's runs
+    a = materialize(Diff(ModClassNonneg(1, 0), GapTail(gapset.Triangular())), Window(0, 400))
+    r = sumset.hfold_exact_bounded_below(a, 4)
+    assert len(sumset.arith_chains(r.partials[2])) < len(sumset.arith_chains(a))
+    assert r.dense == dense_from_iter(per_element_kfold(a.members(), 4), r.target)

@@ -149,6 +149,18 @@ def test_classify_examples():
     assert verify.classify(fam, 4) == OutExceptional("F0")
 
 
+def test_f0_certificate_is_replayed(monkeypatch):
+    fam = fam201()
+    assert isinstance(verify.classify(fam, 1000), InSumset)
+    assert not verify.verify_certificate(fam, 1000, OutExceptional("F0"))
+    assert verify.verify_certificate(fam, 4, OutExceptional("F0"))
+    # n = 5 is off hA but in the F1 class
+    assert not verify.verify_certificate(fam, 5, OutExceptional("F0"))
+    # an F0 point above the exceptional bound is no certificate either
+    monkeypatch.setattr(verify, "exceptional_bound", lambda family: 3)
+    assert not verify.verify_certificate(fam, 4, OutExceptional("F0"))
+
+
 def test_classify_f1_case():
     # s large: small n in the t-s class fall below (h-1)s + t
     fam = build_gapped(Params(2, 5, 2, "n0"), GEOM2)
