@@ -127,15 +127,19 @@ def is_member(gen: GapGenerator, n: int) -> bool:
     raise MalformedSpec(f"unknown generator {gen!r}")
 
 
+def least_non_member(gen: GapGenerator) -> int:
+    """The smallest nonnegative integer outside the sequence."""
+    n = 0
+    for v in values(gen):
+        if v != n:
+            return n
+        n += 1
+    raise AssertionError("unreachable: certified sequences have unbounded gaps")
+
+
 def elements_in(gen: GapGenerator, window) -> list[int]:
     """Sequence elements inside [window.lo, window.hi], ascending."""
-    out = []
-    for v in values(gen):
-        if v > window.hi:
-            break
-        if v >= window.lo:
-            out.append(v)
-    return out
+    return [v for _, v in indexed_elements_in(gen, window)]
 
 
 def indexed_elements_in(gen: GapGenerator, window) -> list[tuple[int, int]]:

@@ -139,16 +139,9 @@ def dichotomy_checks(params: Params, window: Window) -> list[Check]:
     checks = []
     if case.d >= 2:
         allowed = {(i * (s - t) + h * t) % h for i in range(h)}
-        bad_mask = 0
-        for c in range(h):
-            if c not in allowed:
-                bad_mask |= residue_class_bits(window, h, c)
-        ok_bad = oracle.dense.bits & bad_mask == 0
-        missed = [
-            c
-            for c in range(h)
-            if oracle.dense.bits & residue_class_bits(window, h, c) == 0
-        ]
+        hits = [oracle.dense.bits & residue_class_bits(window, h, c) != 0 for c in range(h)]
+        ok_bad = not any(hits[c] for c in range(h) if c not in allowed)
+        missed = [c for c in range(h) if not hits[c]]
         need = h * (case.d - 1) // case.d
         checks.append(
             check(
@@ -360,11 +353,8 @@ def catalog_checks(
     budget_probes: int = verify.DEFAULT_BUDGET,
 ) -> tuple[verify.Catalog, list[Check]]:
     """Complement characterization plus certificate hygiene on a window."""
-    n0 = family.domain == DOMAIN_N0
     try:
-        catalog = verify.complement_catalog(
-            family, window, budget_probes, crosscheck=n0
-        )
+        catalog = verify.complement_catalog(family, window, budget_probes)
     except OracleDisagreement as exc:
         return verify.Catalog((), (), ()), [check("oracle_agreement", False, str(exc))]
     if catalog.unknown_members:
@@ -380,13 +370,10 @@ def catalog_checks(
         )
     checks = [agreement]
 
-    predicted = [
-        n for n in verify._shifted_values_in(family, window) if n >= window.lo
-    ]
     checks.append(
         check(
             "shifted_y_match",
-            list(catalog.shifted_y) == predicted,
+            catalog.shifted_y == verify.base_oracle(family, window).shifted,
             f"{len(catalog.shifted_y)} shifted-Y complement points",
         )
     )
@@ -403,7 +390,7 @@ def catalog_checks(
         f"{len(catalog.unknown)} unclassified complement points",
     )
     checks.append(no_unknown)
-    if n0:
+    if family.domain == DOMAIN_N0:
         bound = verify.exceptional_bound(family)
         checks.append(
             check(

@@ -123,22 +123,18 @@ def _xparts(xspec: SetSpec) -> tuple[str, gapset.GapGenerator]:
 
 
 def _probes(domain: str, gen: gapset.GapGenerator, budget: Budget):
-    def in_y(v: int) -> bool:
-        budget.spend()
-        return gapset.is_member(gen, v)
-
     def in_x(v: int) -> bool:
         if domain == DOMAIN_N0 and v < 0:
             return False
-        return not in_y(v)
+        budget.spend()
+        return not gapset.is_member(gen, v)
 
-    return in_x, in_y
+    return in_x
 
 
-def _decide_2x(domain: str, gen: gapset.GapGenerator, m: int, in_x, in_y) -> KDecision:
+def _decide_2x(domain: str, r3: int, m: int, in_x) -> KDecision:
     if domain == DOMAIN_N0 and m < 0:
         return KDecision("out")
-    r3 = gapset.gap_radius(gen, 3)
     u = m // 2
     if u - 1 > r3:
         # All four of {u-1, u, u+1, u+2} sit beyond the close-pair radius,
@@ -163,15 +159,15 @@ def _decide_2x(domain: str, gen: gapset.GapGenerator, m: int, in_x, in_y) -> KDe
         j += 1
 
 
-def _decide_kx_exhaustive(domain, gen, k: int, m: int, in_x, in_y) -> KDecision:
+def _decide_kx_exhaustive(domain: str, r3: int, k: int, m: int, in_x) -> KDecision:
     if k == 2:
-        return _decide_2x(domain, gen, m, in_x, in_y)
+        return _decide_2x(domain, r3, m, in_x)
     if m < 0:
         return KDecision("out")
     for x in range(0, m // k + 1):
         if not in_x(x):
             continue
-        sub = _decide_kx_exhaustive(domain, gen, k - 1, m - x, in_x, in_y)
+        sub = _decide_kx_exhaustive(domain, r3, k - 1, m - x, in_x)
         if sub.status == "in":
             return KDecision("in", (x,) + sub.witness)
     return KDecision("out")
@@ -182,39 +178,29 @@ def decide_kX(xspec: SetSpec, k: int, m: int, budget: Budget | None = None) -> K
 
     k = 2 is the four-point argument around m/2 with an exhaustive scan of
     the finite region below the close-pair radius.  k >= 3 first tries
-    k-2 copies of the smallest nonnegative X element plus a pair, then
-    falls back to an exhaustive scan over the smallest summand.
+    k-2 copies of the smallest nonnegative X element x0 plus a pair, then
+    falls back to an exhaustive scan over the smallest summand.  Finding
+    x0 is charged x0 + 1 probes, one per integer it rules out or accepts.
     """
     if k < 2:
         raise GcdViolation(f"decide_kX needs k >= 2, got {k}")
     domain, gen = _xparts(xspec)
     budget = budget if budget is not None else Budget()
-    in_x, in_y = _probes(domain, gen, budget)
+    in_x = _probes(domain, gen, budget)
+    r3 = gapset.gap_radius(gen, 3)
     try:
         if k == 2:
-            return _decide_2x(domain, gen, m, in_x, in_y)
+            return _decide_2x(domain, r3, m, in_x)
         if domain == DOMAIN_N0 and m < 0:
             return KDecision("out")
-        x0 = 0
-        while not in_x(x0):
-            x0 += 1
-        sub = _decide_2x(domain, gen, m - (k - 2) * x0, in_x, in_y)
+        x0 = gapset.least_non_member(gen)
+        budget.spend(x0 + 1)
+        sub = _decide_2x(domain, r3, m - (k - 2) * x0, in_x)
         if sub.status == "in":
             return KDecision("in", (x0,) * (k - 2) + sub.witness)
-        return _decide_kx_exhaustive(domain, gen, k, m, in_x, in_y)
+        return _decide_kx_exhaustive(domain, r3, k, m, in_x)
     except _BudgetExhausted:
         return KDecision("unknown")
-
-
-@lru_cache(maxsize=512)
-def _prefix_fold(family: Family) -> tuple[DenseSet, DenseSet]:
-    # Oracle for the below-threshold region n < (h-2)s + ht of an N0 family.
-    p = family.params
-    thr = (p.h - 2) * p.s + p.h * p.t
-    w = Window(0, max(thr - 1, 0))
-    dense = intset.materialize(family.spec, w)
-    folded = sumset.hfold_exact_bounded_below(dense, p.h, target=w)
-    return dense, folded.dense
 
 
 def classify(family: Family, n: int, budget: Budget | None = None) -> Verdict:
@@ -236,11 +222,12 @@ def classify(family: Family, n: int, budget: Budget | None = None) -> Verdict:
             return OutShiftedY(z1)
         return InSumset(h - 1, (z1,))
 
-    if n0 and n < (h - 2) * s + h * t:
+    thr = (h - 2) * s + h * t
+    if n0 and n < thr:
         # Below the structural threshold: read the answer off the exact oracle.
-        dense, folded = _prefix_fold(family)
-        if folded.member(n):
-            wit = sumset.witness(dense, h, n)
+        prefix = base_oracle(family, Window(0, thr - 1))
+        if prefix.folded.member(n):
+            wit = sumset.witness(prefix.dense, h, n)
             assert wit is not None
             s_count = sum(1 for v in wit if v == s)
             xs = tuple((v - t) // h for v in wit if v != s)
@@ -263,7 +250,9 @@ def verify_certificate(family: Family, n: int, verdict: Verdict) -> bool:
 
     An F0 verdict over N0 is replayed: n must be off the F1 class, at most
     exceptional_bound, and outside hA as folded afresh from A on [0, n].
-    Over Z an F0 verdict is only checked to be off the F1 class.
+    Over Z no F0 verdict holds: X contains every negative integer and Y has
+    unbounded gaps, so every k-fold decision with k >= 2 is In and hA misses
+    only shifted-Y values.
     """
     h, s, t = family.h, family.s, family.t
     if isinstance(verdict, InSumset):
@@ -283,11 +272,9 @@ def verify_certificate(family: Family, n: int, verdict: Verdict) -> bool:
                 and (n - (t - s)) % h == 0
                 and n < (h - 1) * s + t
             )
-        off_f1 = (n - (t - s)) % h != 0
-        if family.domain != DOMAIN_N0:
-            return off_f1
         return (
-            off_f1
+            family.domain == DOMAIN_N0
+            and (n - (t - s)) % h != 0
             and 0 <= n <= exceptional_bound(family)
             and not sumset.hfold_exact_bounded_below(
                 intset.materialize(family.spec, Window(0, n)), h, target=Window(n, n)
@@ -309,9 +296,7 @@ def exceptional_bound(family: Family) -> int:
         raise GcdViolation("exceptional bound applies to gapped families only")
     h, s, t = family.h, family.s, family.t
     r3 = gapset.gap_radius(family.y, 3)
-    x0 = 0
-    while gapset.is_member(family.y, x0):
-        x0 += 1
+    x0 = gapset.least_non_member(family.y)
     out_cap = 2 * r3 + 5 + (h - 2) * x0
     f0_high = (h - 1) * abs(s - t) + h * t + h * out_cap
     f0_low = (h - 2) * s + h * t
@@ -397,7 +382,11 @@ class BaseOracle:
 
 @lru_cache(maxsize=8)
 def base_oracle(family: Family, window: Window) -> BaseOracle:
-    """The oracle shared by the catalog and every adjunction check of a window."""
+    """The oracle shared by the catalog and every adjunction check of a window.
+
+    classify also reads N0 points below the structural threshold off the
+    oracle of [0, threshold - 1].
+    """
     source = oracle_source(family.params, window)
     dense = intset.materialize(family.spec, source)
     folded = oracle_fold(family, dense, window)
@@ -412,67 +401,45 @@ def complement_catalog(
     family: Family,
     window: Window,
     budget_probes: int = DEFAULT_BUDGET,
-    crosscheck: bool = True,
 ) -> Catalog:
     """Partition of window minus hA into shifted-Y / exceptional / unknown.
 
-    For N0 families the complement is read off the exact oracle and every
-    element is classified; with crosscheck the classification is also
-    compared with the oracle pointwise across the whole window.  For Z
-    families the catalog is classification-driven and the truncated oracle
-    is required not to contradict any Out verdict.
+    Every window point is classified once and compared with the base
+    oracle.  For N0 families the oracle is exact, so classify and the
+    oracle must agree on every point; for Z families the truncated oracle
+    may miss members, so it is only required not to contain any point
+    classified Out.
     """
     if not family.is_gapped:
         raise GcdViolation("catalog applies to gapped families only")
     n0 = family.domain == DOMAIN_N0
     if n0 and window.lo < 0:
         raise DomainConstraint("N0 catalog window must start at 0 or above")
-    base = base_oracle(family, window)
-    oracle = base.folded
+    complement = frozenset(base_oracle(family, window).complement)
     shifted: list[int] = []
     exceptional: list[int] = []
     unknown: list[int] = []
     unknown_members: list[int] = []
 
-    if n0:
-        candidates = base.complement
-    else:
-        candidates = range(window.lo, window.hi + 1)
-
-    for n in candidates:
+    for n in range(window.lo, window.hi + 1):
         v = classify(family, n, Budget(budget_probes))
         if isinstance(v, InSumset):
-            if n0:
+            if n0 and n in complement:
                 raise OracleDisagreement(
                     f"classify says {n} is a member but the exact oracle disagrees"
                 )
-            continue
-        if oracle.member(n):
-            if isinstance(v, Unknown):
-                unknown_members.append(n)
-                continue
-            raise OracleDisagreement(
-                f"oracle contains {n} but classify returned {type(v).__name__}"
-            )
-        if isinstance(v, OutShiftedY):
+        elif n not in complement:
+            if not isinstance(v, Unknown):
+                raise OracleDisagreement(
+                    f"oracle contains {n} but classify returned {type(v).__name__}"
+                )
+            unknown_members.append(n)
+        elif isinstance(v, OutShiftedY):
             shifted.append(n)
         elif isinstance(v, OutExceptional):
             exceptional.append(n)
         else:
             unknown.append(n)
-
-    if n0 and crosscheck:
-        comp = set(candidates)
-        for n in range(window.lo, window.hi + 1):
-            if n in comp:
-                continue
-            v = classify(family, n, Budget(budget_probes))
-            if isinstance(v, Unknown):
-                unknown_members.append(n)
-            elif not isinstance(v, InSumset):
-                raise OracleDisagreement(
-                    f"oracle contains {n} but classify returned {type(v).__name__}"
-                )
     return Catalog(
         tuple(shifted), tuple(exceptional), tuple(unknown), tuple(unknown_members)
     )
@@ -489,17 +456,6 @@ class EscapeReport:
     added: tuple[int, ...]
     remaining_shifted: tuple[int, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "residue_case": self.residue_case,
-            "verdict": self.verdict,
-            "threshold": self.threshold,
-            "predicted_exceptions": list(self.predicted_exceptions),
-            "leftover": list(self.leftover),
-            "added": list(self.added),
-            "remaining_shifted": list(self.remaining_shifted),
-        }
 
 
 def escape_check(
@@ -652,15 +608,6 @@ class AugmentReport:
     leftover: tuple[int, ...]
     dropped_in_window: int  # shifted-Y values of Y minus Y' inside the window
 
-    def as_dict(self) -> dict:
-        return {
-            "filter_kind": self.filter_kind,
-            "verdict": self.verdict,
-            "missing_shifted": list(self.missing_shifted),
-            "extras": list(self.extras),
-            "leftover": list(self.leftover),
-            "dropped_in_window": self.dropped_in_window,
-        }
 
 
 def augment_check(
@@ -728,19 +675,6 @@ class LemmaReport:
     predicted_complement: tuple[int, ...] | None
     matches_prediction: bool | None
 
-    def as_dict(self) -> dict:
-        return {
-            "bad_u": list(self.bad_u),
-            "threshold": self.threshold,
-            "complement": list(self.complement),
-            "covered_above_threshold": self.covered_above_threshold,
-            "predicted_complement": (
-                None
-                if self.predicted_complement is None
-                else list(self.predicted_complement)
-            ),
-            "matches_prediction": self.matches_prediction,
-        }
 
 
 def lemma_basis_check(
@@ -768,9 +702,7 @@ def lemma_basis_check(
             bad.append(u)
     max_bad = max(bad, default=0)
     thr2 = 2 * (max_bad + 1)
-    x0 = 0
-    while gapset.is_member(gen, x0):
-        x0 += 1
+    x0 = gapset.least_non_member(gen)
     threshold = thr2 + (h - 2) * x0
 
     xspec = Diff(ModClassNonneg(1, 0), GapTail(gen))

@@ -103,8 +103,8 @@ def test_criterion_4_complement_characterization():
     t0 = time.perf_counter()
     window = Window(0, 10**5)
     fam = build_gapped(Params(2, 0, 1, "n0"), GEOM2)
-    # crosscheck=True also compares classify with the oracle on every point
-    cat = verify.complement_catalog(fam, window, crosscheck=True)
+    # the catalog compares classify with the oracle on every window point
+    cat = verify.complement_catalog(fam, window)
     shifted_expected = tuple(
         2 * y + 1 for y in gapset.elements_in(GEOM2, Window(0, (10**5 - 1) // 2))
     )
@@ -132,7 +132,7 @@ def test_criterion_4_complement_characterization():
             continue
         gen = rng.choice(pool)
         sub = build_gapped(Params(h, s, t, "n0"), gen)
-        subcat = verify.complement_catalog(sub, Window(0, 3000), crosscheck=True)
+        subcat = verify.complement_catalog(sub, Window(0, 3000))
         ok = ok and subcat.unknown == ()
         randomized += 1
     announce(

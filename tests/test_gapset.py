@@ -103,6 +103,13 @@ def test_membership_matches_enumeration(n, gen):
     assert gapset.is_member(gen, n) == (n in elems)
 
 
+@pytest.mark.parametrize("gen", GENS)
+def test_least_non_member(gen):
+    x0 = gapset.least_non_member(gen)
+    assert not gapset.is_member(gen, x0)
+    assert all(gapset.is_member(gen, n) for n in range(x0))
+
+
 def test_indexed_elements():
     got = gapset.indexed_elements_in(gapset.Geometric(2, 1), Window(0, 20))
     assert got == [(0, 1), (1, 2), (2, 4), (3, 8), (4, 16)]

@@ -132,6 +132,13 @@ def test_decide_kx_budget_exhaustion():
     assert got.status == "unknown"
 
 
+def test_decide_kx_charges_the_smallest_x_scan():
+    # Y = 0, 1, 3, ... makes x0 = 2; finding it costs three probes
+    xs = build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular()).x_spec()
+    assert verify.decide_kX(xs, 3, 40, Budget(2)).status == "unknown"
+    assert verify.decide_kX(xs, 3, 40).status == "in"
+
+
 def test_decide_kx_needs_certified_x_shape():
     from nonbasis.errors import UncertifiableTail
     from nonbasis.intset import ModClass
@@ -159,6 +166,13 @@ def test_f0_certificate_is_replayed(monkeypatch):
     # an F0 point above the exceptional bound is no certificate either
     monkeypatch.setattr(verify, "exceptional_bound", lambda family: 3)
     assert not verify.verify_certificate(fam, 4, OutExceptional("F0"))
+
+
+def test_z_f0_certificate_never_holds():
+    fam = build_gapped(Params(2, 0, 1, "z"), GEOM2)
+    for n in (0, 2, 100):
+        assert isinstance(verify.classify(fam, n), InSumset)
+        assert not verify.verify_certificate(fam, n, OutExceptional("F0"))
 
 
 def test_classify_f1_case():
@@ -371,6 +385,43 @@ def escape_cases(draw):
     b = draw(st.integers(0 if n0 else src.lo - 10, src.hi + 10))
     assume(not fam.a_contains(b))
     return fam, window, b
+
+
+@st.composite
+def n0_gapped_families(draw):
+    """A random N0 gapped family over any of the certified gap generators."""
+    h = draw(st.integers(2, 5))
+    s = draw(st.integers(0, 10))
+    t = draw(st.integers(0, 10))
+    assume(math.gcd(h, abs(s - t)) == 1)
+    gen = draw(
+        st.one_of(
+            st.builds(gapset.Geometric, st.integers(2, 5), st.integers(1, 4)),
+            st.just(gapset.Triangular()),
+            st.just(gapset.Factorial()),
+            st.builds(
+                lambda prefix, tail: gapset.CustomPrefixTail(tuple(sorted(prefix)), tail),
+                st.sets(st.integers(0, 30), min_size=1, max_size=8),
+                st.sampled_from(ORACLE_GAPS),
+            ),
+        )
+    )
+    return build_gapped(Params(h, s, t, "n0"), gen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n0_gapped_families())
+def test_exceptional_bound_covers_the_oracle_complement(fam):
+    h, s, t = fam.h, fam.s, fam.t
+    bound = verify.exceptional_bound(fam)
+    oracle = verify.base_oracle(fam, Window(0, 2 * bound + 50))
+
+    def shifted_y(n):
+        z = n - (h - 1) * s - t
+        return z % h == 0 and fam.y_contains(z // h)
+
+    outside = [n for n in oracle.complement if not shifted_y(n)]
+    assert all(n <= bound for n in outside), (bound, outside[-5:])
 
 
 @settings(max_examples=80, deadline=None)
