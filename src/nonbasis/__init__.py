@@ -14,7 +14,6 @@ from .errors import (
     TargetExceedsSafeRange,
     UncertifiableTail,
     WindowTooLarge,
-    WrongResidue,
 )
 from .families import (
     DOMAIN_N0,
@@ -81,7 +80,6 @@ from .verify import (
     escape_check,
     lemma_basis_check,
     residue_decompose,
-    unique_rep_z1,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

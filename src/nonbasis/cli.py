@@ -112,10 +112,13 @@ def _family_from_args(args, domain: str | None = None) -> Family:
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("NONBASIS_BUDGET")
-    return int(env) if env else verify.DEFAULT_BUDGET
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("NONBASIS_BUDGET")
+        budget = int(env) if env else verify.DEFAULT_BUDGET
+    if budget < 0:
+        raise NonbasisError(f"probe budget must be >= 0, got {budget}")
+    return budget
 
 
 def _emit(args, text: str) -> None:

@@ -29,10 +29,6 @@ class DomainConstraint(NonbasisError):
     """Parameters are incompatible with the chosen domain."""
 
 
-class WrongResidue(NonbasisError):
-    """Integer lies in the wrong residue class for this operation."""
-
-
 class BNotOutside(NonbasisError):
     """Augmentation candidate already belongs to the set."""
 

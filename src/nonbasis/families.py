@@ -9,7 +9,7 @@ never lands in {h*x + t}, so the defining union is disjoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import gapset, intset
 from .errors import DomainConstraint, GcdViolation
@@ -50,11 +50,14 @@ def gcd_case(h: int, s: int, t: int) -> GcdCase:
 
 @dataclass(frozen=True)
 class Family:
-    """A realized family: parameters, optional gap set Y, and the set spec."""
+    """A realized family: parameters, optional gap set Y, the set spec and X."""
 
     params: Params
     y: gapset.GapGenerator | None
     spec: intset.SetSpec
+    # X itself: the carrier, or the carrier minus Y.  It is a function of
+    # params and y, so it takes no part in equality or hashing.
+    xspec: intset.SetSpec = field(compare=False, repr=False)
 
     @property
     def h(self) -> int:
@@ -76,16 +79,9 @@ class Family:
     def is_gapped(self) -> bool:
         return self.y is not None
 
-    def carrier_spec(self) -> intset.SetSpec:
-        if self.domain == DOMAIN_Z:
-            return intset.ModClass(1, 0)
-        return intset.ModClassNonneg(1, 0)
-
     def x_spec(self) -> intset.SetSpec:
-        """The spec for X = carrier minus Y (gapped families only)."""
-        if self.y is None:
-            return self.carrier_spec()
-        return intset.Diff(self.carrier_spec(), intset.GapTail(self.y))
+        """The spec for X: the carrier, minus Y for gapped families."""
+        return self.xspec
 
     def x_contains(self, x: int) -> bool:
         if self.domain == DOMAIN_N0 and x < 0:
@@ -105,6 +101,12 @@ class Family:
         return (self.h - 1) * self.s + self.h * y + self.t
 
 
+def _carrier(params: Params) -> intset.SetSpec:
+    if params.domain == DOMAIN_Z:
+        return intset.ModClass(1, 0)
+    return intset.ModClassNonneg(1, 0)
+
+
 def build_full(params: Params) -> Family:
     """A = {s} u {h*z + t : z in carrier}."""
     if params.domain == DOMAIN_Z:
@@ -112,7 +114,7 @@ def build_full(params: Params) -> Family:
     else:
         tail = intset.ModClassNonneg(params.h, params.t)
     spec = intset.union_of(intset.Singleton(params.s), tail)
-    return Family(params, None, spec)
+    return Family(params, None, spec, _carrier(params))
 
 
 def build_gapped(params: Params, y: gapset.GapGenerator) -> Family:
@@ -122,13 +124,9 @@ def build_gapped(params: Params, y: gapset.GapGenerator) -> Family:
         raise GcdViolation(
             f"gcd({params.h}, {params.s}-{params.t}) = {case.d}; gapped families need 1"
         )
-    if params.domain == DOMAIN_Z:
-        carrier: intset.SetSpec = intset.ModClass(1, 0)
-    else:
-        carrier = intset.ModClassNonneg(1, 0)
-    xspec = intset.Diff(carrier, intset.GapTail(y))
+    xspec = intset.Diff(_carrier(params), intset.GapTail(y))
     spec = intset.union_of(
         intset.Singleton(params.s),
         intset.ShiftScale(xspec, params.t, params.h),
     )
-    return Family(params, y, spec)
+    return Family(params, y, spec, xspec)

@@ -9,6 +9,7 @@ all pairs at distance <= C live below a computable radius.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -127,8 +128,9 @@ def is_member(gen: GapGenerator, n: int) -> bool:
     raise MalformedSpec(f"unknown generator {gen!r}")
 
 
+@functools.cache
 def least_non_member(gen: GapGenerator) -> int:
-    """The smallest nonnegative integer outside the sequence."""
+    """The smallest nonnegative integer outside the sequence (memoized)."""
     n = 0
     for v in values(gen):
         if v != n:
@@ -183,12 +185,14 @@ def _monotone_gap_radius(gen: GapGenerator, c: int) -> int:
     raise AssertionError("unreachable: certified sequences have unbounded gaps")
 
 
+@functools.cache
 def gap_radius(gen: GapGenerator, c: int) -> int:
     """Certified R such that every pair with |y - y'| <= c has y, y' <= R.
 
     For the closed-form families the consecutive gaps are monotone
     increasing, so R is the element just before the first gap > c.  For a
     custom prefix the pairs below max(prefix) + c are enumerated directly.
+    Generators are frozen values, so R is memoized per (gen, c).
     """
     if c < 1:
         raise MalformedSpec(f"gap_radius needs C >= 1, got {c}")

@@ -21,7 +21,6 @@ from .errors import (
     GcdViolation,
     OracleDisagreement,
     UncertifiableTail,
-    WrongResidue,
 )
 from .families import DOMAIN_N0, DOMAIN_Z, Family, Params
 from .intset import DenseSet, Diff, GapTail, ModClass, ModClassNonneg, SetSpec, Window
@@ -100,14 +99,6 @@ def residue_decompose(params: Params, n: int) -> ResidueDecomposition:
     return ResidueDecomposition(i, q, h - i)
 
 
-def unique_rep_z1(params: Params, n: int) -> int:
-    """z1 with n = (h-1)s + (h*z1 + t); requires n = t-s (mod h)."""
-    h, s, t = params.h, params.s, params.t
-    if (n - (t - s)) % h != 0:
-        raise WrongResidue(f"{n} is not congruent to t-s = {t - s} mod {h}")
-    return (n - (h - 1) * s - t) // h
-
-
 def _xparts(xspec: SetSpec) -> tuple[str, gapset.GapGenerator]:
     if (
         isinstance(xspec, Diff)
@@ -180,7 +171,9 @@ def decide_kX(xspec: SetSpec, k: int, m: int, budget: Budget | None = None) -> K
     the finite region below the close-pair radius.  k >= 3 first tries
     k-2 copies of the smallest nonnegative X element x0 plus a pair, then
     falls back to an exhaustive scan over the smallest summand.  Finding
-    x0 is charged x0 + 1 probes, one per integer it rules out or accepts.
+    x0 is charged x0 + 1 probes, one per integer its scan rules out or
+    accepts, also when the memoized scan does not rerun, so a verdict
+    never depends on what ran before it.
     """
     if k < 2:
         raise GcdViolation(f"decide_kX needs k >= 2, got {k}")
@@ -256,7 +249,7 @@ def verify_certificate(family: Family, n: int, verdict: Verdict) -> bool:
     """
     h, s, t = family.h, family.s, family.t
     if isinstance(verdict, InSumset):
-        if verdict.s_count + len(verdict.xs) != h:
+        if verdict.s_count < 0 or verdict.s_count + len(verdict.xs) != h:
             return False
         total = verdict.s_count * s + sum(h * x + t for x in verdict.xs)
         return total == n and all(family.x_contains(x) for x in verdict.xs)
@@ -524,8 +517,7 @@ def escape_check(
     else:
         if h == 2:
             raise AssertionError("not_st is vacuous for h = 2")
-        inv = pow((s - t) % h, -1, h)
-        i = ((t - b) * inv - 1) % h
+        i = (residue_decompose(family.params, t - b).i - 1) % h
         if i > h - 3:
             raise AssertionError("not_st congruence landed on s or t")
         kk = h - i - 1

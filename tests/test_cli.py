@@ -48,6 +48,27 @@ def test_classify_budget_env_exhaustion(capsys, monkeypatch):
     assert json.loads(out)["verdict"]["kind"] == "unknown"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", *FAM_ARGS, "--n", "10", "--budget", "-5"],
+        ["catalog", *FAM_ARGS, "--window", "0:20", "--budget", "-1"],
+        ["verify", "thm4", *FAM_ARGS, "--window", "0:20", "--budget=-1"],
+    ],
+)
+def test_negative_budget_flag_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "probe budget must be >= 0" in err
+
+
+def test_negative_budget_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("NONBASIS_BUDGET", "-1")
+    code, out, err = run(capsys, ["classify", *FAM_ARGS, "--n", "10"])
+    assert (code, out) == (2, "")
+    assert "probe budget must be >= 0, got -1" in err
+
+
 def test_catalog_report(capsys):
     code, out, _ = run(capsys, ["catalog", *FAM_ARGS, "--window", "0:20"])
     assert code == 0

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonbasis import gapset, intset, report, sumset, verify
-from nonbasis.errors import BNotOutside, GcdViolation, OracleDisagreement, WrongResidue
+from nonbasis.errors import BNotOutside, GcdViolation, OracleDisagreement
 from nonbasis.families import Params, build_full, build_gapped
 from nonbasis.intset import Window, materialize
 from nonbasis.verify import (
@@ -68,18 +68,15 @@ def test_residue_decompose_needs_gcd_one():
     [
         (Params(2, 0, 1, "n0"), 7, 3),
         (Params(3, 0, 1, "n0"), 7, 2),
-        (Params(2, 1, 3, "n0"), 10, 3),
     ],
 )
 def test_unique_rep_z1(params, n, z1):
-    assert verify.unique_rep_z1(params, n) == z1
+    # In the t-s class n = (h-1)s + h*z1 + t is the only representation, so
+    # classify certifies n through z1 in X or rules it out through z1 in Y.
     h, s, t = params.h, params.s, params.t
     assert (h - 1) * s + h * z1 + t == n
-
-
-def test_unique_rep_wrong_residue():
-    with pytest.raises(WrongResidue):
-        verify.unique_rep_z1(Params(2, 0, 1, "n0"), 6)
+    v = verify.classify(build_gapped(params, GEOM2), n)
+    assert v == (OutShiftedY(z1) if z1 in (1, 2, 4) else InSumset(h - 1, (z1,)))
 
 
 def test_decide_2x_examples():
@@ -168,6 +165,13 @@ def test_f0_certificate_is_replayed(monkeypatch):
     assert not verify.verify_certificate(fam, 4, OutExceptional("F0"))
 
 
+def test_in_certificate_needs_a_nonnegative_s_count():
+    # -2 copies of s make room for four x's: -2 + 4 = h, and the x's sum to 10
+    fam = fam201()
+    assert verify.classify(fam, 10) == OutExceptional("F0")
+    assert not verify.verify_certificate(fam, 10, InSumset(-2, (0, 0, 0, 3)))
+
+
 def test_z_f0_certificate_never_holds():
     fam = build_gapped(Params(2, 0, 1, "z"), GEOM2)
     for n in (0, 2, 100):
@@ -237,6 +241,26 @@ def test_classify_translation_equivariance(n, c):
     v1 = verify.classify(base, n)
     v2 = verify.classify(moved, n + 2 * c)
     assert type(v1) is type(v2)
+
+
+def test_catalog_derives_the_family_facts_once(monkeypatch):
+    # R(3) and x0 are memoized per gap set and X is kept on the family, so a
+    # catalog walks Y a fixed number of times, not once per point
+    fam = build_gapped(Params(5, 0, 1, "n0"), GEOM2)
+    assert fam.x_spec() is fam.x_spec()
+    walks = []
+    values = gapset.values
+
+    def counting(gen):
+        walks.append(gen)
+        return values(gen)
+
+    monkeypatch.setattr(gapset, "values", counting)
+    for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle):
+        memo.cache_clear()
+    cat = verify.complement_catalog(fam, Window(0, 2000))
+    assert cat.unknown == () and len(cat.exceptional) > 0
+    assert len(walks) <= 8
 
 
 def test_catalog_example():
@@ -367,6 +391,17 @@ def test_verdict_certificates_resum():
 
 
 ORACLE_GAPS = (GEOM2, gapset.Geometric(3, 1), gapset.Triangular(), gapset.Factorial())
+# Every certified gap kind: geometric, triangular, factorial, custom prefix
+GAP_GENERATORS = st.one_of(
+    st.builds(gapset.Geometric, st.integers(2, 5), st.integers(1, 4)),
+    st.just(gapset.Triangular()),
+    st.just(gapset.Factorial()),
+    st.builds(
+        lambda prefix, tail: gapset.CustomPrefixTail(tuple(sorted(prefix)), tail),
+        st.sets(st.integers(0, 30), min_size=1, max_size=8),
+        st.sampled_from(ORACLE_GAPS),
+    ),
+)
 
 
 @st.composite
@@ -394,19 +429,37 @@ def n0_gapped_families(draw):
     s = draw(st.integers(0, 10))
     t = draw(st.integers(0, 10))
     assume(math.gcd(h, abs(s - t)) == 1)
-    gen = draw(
-        st.one_of(
-            st.builds(gapset.Geometric, st.integers(2, 5), st.integers(1, 4)),
-            st.just(gapset.Triangular()),
-            st.just(gapset.Factorial()),
-            st.builds(
-                lambda prefix, tail: gapset.CustomPrefixTail(tuple(sorted(prefix)), tail),
-                st.sets(st.integers(0, 30), min_size=1, max_size=8),
-                st.sampled_from(ORACLE_GAPS),
-            ),
-        )
-    )
-    return build_gapped(Params(h, s, t, "n0"), gen)
+    return build_gapped(Params(h, s, t, "n0"), draw(GAP_GENERATORS))
+
+
+@st.composite
+def classify_windows(draw):
+    """A random gapped family over N0 or Z and a small window of it."""
+    n0 = draw(st.booleans())
+    h = draw(st.integers(2, 5))
+    s = draw(st.integers(0 if n0 else -6, 6))
+    t = draw(st.integers(0 if n0 else -6, 6))
+    assume(math.gcd(h, abs(s - t)) == 1)
+    fam = build_gapped(Params(h, s, t, "n0" if n0 else "z"), draw(GAP_GENERATORS))
+    lo = draw(st.integers(0, 200) if n0 else st.integers(-200, 200))
+    return fam, Window(lo, lo + draw(st.integers(0, 40)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(classify_windows())
+def test_classify_matches_the_oracle_on_random_windows(case):
+    # Over N0 the oracle is exact; over Z it is truncated and may miss
+    # members, so it must only not contain a point classified Out
+    fam, window = case
+    folded = verify.base_oracle(fam, window).folded
+    for n in range(window.lo, window.hi + 1):
+        v = verify.classify(fam, n)
+        assert not isinstance(v, Unknown), n
+        if fam.domain == "n0":
+            assert isinstance(v, InSumset) == folded.member(n), (n, v)
+        elif not isinstance(v, InSumset):
+            assert not folded.member(n), (n, v)
+        assert verify.verify_certificate(fam, n, v), (n, v)
 
 
 @settings(max_examples=150, deadline=None)
