@@ -257,8 +257,8 @@ def _cmd_verify(args) -> int:
     catalog, checks = report.catalog_checks(fam, window, budget)
     if preset == "thm2":
         checks.append(report.stability_check(fam, window))
-    checks.extend(report.escape_checks(fam, window, per_case=3, budget_probes=budget))
-    checks.extend(report.augment_checks(fam, window, budget))
+    checks.extend(report.escape_checks(fam, window, budget))
+    checks.extend(report.augment_checks(fam, window))
     rep = report.report_dict(report.family_to_dict(fam), window, catalog, checks)
     _emit(args, _render(args, rep))
     return report.exit_code(checks)

@@ -159,22 +159,23 @@ def dichotomy_checks(params: Params, window: Window) -> list[Check]:
         )
     else:
         thr = (h - 1) * abs(s - t) + h * t
-        comp = oracle.dense.complement().members()
+        comp = oracle.dense.complement()
         if params.domain == DOMAIN_N0:
-            above = [n for n in comp if n >= thr]
+            above = (comp.bits >> max(thr - window.lo, 0)).bit_count()
             checks.append(
                 check(
                     "coverage_above_threshold",
                     not above,
-                    f"complement meets [{thr}, {window.hi}] in {len(above)} points",
+                    f"complement meets [{thr}, {window.hi}] in {above} points",
                 )
             )
         else:
+            missed = comp.popcount()
             checks.append(
                 check(
                     "full_coverage",
-                    not comp,
-                    f"truncated oracle misses {len(comp)} window points",
+                    not missed,
+                    f"truncated oracle misses {missed} window points",
                 )
             )
     return checks
@@ -204,26 +205,21 @@ def uniqueness_check(params: Params, cap_hi: int) -> Check:
     base = h * src.lo
     thr = (h - 1) * abs(s - t) + h * t
     start = thr + ((t - s) - thr) % h
-    checked = bad = 0
-    first_bad = None
-    for n in range(start, cap_hi + 1, h):
-        rel = n - base
-        if rel < 0:
-            continue
-        one = (ge1 >> rel) & 1
-        two = (ge2 >> rel) & 1
-        checked += 1
-        if not one or two:
-            bad += 1
-            if first_bad is None:
-                first_bad = n
-    if checked == 0:
+    # Bit n - base of `along` marks each checked n: n = t-s (mod h) in the
+    # region, and inside the bitsets multiplicity_pair returned.
+    lo = max(start, base)
+    along = 0
+    if lo <= cap_hi:
+        along = residue_class_bits(Window(lo, cap_hi), h, t - s) << (lo - base)
+    if not along:
         return Check("uniqueness", UNKNOWN, f"no residues in [{start}, {cap_hi}]")
+    bad = along & (~ge1 | ge2)
+    first_bad = base + (bad & -bad).bit_length() - 1
     return check(
         "uniqueness",
         bad == 0,
-        f"{checked} residues checked in [{start}, {cap_hi}]"
-        + (f"; first failure at {first_bad}" if first_bad is not None else ""),
+        f"{along.bit_count()} residues checked in [{start}, {cap_hi}]"
+        + (f"; first failure at {first_bad}" if bad else ""),
     )
 
 
@@ -250,6 +246,10 @@ def lemma_checks(gen: gapset.GapGenerator, h: int, window: Window) -> list[Check
             )
         )
     return checks
+
+
+# Sampled b values per residue case in a preset's escape checks.
+ESCAPES_PER_CASE = 3
 
 
 def sample_escape_bs(family: Family, per_case: int, hi: int) -> dict[str, list[int]]:
@@ -283,10 +283,9 @@ def sample_escape_bs(family: Family, per_case: int, hi: int) -> dict[str, list[i
 def escape_checks(
     family: Family,
     window: Window,
-    per_case: int = 3,
     budget_probes: int = verify.DEFAULT_BUDGET,
 ) -> list[Check]:
-    samples = sample_escape_bs(family, per_case, window.hi // 2)
+    samples = sample_escape_bs(family, ESCAPES_PER_CASE, window.hi // 2)
     checks = []
     for case, expected in (
         ("not_st", "becomes_basis"),
@@ -307,15 +306,9 @@ def escape_checks(
     return checks
 
 
-def augment_checks(
-    family: Family,
-    window: Window,
-    budget_probes: int = verify.DEFAULT_BUDGET,
-) -> list[Check]:
+def augment_checks(family: Family, window: Window) -> list[Check]:
     checks = []
-    even = verify.augment_check(
-        family, verify.YPrimeFilter("even_indices"), window, budget_probes
-    )
+    even = verify.augment_check(family, verify.YPrimeFilter("even_indices"), window)
     if even.dropped_in_window:
         checks.append(
             check(
@@ -334,9 +327,7 @@ def augment_checks(
             )
         )
     first_y = next(gapset.values(family.y))
-    drop = verify.augment_check(
-        family, verify.YPrimeFilter("drop_values", (first_y,)), window, budget_probes
-    )
+    drop = verify.augment_check(family, verify.YPrimeFilter("drop_values", (first_y,)), window)
     checks.append(
         check(
             "augment_cofinite",
@@ -373,7 +364,7 @@ def catalog_checks(
     checks.append(
         check(
             "shifted_y_match",
-            catalog.shifted_y == verify.base_oracle(family, window).shifted,
+            list(catalog.shifted_y) == verify.base_oracle(family, window).shifted.members(),
             f"{len(catalog.shifted_y)} shifted-Y complement points",
         )
     )
@@ -418,9 +409,9 @@ def stability_check(family: Family, window: Window) -> Check:
     small = oracle.source
     big = Window(small.lo * 2, small.hi * 2)
     dense = intset.materialize(family.spec, big)
-    wide = verify.oracle_fold(family, dense, window).dense.complement().members()
+    wide = verify.oracle_fold(family, dense, window).dense
     return check(
         "truncation_stability",
-        list(oracle.complement) == wide,
+        oracle.folded.dense == wide,
         f"complement stable across source radii {small.hi} and {big.hi}",
     )

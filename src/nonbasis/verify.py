@@ -314,21 +314,6 @@ class Catalog:
         }
 
 
-def _shifted_values_in(family: Family, window: Window) -> list[int]:
-    h, s, t = family.h, family.s, family.t
-    base = (h - 1) * s + t
-    ylo = -((base - window.lo) // h)  # ceil((window.lo - base) / h)
-    yhi = (window.hi - base) // h
-    if ylo > yhi or family.y is None:
-        return []
-    ylo = max(ylo, 0)
-    if ylo > yhi:
-        return []
-    return [
-        base + h * y for y in gapset.elements_in(family.y, Window(ylo, yhi))
-    ]
-
-
 def oracle_source(params: Params, window: Window) -> Window:
     """The window a family is materialized on for its oracle sumset on window.
 
@@ -360,17 +345,16 @@ class BaseOracle:
     """hA of one family on one window, and the sets read off it.
 
     dense is A on source; folded is hA on the window with its k-fold
-    partials; complement lists the window points outside hA, shifted the
-    shifted-Y values (h-1)s + h*y + t in the window, and f_window the
-    complement points that are not shifted-Y values.
+    partials.  shifted and f_window are bitsets on the window: shifted
+    holds the shifted-Y values (h-1)s + h*y + t, and f_window the points
+    outside hA that are not shifted-Y values.
     """
 
     source: Window
     dense: DenseSet
     folded: sumset.SumsetResult
-    complement: tuple[int, ...]
-    shifted: tuple[int, ...]
-    f_window: frozenset[int]
+    shifted: DenseSet
+    f_window: DenseSet
 
 
 @lru_cache(maxsize=8)
@@ -380,14 +364,17 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
     classify also reads N0 points below the structural threshold off the
     oracle of [0, threshold - 1].
     """
+    h, s, t = family.h, family.s, family.t
     source = oracle_source(family.params, window)
     dense = intset.materialize(family.spec, source)
     folded = oracle_fold(family, dense, window)
-    complement = tuple(folded.dense.complement().members())
-    shifted = tuple(_shifted_values_in(family, window))
-    return BaseOracle(
-        source, dense, folded, complement, shifted, frozenset(complement).difference(shifted)
-    )
+    if family.y is None:
+        shifted = DenseSet(window, 0)
+    else:
+        image = intset.ShiftScale(GapTail(family.y), (h - 1) * s + t, h)
+        shifted = intset.materialize(image, window)
+    f_window = DenseSet(window, folded.dense.complement().bits & ~shifted.bits)
+    return BaseOracle(source, dense, folded, shifted, f_window)
 
 
 def complement_catalog(
@@ -408,7 +395,7 @@ def complement_catalog(
     n0 = family.domain == DOMAIN_N0
     if n0 and window.lo < 0:
         raise DomainConstraint("N0 catalog window must start at 0 or above")
-    complement = frozenset(base_oracle(family, window).complement)
+    complement = set(base_oracle(family, window).folded.dense.complement().members())
     shifted: list[int] = []
     exceptional: list[int] = []
     unknown: list[int] = []
@@ -463,7 +450,8 @@ def escape_check(
     b not congruent to either (possible only for h >= 3) and b = s (mod h)
     make the window complement above a computed threshold collapse to a
     finite predicted exception list; b = t (mod h) adds at most the single
-    shifted image of its y' plus part of the exceptional set.
+    shifted image of its y' plus part of the exceptional set.  Each k-fold
+    decision behind a predicted exception gets its own probe budget.
     """
     if not family.is_gapped:
         raise GcdViolation("escape check applies to gapped families only")
@@ -484,32 +472,30 @@ def escape_check(
     oracle = base_oracle(family, window)
     fa = oracle.folded
     fab = sumset.adjoin(fa, b)
-    comp_ab_list = fab.dense.complement().members()
-    comp_ab = set(comp_ab_list)
-    f_window = oracle.f_window
+    comp_ab = fab.dense.complement()
+    leftover = tuple(comp_ab.members())
 
     if case == "eq_t":
-        added = DenseSet(window, fab.dense.bits & ~fa.dense.bits).members()
-        cover = (h - 1) * s + b
-        ok = set(added) <= f_window | {cover}
-        remaining = [n for n in oracle.shifted if n != cover and n in comp_ab]
+        added = fab.dense.bits & ~fa.dense.bits
+        cover = intset.dense_from_iter(((h - 1) * s + b,), window).bits
+        ok = added & ~(oracle.f_window.bits | cover) == 0
+        remaining = DenseSet(window, oracle.shifted.bits & comp_ab.bits & ~cover)
         return EscapeReport(
             b,
             case,
             "stays_nonbasis" if ok else "inconclusive",
             window.lo,
             (),
-            tuple(comp_ab_list),
-            tuple(added),
-            tuple(remaining[:32]),
+            leftover,
+            tuple(DenseSet(window, added).members()),
+            tuple(remaining.members()[:32]),
         )
 
-    budget = Budget(budget_probes)
     predicted: list[int] = []
     threshold = window.lo
     if case == "eq_s":
         u = (b - s) // h
-        for n in oracle.shifted:
+        for n in oracle.shifted.members():
             y = (n - (h - 1) * s - t) // h
             w_val = y - (h - 1) * u
             if (n0 and w_val < 0) or family.y_contains(w_val):
@@ -523,29 +509,28 @@ def escape_check(
         kk = h - i - 1
         if n0:
             threshold = b + (h - 3) * s + (h - 1) * t
-        for n in oracle.shifted:
+        for n in oracle.shifted.members():
             if n < threshold:
                 continue
             num = n - b - i * s - (h - i - 1) * t
             assert num % h == 0
-            dec = decide_kX(family.x_spec(), kk, num // h, budget)
+            dec = decide_kX(family.x_spec(), kk, num // h, Budget(budget_probes))
             if dec.status == "out":
                 predicted.append(n)
             elif dec.status == "unknown":
                 return EscapeReport(
-                    b, case, "inconclusive", threshold, tuple(predicted),
-                    tuple(comp_ab_list), (), (),
+                    b, case, "inconclusive", threshold, tuple(predicted), leftover, (), ()
                 )
 
-    allowed = f_window | set(predicted)
-    ok = all(n in allowed for n in comp_ab if n >= threshold)
+    allowed = oracle.f_window.bits | intset.dense_from_iter(predicted, window).bits
+    ok = (comp_ab.bits & ~allowed) >> max(threshold - window.lo, 0) == 0
     return EscapeReport(
         b,
         case,
         "becomes_basis" if ok else "inconclusive",
         threshold,
-        tuple(sorted(predicted)),
-        tuple(comp_ab_list),
+        tuple(predicted),
+        leftover,
         (),
         (),
     )
@@ -606,7 +591,6 @@ def augment_check(
     family: Family,
     yprime: YPrimeFilter,
     window: Window,
-    budget_probes: int = DEFAULT_BUDGET,
 ) -> AugmentReport:
     """Adjoin B = {h*y' + t : y' in Y'} and see what the complement keeps.
 
@@ -616,31 +600,26 @@ def augment_check(
     """
     if not family.is_gapped:
         raise GcdViolation("augment check applies to gapped families only")
-    h, s, t = family.h, family.s, family.t
+    h, t = family.h, family.t
     oracle = base_oracle(family, window)
     src = oracle.source
     # Over Z, adjoined elements above the window can still reach it with
     # negative partners, so B is collected across the whole oracle source.
     ymax = max((src.hi - t) // h, 0)
     selected_b: list[int] = []
-    dropped_shifted: set[int] = set()
+    dropped_shifted: list[int] = []
     for idx, y in gapset.indexed_elements_in(family.y, Window(0, ymax)):
         if yprime.selects(idx, y):
             selected_b.append(h * y + t)
         else:
-            n = family.shifted_y_value(y)
-            if window.contains(n):
-                dropped_shifted.add(n)
+            dropped_shifted.append(family.shifted_y_value(y))
+    dropped = intset.dense_from_iter(dropped_shifted, window)
 
-    bits = oracle.dense.bits
-    for b in selected_b:
-        if src.contains(b):
-            bits |= 1 << (b - src.lo)
-    fab = oracle_fold(family, DenseSet(src, bits), window)
-    comp_ab_list = fab.dense.complement().members()
-    beyond_f = set(comp_ab_list) - oracle.f_window
-    missing = sorted(beyond_f & dropped_shifted)
-    extras = sorted(beyond_f - dropped_shifted)
+    bits = oracle.dense.bits | intset.dense_from_iter(selected_b, src).bits
+    comp_ab = oracle_fold(family, DenseSet(src, bits), window).dense.complement()
+    beyond_f = comp_ab.bits & ~oracle.f_window.bits
+    missing = DenseSet(window, beyond_f & dropped.bits).members()
+    extras = DenseSet(window, beyond_f & ~dropped.bits).members()
 
     if extras:
         verdict = "inconclusive"
@@ -653,8 +632,8 @@ def augment_check(
         verdict,
         tuple(missing[:64]),
         tuple(extras[:64]),
-        tuple(comp_ab_list),
-        len(dropped_shifted),
+        tuple(comp_ab.members()),
+        dropped.popcount(),
     )
 
 

@@ -257,6 +257,45 @@ def test_uniqueness_vacuous_region_is_unknown():
     assert c.status == "unknown"
 
 
+@pytest.mark.parametrize(
+    "params,cap,marked,details",
+    [
+        (Params(2, 0, 1, "n0"), 200, (51, 101),
+         "99 residues checked in [3, 200]; first failure at 51"),
+        (Params(3, 0, 1, "z"), 300, (202, 100),
+         "98 residues checked in [7, 300]; first failure at 100"),
+    ],
+)
+def test_uniqueness_reports_its_first_failure(monkeypatch, params, cap, marked, details):
+    from nonbasis import report as rpt
+    from nonbasis import sumset
+
+    real = sumset.multiplicity_pair
+
+    def represented_twice(dense, h, hi):
+        ge1, ge2 = real(dense, h, hi)
+        for n in marked:
+            ge2 |= 1 << (n - h * dense.window.lo)
+        return ge1, ge2
+
+    monkeypatch.setattr(sumset, "multiplicity_pair", represented_twice)
+    c = rpt.uniqueness_check(params, cap)
+    assert (c.status, c.details) == ("fail", details)
+
+
+def test_escape_decisions_each_get_the_budget(capsys):
+    # Each not_st decision needs at most 3 probes; one budget shared by all
+    # of a b's decisions ran out and left b = 2, 5, 8 inconclusive
+    code, out, _ = run(
+        capsys,
+        ["verify", "thm4", "--h", "3", "--s", "0", "--t", "1", "--gap", "geometric,2,1",
+         "--window", "0:3000", "--budget", "12"],
+    )
+    assert code == 0
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert [status[f"escape_not_st_b{b}"] for b in (2, 5, 8)] == ["pass"] * 3
+
+
 def test_verify_budget_exhaustion_is_unknown(capsys):
     code, out, _ = run(
         capsys,

@@ -1,0 +1,49 @@
+"""Byte-identity of the CLI reports across refactors.
+
+Each call's stdout is pinned by its sha256, together with its exit code,
+at the default probe budget.  A change that alters any report byte fails
+here; when the change is intended, the pinned digest moves with a note in
+CHANGES.md saying why.
+"""
+
+import hashlib
+
+import pytest
+
+from nonbasis import cli
+
+GOLDEN = [
+    # thm1 / thm3: d = 1 (coverage and uniqueness) and d >= 2 (residue obstruction)
+    ("verify thm1 --h 3 --s 0 --t 1", 0,
+     "fdd8008f588fb50744fbf1650f6eed631e4053bfed7cb5829d63b19ab459eb60"),
+    ("verify thm1 --h 4 --s 1 --t 3", 0,
+     "c71961612b9456a618e483106e33d93729a828d5caab54bd609ad32073556f48"),
+    ("verify thm3 --h 3 --s 0 --t 1", 0,
+     "3d3000fe436a014b0ad5219b0bbbcc79439e83d3f2217a6414cf43a2f7bbb572"),
+    ("verify thm3 --h 4 --s 1 --t 3 --window 0:800", 0,
+     "1e13d6ab6659be209e603654458cc9b21971b8113da9655af15db9b5503a0d1f"),
+    ("verify thm2 --h 2 --s 0 --t 1 --gap geometric,2,1", 0,
+     "05f3c5876a6e9ae7099446a4ad8b7d43296d85ac715c7595428981fa227b018c"),
+    ("verify thm2 --h 3 --s 0 --t 1 --gap triangular --format text", 0,
+     "c4c40ad970cf996ce2e24b07c6318fe8605fff71a2245f31415b336859819d59"),
+    ("verify thm4 --h 2 --s 0 --t 1 --gap geometric,2,1 --window 0:3000", 0,
+     "7c85003f0bb20c0e59ab62b1bfc908b98fc9202a9dcb35ea9ae674274d05009d"),
+    ("verify thm4 --h 3 --s 0 --t 1 --gap triangular --window 0:3000 --format text", 0,
+     "3075a746993f0c31b286a9aaea0079d0e5965a5e9c63975da0cef80c453a9a5a"),
+    ("verify lemma --h 2 --gap geometric,2,1", 0,
+     "db975db6cd1c36419a96fd812c9ec6955081e81efcf0ef7b84e896d2095ceebf"),
+    ("verify lemma --h 4 --gap triangular --format text", 0,
+     "a47b0f8925d10311ac0a42a820b7026168f81bb40a608327655f64e2e5c7e8a4"),
+    ("catalog --h 5 --s 0 --t 1 --domain n0 --gap geometric,2,1 --window 0:2000", 0,
+     "08e63665399908a7f3f2930760bea43341abe6615e64d32553e032f54e9484b4"),
+    ("catalog --h 3 --s 1 --t 0 --domain z --gap factorial --window=-500:500 --format text", 0,
+     "bda26a9be4d298f84223123d7b9d1773210b6442811f2d45e485caffe4ea2dd0"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.delenv("NONBASIS_BUDGET", raising=False)
+    assert cli.main(argv.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

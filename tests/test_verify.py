@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nonbasis import gapset, intset, report, sumset, verify
@@ -462,6 +462,26 @@ def test_classify_matches_the_oracle_on_random_windows(case):
         assert verify.verify_certificate(fam, n, v), (n, v)
 
 
+@settings(max_examples=100, deadline=None)
+@given(classify_windows())
+@example((fam201(), Window(6, 8)))  # between the shifted values 5 and 9
+@example((fam201(), Window(5, 40)))  # starts at 5, above the first shifted value 3
+@example((build_gapped(Params(2, -5, 0, "z"), GEOM2), Window(-40, -1)))  # holds -3 and -1
+def test_base_oracle_reads_the_shifted_image_and_f(case):
+    fam, window = case
+    oracle = verify.base_oracle(fam, window)
+    top = abs(window.hi) + abs(fam.shifted_y_value(0))
+    shifted = [
+        v
+        for y in range(top + 1)
+        if fam.y_contains(y) and window.contains(v := fam.shifted_y_value(y))
+    ]
+    assert oracle.shifted.window == oracle.f_window.window == window
+    assert oracle.shifted.members() == shifted
+    complement = oracle.folded.dense.complement().members()
+    assert oracle.f_window.members() == [n for n in complement if n not in shifted]
+
+
 @settings(max_examples=150, deadline=None)
 @given(n0_gapped_families())
 def test_exceptional_bound_covers_the_oracle_complement(fam):
@@ -473,7 +493,7 @@ def test_exceptional_bound_covers_the_oracle_complement(fam):
         z = n - (h - 1) * s - t
         return z % h == 0 and fam.y_contains(z // h)
 
-    outside = [n for n in oracle.complement if not shifted_y(n)]
+    outside = [n for n in oracle.folded.dense.complement().members() if not shifted_y(n)]
     assert all(n <= bound for n in outside), (bound, outside[-5:])
 
 
