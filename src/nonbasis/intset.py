@@ -9,6 +9,7 @@ single Python int.  All values are immutable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import gapset
@@ -38,9 +39,6 @@ class Window:
 
     def contains(self, n: int) -> bool:
         return self.lo <= n <= self.hi
-
-    def index(self, n: int) -> int:
-        return n - self.lo
 
 
 class SetSpec:
@@ -159,11 +157,25 @@ def member(spec: SetSpec, n: int) -> bool:
 
 
 _BYTE_OFFSETS = [tuple(i for i in range(8) if (b >> i) & 1) for b in range(256)]
+_NONZERO_BYTES = re.compile(rb"[^\x00]+")
+
+
+def _bits_at(offsets, width: int) -> int:
+    # One int with the given bit offsets set, all below width; the bits are
+    # set in a bytearray, so the cost is linear in offsets plus width.
+    buf = bytearray((width + 7) // 8)
+    for k in offsets:
+        buf[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(buf, "little")
 
 
 @dataclass(frozen=True)
 class DenseSet:
-    """Exact bitset on a window: bit i set iff window.lo + i is a member."""
+    """Exact bitset on a window: bit i set iff window.lo + i is a member.
+
+    This class owns that layout: members() decodes it, dense_from_iter and
+    materialize encode it, and restrict moves a set onto another window.
+    """
 
     window: Window
     bits: int
@@ -171,21 +183,18 @@ class DenseSet:
     def member(self, n: int) -> bool:
         return self.window.contains(n) and (self.bits >> (n - self.window.lo)) & 1 == 1
 
-    def __contains__(self, n: int) -> bool:
-        return self.member(n)
-
     def popcount(self) -> int:
         return self.bits.bit_count()
 
     def members(self) -> list[int]:
-        """Ascending list of all members (byte-walk, fast on dense sets)."""
+        """Ascending list of all members; runs of zero bytes are skipped."""
         w = self.window
         raw = self.bits.to_bytes((w.width + 7) // 8, "little")
         out = []
-        for bi, byte in enumerate(raw):
-            if byte:
+        for run in _NONZERO_BYTES.finditer(raw):
+            for bi in range(run.start(), run.end()):
                 base = w.lo + 8 * bi
-                for off in _BYTE_OFFSETS[byte]:
+                for off in _BYTE_OFFSETS[raw[bi]]:
                     out.append(base + off)
         return out
 
@@ -194,19 +203,21 @@ class DenseSet:
         return DenseSet(self.window, ~self.bits & mask)
 
     def restrict(self, window: Window) -> "DenseSet":
-        """This set intersected with a window contained in the current one."""
-        off = window.lo - self.window.lo
-        if off < 0 or window.hi > self.window.hi:
-            raise MalformedSpec("restrict window must be inside the dense window")
-        return DenseSet(window, (self.bits >> off) & ((1 << window.width) - 1))
+        """This set intersected with window, as bits on window.
+
+        Points of window outside this set's window are not members.
+        """
+        lo = max(self.window.lo, window.lo)
+        hi = min(self.window.hi, window.hi)
+        if lo > hi:
+            return DenseSet(window, 0)
+        piece = (self.bits >> (lo - self.window.lo)) & ((1 << (hi - lo + 1)) - 1)
+        return DenseSet(window, piece << (lo - window.lo))
 
 
 def dense_from_iter(values, window: Window) -> DenseSet:
-    bits = 0
-    for v in values:
-        if window.contains(v):
-            bits |= 1 << (v - window.lo)
-    return DenseSet(window, bits)
+    offsets = (v - window.lo for v in values if window.contains(v))
+    return DenseSet(window, _bits_at(offsets, window.width))
 
 
 def dilate_or(bits: int, gap: int, count: int, maxbits: int) -> int:
@@ -279,10 +290,8 @@ def _affine_bits(spec: SetSpec, c: int, d: int, w: Window) -> int:
             ylo, yhi = _ceil_div(w.hi - c, d), (w.lo - c) // d
         if ylo > yhi:
             return 0
-        bits = 0
-        for y in gapset.elements_in(spec.gen, Window(ylo, yhi)):
-            bits |= 1 << (d * y + c - w.lo)
-        return bits
+        ys = gapset.elements_in(spec.gen, Window(ylo, yhi))
+        return _bits_at((d * y + c - w.lo for y in ys), w.width)
     if isinstance(spec, Union):
         bits = 0
         for p in spec.parts:

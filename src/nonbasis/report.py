@@ -115,16 +115,6 @@ def exit_code(checks: list[Check]) -> int:
     return 0
 
 
-def full_family_oracle(params: Params, window: Window) -> sumset.SumsetResult:
-    fam = build_full(params)
-    dense = intset.materialize(fam.spec, verify.oracle_source(params, window))
-    return verify.oracle_fold(fam, dense, window)
-
-
-def residue_class_bits(window: Window, h: int, r: int) -> int:
-    return intset.materialize(intset.ModClass(h, r), window).bits
-
-
 def dichotomy_checks(params: Params, window: Window) -> list[Check]:
     """The gcd dichotomy against the oracle on a window.
 
@@ -135,11 +125,12 @@ def dichotomy_checks(params: Params, window: Window) -> list[Check]:
     """
     h, s, t = params.h, params.s, params.t
     case = gcd_case(h, s, t)
-    oracle = full_family_oracle(params, window)
+    oracle = verify.base_oracle(build_full(params), window).folded
     checks = []
     if case.d >= 2:
         allowed = {(i * (s - t) + h * t) % h for i in range(h)}
-        hits = [oracle.dense.bits & residue_class_bits(window, h, c) != 0 for c in range(h)]
+        classes = [intset.materialize(intset.ModClass(h, c), window).bits for c in range(h)]
+        hits = [oracle.dense.bits & bits != 0 for bits in classes]
         ok_bad = not any(hits[c] for c in range(h) if c not in allowed)
         missed = [c for c in range(h) if not hits[c]]
         need = h * (case.d - 1) // case.d
@@ -210,7 +201,8 @@ def uniqueness_check(params: Params, cap_hi: int) -> Check:
     lo = max(start, base)
     along = 0
     if lo <= cap_hi:
-        along = residue_class_bits(Window(lo, cap_hi), h, t - s) << (lo - base)
+        region = intset.materialize(intset.ModClass(h, t - s), Window(lo, cap_hi))
+        along = region.bits << (lo - base)
     if not along:
         return Check("uniqueness", UNKNOWN, f"no residues in [{start}, {cap_hi}]")
     bad = along & (~ge1 | ge2)

@@ -11,7 +11,6 @@ fewer.  Results are bit-identical to the per-element loop (property-tested).
 from __future__ import annotations
 
 import bisect
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -27,7 +26,6 @@ LOWER_BOUND = "lower_bound"
 _SMALL_STRIDES = range(1, 9)
 _HEAD_MEMBERS = 9
 _HEAD_BITS = 4096
-_NONZERO_BYTES = re.compile(rb"[^\x00]+")
 
 
 @dataclass(frozen=True)
@@ -52,22 +50,6 @@ class SumsetResult:
 
     def members(self) -> list[int]:
         return self.dense.members()
-
-
-def _bit_offsets(bits: int) -> list[int]:
-    # Ascending offsets of the set bits of a raw int.  Only nonzero bytes
-    # are visited, so sparse run starts and ends cost what they hold, where
-    # DenseSet.members walks every byte of the window.
-    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-    out = []
-    for run in _NONZERO_BYTES.finditer(raw):
-        for bi in range(run.start(), run.end()):
-            byte = raw[bi]
-            while byte:
-                low = byte & -byte
-                out.append(8 * bi + low.bit_length() - 1)
-                byte ^= low
-    return out
 
 
 def _fewest_runs(bits: int) -> tuple[int, int]:
@@ -105,13 +87,12 @@ def arith_chains(a: DenseSet) -> list[tuple[int, int, int]]:
     x = a.bits
     g, _ = _fewest_runs(x)
     ends_of: dict[int, list[int]] = {}
-    for e in _bit_offsets(x & ~(x >> g)):
+    for e in DenseSet(a.window, x & ~(x >> g)).members():
         ends_of.setdefault(e % g, []).append(e)
     ends = {r: iter(es) for r, es in ends_of.items()}
-    lo = a.window.lo
     return [
-        (lo + b, g, (next(ends[b % g]) - b) // g + 1)
-        for b in _bit_offsets(x & ~(x << g))
+        (b, g, (next(ends[b % g]) - b) // g + 1)
+        for b in DenseSet(a.window, x & ~(x << g)).members()
     ]
 
 
@@ -164,7 +145,7 @@ def _fold(a: DenseSet, h: int, target: Window) -> tuple[DenseSet | None, ...]:
         if k == 0:
             out.append(DenseSet(wk, 1))  # the window is [0, 0]
         elif k == 1:
-            out.append(DenseSet(wk, _slice_bits(a, wk)))
+            out.append(a.restrict(wk))
         elif _fewest_runs(out[-1].bits)[1] < len(chains):
             out.append(pairwise_sum(a, out[-1], wk, arith_chains(out[-1])))
         else:
@@ -175,21 +156,8 @@ def _fold(a: DenseSet, h: int, target: Window) -> tuple[DenseSet | None, ...]:
 def _folded(a: DenseSet, h: int, target: Window, exactness: str) -> SumsetResult:
     partials = _fold(a, h, target)
     top = partials[h]
-    dense = DenseSet(target, 0) if top is None else _align(top, target)
+    dense = DenseSet(target, 0) if top is None else top.restrict(target)
     return SumsetResult(h, a.window, target, dense, exactness, partials)
-
-
-def _slice_bits(a: DenseSet, w: Window) -> int:
-    lo = max(a.window.lo, w.lo)
-    hi = min(a.window.hi, w.hi)
-    if lo > hi:
-        return 0
-    piece = (a.bits >> (lo - a.window.lo)) & ((1 << (hi - lo + 1)) - 1)
-    return piece << (lo - w.lo)
-
-
-def _align(s: DenseSet, target: Window) -> DenseSet:
-    return DenseSet(target, _slice_bits(s, target))
 
 
 def hfold_exact_bounded_below(
@@ -245,8 +213,7 @@ def adjoin(result: SumsetResult, b: int) -> SumsetResult:
             part = result.partials[h - j]
             if part is None:
                 continue
-            moved = Window(part.window.lo + j * b, part.window.hi + j * b)
-            bits |= _slice_bits(DenseSet(moved, part.bits), target)
+            bits |= part.restrict(Window(target.lo - j * b, target.hi - j * b)).bits
     return SumsetResult(h, result.source, target, DenseSet(target, bits), result.exactness)
 
 

@@ -118,8 +118,8 @@ def test_restrict():
     d = materialize(ModClass(2, 1), Window(0, 20))
     r = d.restrict(Window(5, 11))
     assert r.members() == [5, 7, 9, 11]
-    with pytest.raises(MalformedSpec):
-        d.restrict(Window(-1, 5))
+    assert d.restrict(Window(-1, 5)).members() == [1, 3, 5]
+    assert d.restrict(Window(21, 30)).members() == []
 
 
 _LEAVES = st.one_of(
@@ -194,6 +194,57 @@ def test_dense_roundtrip(w, values):
     dense = dense_from_iter(values, w)
     assert dense.members() == inside
     assert dense.popcount() == len(inside)
+
+
+# Byte chunks of all-zero runs, full 0xFF bytes and random bytes.
+_CHUNKS = st.one_of(
+    st.integers(1, 300).map(lambda n: b"\x00" * n),
+    st.integers(1, 40).map(lambda n: b"\xff" * n),
+    st.binary(min_size=1, max_size=40),
+)
+
+
+@st.composite
+def dense_sets(draw):
+    """A DenseSet of width 1..3000, not a multiple of 8, often with negative lo."""
+    lo = draw(st.integers(-3000, 3000))
+    width = draw(st.integers(1, 3000).filter(lambda w: w % 8 != 0))
+    raw = b"".join(draw(st.lists(_CHUNKS, max_size=20)))
+    bits = int.from_bytes(raw, "little") & ((1 << width) - 1)
+    return DenseSet(Window(lo, lo + width - 1), bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_sets())
+def test_members_matches_per_bit_loop(d):
+    want = [d.window.lo + i for i in range(d.window.width) if (d.bits >> i) & 1]
+    assert d.members() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dense_sets(),
+    st.sampled_from(["inside", "low_edge", "high_edge", "disjoint", "around"]),
+    st.integers(0, 400),
+    st.integers(0, 400),
+)
+def test_restrict_matches_filtered_members(d, kind, a, b):
+    lo, hi = d.window.lo, d.window.hi
+    if kind == "inside":
+        first = min(lo + a, hi)
+        w = Window(first, min(first + b, hi))
+    elif kind == "low_edge":
+        w = Window(lo - a - 1, min(lo + b, hi))
+    elif kind == "high_edge":
+        w = Window(max(hi - b, lo), hi + a + 1)
+    elif kind == "disjoint":
+        w = Window(hi + a + 1, hi + a + b + 1) if a % 2 else Window(lo - a - b - 1, lo - a - 1)
+    else:
+        w = Window(lo - a, hi + b)
+    r = d.restrict(w)
+    assert r.window == w
+    assert r.bits >> w.width == 0
+    assert r.members() == [n for n in d.members() if w.contains(n)]
 
 
 def test_dilate_or_matches_loop():
