@@ -297,6 +297,32 @@ def exceptional_bound(family: Family) -> int:
     return max(f0_high, f0_low, f1)
 
 
+def search_band(family: Family) -> tuple[int, int]:
+    """Bounds [lo, hi] of the points whose classify verdict may need a search.
+
+    Outside the band classify decides n by its fixed branch in at most
+    x0 + 3 probes: OutShiftedY on the shifted-Y values, In everywhere else.
+    That branch is _decide_2x's four-point argument, taken when the pair
+    target m = q - t - (k-2)*x0 has m // 2 - 1 > R(3).  Over N0 the band is
+    [0, exceptional_bound], above which m > 2*R(3) + 5.  Over Z the pair
+    decision searches only in its climb branch, and only when the first
+    climb probe m + 1 may lie in Y (a negative one lies in X), so for m in
+    [-1, 2*R(3) + 3]; n = i(s-t) + h*q maps that range back for each
+    residue i = h - k.
+    """
+    if family.domain == DOMAIN_N0:
+        return 0, exceptional_bound(family)
+    h, s, t = family.h, family.s, family.t
+    r3 = gapset.gap_radius(family.y, 3)
+    x0 = gapset.least_non_member(family.y)
+    ends = [
+        i * (s - t) + h * (t + (h - i - 2) * x0 + m)
+        for i in range(h - 1)
+        for m in (-1, 2 * r3 + 3)
+    ]
+    return min(ends), max(ends)
+
+
 @dataclass(frozen=True)
 class Catalog:
     shifted_y: tuple[int, ...]
@@ -384,24 +410,40 @@ def complement_catalog(
 ) -> Catalog:
     """Partition of window minus hA into shifted-Y / exceptional / unknown.
 
-    Every window point is classified once and compared with the base
-    oracle.  For N0 families the oracle is exact, so classify and the
+    classify runs on the search band and on every point where the base
+    oracle's complement differs from its shifted-Y image, one XOR on the
+    window; each of those points is compared with the oracle.  Outside
+    them, classify's fixed branch gives the shifted-Y image (see
+    search_band), and the oracle agrees with it, so the shifted-Y values
+    there are read off the bits.  A budget below the fixed branch's x0 + 3
+    probes can leave any point Unknown, so then the band is the whole
+    window.  For N0 families the oracle is exact, so classify and the
     oracle must agree on every point; for Z families the truncated oracle
     may miss members, so it is only required not to contain any point
-    classified Out.
+    classified Out.  Either way a disagreement names the first disagreeing
+    point in window order.
     """
     if not family.is_gapped:
         raise GcdViolation("catalog applies to gapped families only")
     n0 = family.domain == DOMAIN_N0
     if n0 and window.lo < 0:
         raise DomainConstraint("N0 catalog window must start at 0 or above")
-    complement = set(base_oracle(family, window).folded.dense.complement().members())
-    shifted: list[int] = []
+    oracle = base_oracle(family, window)
+    comp = oracle.folded.dense.complement()
+    if budget_probes >= gapset.least_non_member(family.y) + 3:
+        lo, hi = search_band(family)
+        lo, hi = max(lo, window.lo), min(hi, window.hi)
+    else:
+        lo, hi = window.lo, window.hi
+    band = ((1 << (hi - lo + 1)) - 1) << (lo - window.lo) if lo <= hi else 0
+    to_classify = band | (comp.bits ^ oracle.shifted.bits)
+    complement = set(comp.members())
+    shifted = DenseSet(window, oracle.shifted.bits & ~to_classify).members()
     exceptional: list[int] = []
     unknown: list[int] = []
     unknown_members: list[int] = []
 
-    for n in range(window.lo, window.hi + 1):
+    for n in DenseSet(window, to_classify).members():
         v = classify(family, n, Budget(budget_probes))
         if isinstance(v, InSumset):
             if n0 and n in complement:
@@ -421,7 +463,7 @@ def complement_catalog(
         else:
             unknown.append(n)
     return Catalog(
-        tuple(shifted), tuple(exceptional), tuple(unknown), tuple(unknown_members)
+        tuple(sorted(shifted)), tuple(exceptional), tuple(unknown), tuple(unknown_members)
     )
 
 
@@ -477,7 +519,8 @@ def escape_check(
 
     if case == "eq_t":
         added = fab.dense.bits & ~fa.dense.bits
-        cover = intset.dense_from_iter(((h - 1) * s + b,), window).bits
+        v = (h - 1) * s + b
+        cover = 1 << (v - window.lo) if window.contains(v) else 0
         ok = added & ~(oracle.f_window.bits | cover) == 0
         remaining = DenseSet(window, oracle.shifted.bits & comp_ab.bits & ~cover)
         return EscapeReport(

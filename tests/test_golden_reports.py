@@ -1,7 +1,7 @@
 """Byte-identity of the CLI reports across refactors.
 
 Each call's stdout is pinned by its sha256, together with its exit code,
-at the default probe budget.  A change that alters any report byte fails
+at the default probe budget unless the call sets --budget.  A change that alters any report byte fails
 here; when the change is intended, the pinned digest moves with a note in
 CHANGES.md saying why.
 """
@@ -38,6 +38,22 @@ GOLDEN = [
      "08e63665399908a7f3f2930760bea43341abe6615e64d32553e032f54e9484b4"),
     ("catalog --h 3 --s 1 --t 0 --domain z --gap factorial --window=-500:500 --format text", 0,
      "bda26a9be4d298f84223123d7b9d1773210b6442811f2d45e485caffe4ea2dd0"),
+    # catalog below and at the fixed branch's x0 + 3 probes (x0 = 2 for the
+    # triangular gaps, 0 for geometric,2,1), and thm2 on a wide Z window
+    ("catalog --h 3 --s 0 --t 1 --domain n0 --gap triangular --window 0:1500 --budget 0", 3,
+     "61b9055eb5e2267b9fc7f0a951bf7132fd2b6d6ebd62772d73bd00212b861068"),
+    ("catalog --h 3 --s 0 --t 1 --domain n0 --gap triangular --window 0:1500 --budget 4", 3,
+     "183675784bfe6a1b02cb501c1247c54100264a24f66c73f658f446ed208d3799"),
+    ("catalog --h 4 --s 1 --t 0 --domain n0 --gap geometric,2,1 --window 0:1500 --budget 4"
+     " --format text", 3,
+     "d70ac7ade4e4cb55b7c4e30e9eb832a0e4649a9e8c244025d121fcc8b229e4a8"),
+    ("catalog --h 2 --s 1 --t 0 --domain z --gap triangular --window=-800:800 --budget 0"
+     " --format text", 3,
+     "96dcc1cf3d2875f4f3d1c9c72792403fd5d763daf0e4f610846872f889e8dcde"),
+    ("catalog --h 3 --s 0 --t 1 --domain z --gap geometric,2,1 --window=-800:800 --budget 4", 0,
+     "0d62730370a0fef3d5430c0699ae3b7a2475e34f9652217f00f041464bd3fe72"),
+    ("verify thm2 --h 2 --s 0 --t 1 --gap geometric,2,1 --window=-10000:10000", 0,
+     "b1702792acfbf5015b81b39341cf314e9b343c63af21f09aef16661369bef93a"),
 ]
 
 

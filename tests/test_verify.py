@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -560,6 +561,150 @@ def test_catalog_disagreement_raises_its_own_error(monkeypatch):
     catalog, checks = report.catalog_checks(fam201(), Window(0, 40))
     assert catalog == verify.Catalog((), (), ())
     assert [(c.name, c.status) for c in checks] == [("oracle_agreement", "fail")]
+
+
+def per_point_catalog(fam, window, budget_probes):
+    """The catalog with one classify per window point: the reference loop."""
+    n0 = fam.domain == "n0"
+    complement = set(verify.base_oracle(fam, window).folded.dense.complement().members())
+    shifted, exceptional, unknown, unknown_members = [], [], [], []
+    for n in range(window.lo, window.hi + 1):
+        v = verify.classify(fam, n, Budget(budget_probes))
+        if isinstance(v, InSumset):
+            if n0 and n in complement:
+                raise OracleDisagreement(
+                    f"classify says {n} is a member but the exact oracle disagrees"
+                )
+        elif n not in complement:
+            if not isinstance(v, Unknown):
+                raise OracleDisagreement(
+                    f"oracle contains {n} but classify returned {type(v).__name__}"
+                )
+            unknown_members.append(n)
+        elif isinstance(v, OutShiftedY):
+            shifted.append(n)
+        elif isinstance(v, OutExceptional):
+            exceptional.append(n)
+        else:
+            unknown.append(n)
+    return verify.Catalog(
+        tuple(shifted), tuple(exceptional), tuple(unknown), tuple(unknown_members)
+    )
+
+
+def catalog_outcome(catalog_fn, fam, window, budget_probes):
+    try:
+        return catalog_fn(fam, window, budget_probes)
+    except OracleDisagreement as exc:
+        return str(exc)
+
+
+def corrupt_oracle(mp, window, *points):
+    """Make the base oracle of window wrong at points, each flipped in or out of hA."""
+    real = verify.base_oracle
+
+    def corrupted(fam, w):
+        oracle = real(fam, w)
+        if w != window:
+            return oracle
+        bits = oracle.folded.dense.bits
+        for n in points:
+            bits ^= 1 << (n - w.lo)
+        folded = dataclasses.replace(oracle.folded, dense=intset.DenseSet(w, bits))
+        return dataclasses.replace(oracle, folded=folded)
+
+    mp.setattr(verify, "base_oracle", corrupted)
+
+
+@st.composite
+def catalog_cases(draw):
+    """A random gapped family, a window reaching past its search band, and
+    maybe one window point where the oracle is made wrong."""
+    n0 = draw(st.booleans())
+    h = draw(st.integers(2, 5))
+    s = draw(st.integers(0 if n0 else -6, 6))
+    t = draw(st.integers(0 if n0 else -6, 6))
+    assume(math.gcd(h, abs(s - t)) == 1)
+    fam = build_gapped(Params(h, s, t, "n0" if n0 else "z"), draw(GAP_GENERATORS))
+    lo = draw(st.integers(0, 300) if n0 else st.integers(-400, 300))
+    window = Window(lo, lo + draw(st.integers(0, 500)))
+    flip = draw(st.none() | st.integers(window.lo, window.hi))
+    # classify reads N0 points below (h-2)s + ht off the oracle of that
+    # prefix, which a flip must leave exact
+    assume(flip is None or not n0 or (window.lo, window.hi) != (0, (h - 2) * s + h * t - 1))
+    return fam, window, () if flip is None else (flip,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalog_cases())
+# an extra Z complement point: the truncated oracle may miss members
+@example((build_gapped(Params(2, -41, 10, "z"), GEOM2), Window(-100, 200), (150,)))
+def test_catalog_matches_the_per_point_loop(case):
+    # Below the fixed branch's x0 + 3 probes, at its edge and above it
+    fam, window, flips = case
+    x0 = gapset.least_non_member(fam.y)
+    with pytest.MonkeyPatch.context() as mp:
+        corrupt_oracle(mp, window, *flips)
+        for budget in (0, 4, x0 + 2, x0 + 3, verify.DEFAULT_BUDGET):
+            got = catalog_outcome(verify.complement_catalog, fam, window, budget)
+            assert got == catalog_outcome(per_point_catalog, fam, window, budget), budget
+
+
+def test_search_band_examples():
+    assert verify.search_band(fam201()) == (0, verify.exceptional_bound(fam201()))
+    # Over Z, h = 2: n = 2(t + m) with m in [-1, 2*R(3) + 3], and R(3) = 4
+    assert verify.search_band(build_gapped(Params(2, 0, 1, "z"), GEOM2)) == (0, 24)
+    assert verify.search_band(build_gapped(Params(2, -41, 10, "z"), GEOM2)) == (18, 42)
+
+
+def test_catalog_classifies_only_the_band_and_the_disagreements(monkeypatch):
+    calls = []
+    classify = verify.classify
+
+    def counting(fam, n, budget=None):
+        calls.append(n)
+        return classify(fam, n, budget)
+
+    monkeypatch.setattr(verify, "classify", counting)
+    fam = build_gapped(Params(5, 0, 1, "n0"), GEOM2)
+    verify.complement_catalog(fam, Window(0, 10**5))
+    assert len(calls) <= verify.exceptional_bound(fam) + 1
+
+    calls.clear()
+    fam = build_gapped(Params(2, 0, 1, "z"), GEOM2)
+    window = Window(-(10**4), 10**4)
+    oracle = verify.base_oracle(fam, window)
+    disagreements = oracle.folded.dense.complement().bits ^ oracle.shifted.bits
+    lo, hi = verify.search_band(fam)
+    verify.complement_catalog(fam, window)
+    assert len(calls) <= hi - lo + 1 + disagreements.bit_count()
+
+
+# fam201 on 0:400 has the search band [0, 29] and the shifted-Y values
+# 3, 5, 9, ..., 257; the Z family 2y - 31 has the band [18, 42] and the
+# shifted-Y values -29, -27, -23, -15, 1, 33, 97.
+@pytest.mark.parametrize(
+    "fam,window,flips,message",
+    [
+        (fam201(), Window(0, 400), (100,),
+         "classify says 100 is a member but the exact oracle disagrees"),
+        (fam201(), Window(0, 400), (129,),
+         "oracle contains 129 but classify returned OutShiftedY"),
+        (fam201(), Window(0, 400), (129, 20),
+         "classify says 20 is a member but the exact oracle disagrees"),
+        (build_gapped(Params(2, -41, 10, "z"), GEOM2), Window(-100, 200), (97,),
+         "oracle contains 97 but classify returned OutShiftedY"),
+        (build_gapped(Params(2, -41, 10, "z"), GEOM2), Window(-100, 200), (97, 33),
+         "oracle contains 33 but classify returned OutShiftedY"),
+        (build_gapped(Params(2, -41, 10, "z"), GEOM2), Window(-100, 200), (33, -15),
+         "oracle contains -15 but classify returned OutShiftedY"),
+    ],
+)
+def test_catalog_names_the_first_bulk_disagreement(monkeypatch, fam, window, flips, message):
+    corrupt_oracle(monkeypatch, window, *flips)
+    with pytest.raises(OracleDisagreement) as exc:
+        verify.complement_catalog(fam, window)
+    assert str(exc.value) == message
 
 
 def test_catalog_checks_lets_internal_errors_through(monkeypatch):
