@@ -87,11 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a theorem verification preset")
     p.add_argument("preset", choices=["thm1", "lemma", "thm2", "thm3", "thm4"])
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--s", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--domain", choices=[DOMAIN_Z, DOMAIN_N0])
-    p.add_argument("--gap")
+    _add_family_args(p, required=False)
     p.add_argument("--window")
     _add_io_args(p)
     return ap

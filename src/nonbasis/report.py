@@ -182,6 +182,10 @@ def uniqueness_check(params: Params, cap_hi: int) -> Check:
     h, s, t = params.h, params.s, params.t
     if gcd_case(h, s, t).d != 1:
         return Check("uniqueness", FAIL, "gcd case is not 1")
+    thr = (h - 1) * abs(s - t) + h * t
+    start = thr + ((t - s) - thr) % h
+    if start > cap_hi:
+        return Check("uniqueness", UNKNOWN, f"no residues in [{start}, {cap_hi}]")
     fam = build_full(params)
     pad = (h + 1) * (abs(s) + abs(t) + 1) + h
     # The canonical representation of every checked n fits inside
@@ -192,25 +196,16 @@ def uniqueness_check(params: Params, cap_hi: int) -> Check:
     else:
         src = Window(-pad, cap_hi + pad)
     dense = intset.materialize(fam.spec, src)
-    ge1, ge2 = sumset.multiplicity_pair(dense, h, cap_hi)
-    base = h * src.lo
-    thr = (h - 1) * abs(s - t) + h * t
-    start = thr + ((t - s) - thr) % h
-    # Bit n - base of `along` marks each checked n: n = t-s (mod h) in the
-    # region, and inside the bitsets multiplicity_pair returned.
-    lo = max(start, base)
-    along = 0
-    if lo <= cap_hi:
-        region = intset.materialize(intset.ModClass(h, t - s), Window(lo, cap_hi))
-        along = region.bits << (lo - base)
-    if not along:
-        return Check("uniqueness", UNKNOWN, f"no residues in [{start}, {cap_hi}]")
-    bad = along & (~ge1 | ge2)
-    first_bad = base + (bad & -bad).bit_length() - 1
+    region = intset.materialize(
+        intset.ModClass(h, t - s), Window(max(start, h * src.lo), cap_hi)
+    )
+    ge1, ge2 = sumset.multiplicity_pair(dense, h, region.window)
+    bad = region.bits & (~ge1.bits | ge2.bits)
+    first_bad = region.window.lo + (bad & -bad).bit_length() - 1
     return check(
         "uniqueness",
         bad == 0,
-        f"{along.bit_count()} residues checked in [{start}, {cap_hi}]"
+        f"{region.popcount()} residues checked in [{start}, {cap_hi}]"
         + (f"; first failure at {first_bad}" if bad else ""),
     )
 
@@ -353,10 +348,17 @@ def catalog_checks(
         )
     checks = [agreement]
 
+    # The shifted-Y values re-derived from Y itself: outside the search band
+    # the catalog reads them off the oracle's bits.
+    off = (family.h - 1) * family.s + family.t
+    ys = gapset.elements_in(
+        family.y, Window((window.lo - off) // family.h, (window.hi - off) // family.h)
+    )
+    expected = [n for n in map(family.shifted_y_value, ys) if window.contains(n)]
     checks.append(
         check(
             "shifted_y_match",
-            list(catalog.shifted_y) == verify.base_oracle(family, window).shifted.members(),
+            list(catalog.shifted_y) == expected,
             f"{len(catalog.shifted_y)} shifted-Y complement points",
         )
     )

@@ -256,36 +256,33 @@ def witness(a: DenseSet, h: int, n: int) -> tuple[int, ...] | None:
     return next(_multisets(a, h, n), None)
 
 
-def multiplicity_pair(a: DenseSet, h: int, hi: int) -> tuple[int, int]:
-    """Bitsets (at_least_one, at_least_two) of representation multiplicities.
+def multiplicity_pair(a: DenseSet, h: int, target: Window) -> tuple[DenseSet, DenseSet]:
+    """(at_least_one, at_least_two) representation multiplicities on target.
 
-    Bit n - h*a.window.lo of the first int is set iff n has >= 1 multiset
-    representation as a sum of h elements of a with n <= hi; the second int
-    marks >= 2.  Computed by a copies-per-element DP with counts saturated
-    at two, so it is exact for uniqueness questions on the whole range at
-    once.
+    The first set holds each n in target with at least one multiset
+    representation as a sum of h elements of a, the second each n with at
+    least two.  Computed by the multiset (coin change) recurrence with
+    counts saturated at two: for each member v in turn, row u gains row
+    u-1 shifted by v, for u = 1..h in ascending order.  Row u-1 already
+    holds v by then, so repeated copies are counted once per multiset.
+    The rows keep bit n - u*a.window.lo for a u-element sum n, and bits
+    only move upward, so each row is cut at the bit of target.hi.
     """
     lo = a.window.lo
-    relmax = hi - h * lo
+    relmax = target.hi - h * lo
     if relmax < 0:
-        return 0, 0
+        return DenseSet(target, 0), DenseSet(target, 0)
     mask = (1 << (relmax + 1)) - 1
-    ge1 = [0] * (h + 1)
+    ge1 = [1] + [0] * h
     ge2 = [0] * (h + 1)
-    ge1[0] = 1
     for v in a.members():
         p = v - lo
-        for u in range(h, 0, -1):
-            acc1, acc2 = ge1[u], ge2[u]
-            shift = 0
-            for c in range(1, u + 1):
-                shift += p
-                if p > 0 and shift > relmax:
-                    break
-                t1 = (ge1[u - c] << shift) & mask
-                t2 = (ge2[u - c] << shift) & mask
-                if t1 or t2:
-                    acc2 |= t2 | (acc1 & t1)
-                    acc1 |= t1
-            ge1[u], ge2[u] = acc1, acc2
-    return ge1[h], ge2[h]
+        if p > relmax:
+            break
+        for u in range(1, h + 1):
+            t1 = (ge1[u - 1] << p) & mask
+            t2 = (ge2[u - 1] << p) & mask
+            ge2[u] |= t2 | (ge1[u] & t1)
+            ge1[u] |= t1
+    rows = Window(h * lo, target.hi)
+    return DenseSet(rows, ge1[h]).restrict(target), DenseSet(rows, ge2[h]).restrict(target)

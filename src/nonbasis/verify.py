@@ -437,7 +437,6 @@ def complement_catalog(
         lo, hi = window.lo, window.hi
     band = ((1 << (hi - lo + 1)) - 1) << (lo - window.lo) if lo <= hi else 0
     to_classify = band | (comp.bits ^ oracle.shifted.bits)
-    complement = set(comp.members())
     shifted = DenseSet(window, oracle.shifted.bits & ~to_classify).members()
     exceptional: list[int] = []
     unknown: list[int] = []
@@ -446,11 +445,11 @@ def complement_catalog(
     for n in DenseSet(window, to_classify).members():
         v = classify(family, n, Budget(budget_probes))
         if isinstance(v, InSumset):
-            if n0 and n in complement:
+            if n0 and comp.member(n):
                 raise OracleDisagreement(
                     f"classify says {n} is a member but the exact oracle disagrees"
                 )
-        elif n not in complement:
+        elif not comp.member(n):
             if not isinstance(v, Unknown):
                 raise OracleDisagreement(
                     f"oracle contains {n} but classify returned {type(v).__name__}"

@@ -253,8 +253,20 @@ def test_uniqueness_vacuous_region_is_unknown():
     from nonbasis import report as rpt
     from nonbasis.families import Params
 
-    c = rpt.uniqueness_check(Params(6, 10, 9, "n0"), 50)  # threshold 114 > 50
+    c = rpt.uniqueness_check(Params(6, 10, 9, "n0"), 50)  # first residue 59 > 50
     assert c.status == "unknown"
+
+
+def test_uniqueness_region_below_the_first_residue_is_unknown(capsys):
+    # The cap -2500 lies below the first checked residue 7, so there is no
+    # region to check and no source window to build from the cap.
+    code, out, err = run(
+        capsys,
+        ["verify", "thm1", "--h", "3", "--s", "0", "--t", "1", "--window=-3000:-2500"],
+    )
+    assert (code, err) == (3, "")
+    checks = {c["name"]: (c["status"], c["details"]) for c in json.loads(out)["checks"]}
+    assert checks["uniqueness"] == ("unknown", "no residues in [7, -2500]")
 
 
 @pytest.mark.parametrize(
@@ -269,14 +281,13 @@ def test_uniqueness_vacuous_region_is_unknown():
 def test_uniqueness_reports_its_first_failure(monkeypatch, params, cap, marked, details):
     from nonbasis import report as rpt
     from nonbasis import sumset
+    from nonbasis.intset import DenseSet, dense_from_iter
 
     real = sumset.multiplicity_pair
 
-    def represented_twice(dense, h, hi):
-        ge1, ge2 = real(dense, h, hi)
-        for n in marked:
-            ge2 |= 1 << (n - h * dense.window.lo)
-        return ge1, ge2
+    def represented_twice(dense, h, target):
+        ge1, ge2 = real(dense, h, target)
+        return ge1, DenseSet(target, ge2.bits | dense_from_iter(marked, target).bits)
 
     monkeypatch.setattr(sumset, "multiplicity_pair", represented_twice)
     c = rpt.uniqueness_check(params, cap)

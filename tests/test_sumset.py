@@ -177,13 +177,96 @@ def test_count_and_witness_consistent(a, h, n):
 @settings(max_examples=150, deadline=None)
 @given(SMALL_SETS, st.integers(1, 4))
 def test_multiplicity_pair_matches_counts(a, h):
-    hi = h * a.window.hi
-    ge1, ge2 = sumset.multiplicity_pair(a, h, hi)
-    base = h * a.window.lo
-    for n in range(base, hi + 1):
+    target = Window(h * a.window.lo, h * a.window.hi)
+    ge1, ge2 = sumset.multiplicity_pair(a, h, target)
+    assert ge1.window == ge2.window == target
+    for n in range(target.lo, target.hi + 1):
         c = sumset.representation_count(a, h, n)
-        assert ((ge1 >> (n - base)) & 1) == (1 if c >= 1 else 0)
-        assert ((ge2 >> (n - base)) & 1) == (1 if c >= 2 else 0)
+        assert ge1.member(n) == (c >= 1)
+        assert ge2.member(n) == (c >= 2)
+
+
+def per_copy_multiplicity_pair(a, h, hi):
+    """multiplicity_pair as it was before the multiset recurrence: (>= 1,
+    >= 2) bits at n - h*a.window.lo for n <= hi, by a DP that adds c = 1..u
+    copies of each member to the u-element rows, u descending."""
+    lo = a.window.lo
+    relmax = hi - h * lo
+    if relmax < 0:
+        return 0, 0
+    mask = (1 << (relmax + 1)) - 1
+    ge1 = [1] + [0] * h
+    ge2 = [0] * (h + 1)
+    for v in a.members():
+        p = v - lo
+        for u in range(h, 0, -1):
+            acc1, acc2 = ge1[u], ge2[u]
+            shift = 0
+            for c in range(1, u + 1):
+                shift += p
+                if p > 0 and shift > relmax:
+                    break
+                t1 = (ge1[u - c] << shift) & mask
+                t2 = (ge2[u - c] << shift) & mask
+                if t1 or t2:
+                    acc2 |= t2 | (acc1 & t1)
+                    acc1 |= t1
+            ge1[u], ge2[u] = acc1, acc2
+    return ge1[h], ge2[h]
+
+
+@st.composite
+def wide_sets(draw):
+    """A set on a window of up to about 3000 points: random members at one
+    density, or the union of up to a dozen arithmetic chains."""
+    lo = draw(st.integers(-30, 30))
+    w = Window(lo, lo + draw(st.integers(0, 3000)))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        density = draw(st.sampled_from([0.002, 0.05, 0.5, 0.95]))
+        vals = [v for v in range(w.lo, w.hi + 1) if rng.random() < density]
+    else:
+        vals = set()
+        for _ in range(draw(st.integers(1, 12))):
+            g = rng.randint(1, 9)
+            first = rng.randint(w.lo, w.hi)
+            vals.update(range(first, rng.randint(first, w.hi) + 1, g))
+    return dense_from_iter(vals, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_sets(), st.integers(1, 6), st.data())
+def test_multiplicity_pair_matches_the_per_copy_dp(a, h, data):
+    lo, hi = h * a.window.lo, h * a.window.hi
+    target = Window(data.draw(st.integers(lo - 40, hi)), data.draw(st.integers(hi, hi + 40)))
+    target = Window(target.lo, data.draw(st.integers(target.lo, target.hi)))
+    ge1, ge2 = sumset.multiplicity_pair(a, h, target)
+    if target.hi < lo:
+        assert ge1 == ge2 == DenseSet(target, 0)
+        return
+    rows = Window(lo, target.hi)
+    want1, want2 = per_copy_multiplicity_pair(a, h, target.hi)
+    assert ge1 == DenseSet(rows, want1).restrict(target)
+    assert ge2 == DenseSet(rows, want2).restrict(target)
+
+
+@pytest.mark.parametrize(
+    "target,at_least_one,at_least_two",
+    [
+        (Window(10, 16), [10, 11, 12, 13, 14, 15, 16], [12, 13, 14]),
+        (Window(12, 20), [12, 13, 14, 15, 16], [12, 13, 14]),  # lo above 2 * 5
+        (Window(6, 11), [10, 11], []),
+        (Window(0, 9), [], []),  # hi below 2 * 5
+        (Window(13, 13), [13], [13]),
+        (Window(15, 15), [15], []),
+    ],
+)
+def test_multiplicity_pair_targets(target, at_least_one, at_least_two):
+    # 2 * {5, 6, 7, 8}: 12, 13 and 14 have two representations each
+    a = dense_from_iter(range(5, 9), Window(5, 8))
+    ge1, ge2 = sumset.multiplicity_pair(a, 2, target)
+    assert ge1.window == ge2.window == target
+    assert (ge1.members(), ge2.members()) == (at_least_one, at_least_two)
 
 
 def test_arith_chains():

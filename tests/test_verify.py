@@ -707,6 +707,31 @@ def test_catalog_names_the_first_bulk_disagreement(monkeypatch, fam, window, fli
     assert str(exc.value) == message
 
 
+def test_shifted_y_match_rederives_the_values_from_y(monkeypatch):
+    # The oracle is made wrong at 100, above fam201's search band [0, 29],
+    # in its complement and in its shifted-Y image alike.  The catalog reads
+    # that part of the window off those bits, so only Y itself can tell.
+    window = Window(0, 400)
+    real = verify.base_oracle
+
+    def extra_shifted_point(fam, w):
+        oracle = real(fam, w)
+        bit = 1 << (100 - w.lo)
+        dense = intset.DenseSet(w, oracle.folded.dense.bits & ~bit)
+        return dataclasses.replace(
+            oracle,
+            folded=dataclasses.replace(oracle.folded, dense=dense),
+            shifted=intset.DenseSet(w, oracle.shifted.bits | bit),
+        )
+
+    monkeypatch.setattr(verify, "base_oracle", extra_shifted_point)
+    catalog, checks = report.catalog_checks(fam201(), window)
+    assert 100 in catalog.shifted_y
+    status = {c.name: c.status for c in checks}
+    assert status["oracle_agreement"] == "pass"
+    assert status["shifted_y_match"] == "fail"
+
+
 def test_catalog_checks_lets_internal_errors_through(monkeypatch):
     def broken(fam, n, budget=None):
         raise AssertionError("internal")
