@@ -196,9 +196,8 @@ def uniqueness_check(params: Params, cap_hi: int) -> Check:
     else:
         src = Window(-pad, cap_hi + pad)
     dense = intset.materialize(fam.spec, src)
-    region = intset.materialize(
-        intset.ModClass(h, t - s), Window(max(start, h * src.lo), cap_hi)
-    )
+    # No clip at h * src.lo: start >= 0 = h * src.lo over N0, start >= h*t >= -h*pad over Z
+    region = intset.materialize(intset.ModClass(h, t - s), Window(start, cap_hi))
     ge1, ge2 = sumset.multiplicity_pair(dense, h, region.window)
     bad = region.bits & (~ge1.bits | ge2.bits)
     first_bad = region.window.lo + (bad & -bad).bit_length() - 1

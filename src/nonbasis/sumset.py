@@ -6,6 +6,8 @@ every member of the other.  Members that form a run with a common stride
 are shifted as a group via doubling, which is an algebraic identity on
 OR-over-shifts, and each step walks the runs of whichever operand has
 fewer.  Results are bit-identical to the per-element loop (property-tested).
+Representation multiplicities, saturated at two, are added run by run too:
+the sums of c copies from one run are a saturating dilation by an AP.
 """
 
 from __future__ import annotations
@@ -256,33 +258,81 @@ def witness(a: DenseSet, h: int, n: int) -> tuple[int, ...] | None:
     return next(_multisets(a, h, n), None)
 
 
+def _dilate_pair(x1: int, x2: int, gap: int, count: int, maxbits: int) -> tuple[int, int]:
+    """Saturated sum of the count pair (x1, x2) shifted by 0, gap, ...,
+    (count-1)*gap, with counts capped at two, as a (>= 1, >= 2) pair.
+
+    The shifts are split into binary blocks, so every combine adds two
+    pairs over disjoint shift sets: z1 = x1|y1, z2 = x2|y2|(x1&y1).  Bits at
+    or above maxbits are dropped, which is safe because bits only move up.
+    """
+    mask = (1 << maxbits) - 1
+    b1, b2 = x1 & mask, x2 & mask  # the pair over shifts 0..span-1
+    r1 = r2 = 0  # the pair over shifts 0..done-1
+    span = 1
+    done = 0
+    while count:
+        if count & 1:
+            y1, y2 = (b1 << (gap * done)) & mask, (b2 << (gap * done)) & mask
+            r2 |= y2 | (r1 & y1)
+            r1 |= y1
+            done += span
+        count >>= 1
+        if count:
+            y1, y2 = (b1 << (gap * span)) & mask, (b2 << (gap * span)) & mask
+            b2 |= y2 | (b1 & y1)
+            b1 |= y1
+            span *= 2
+    return r1, r2
+
+
 def multiplicity_pair(a: DenseSet, h: int, target: Window) -> tuple[DenseSet, DenseSet]:
     """(at_least_one, at_least_two) representation multiplicities on target.
 
     The first set holds each n in target with at least one multiset
     representation as a sum of h elements of a, the second each n with at
-    least two.  Computed by the multiset (coin change) recurrence with
-    counts saturated at two: for each member v in turn, row u gains row
-    u-1 shifted by v, for u = 1..h in ascending order.  Row u-1 already
-    holds v by then, so repeated copies are counted once per multiset.
-    The rows keep bit n - u*a.window.lo for a u-element sum n, and bits
-    only move upward, so each row is cut at the bit of target.hi.
+    least two.  Counts are saturated at two, and a's arithmetic chains are
+    added one at a time: row u gains, for c = 1..u, row u-c (still without
+    this chain, as u runs h..1) plus c copies from the chain.
+
+    c copies from the chain (a0, g, L) sum to c*a0 + g*j for j in
+    [0, c(L-1)], in as many ways as j has partitions into at most c parts
+    of at most L-1.  That is one way at j = 0, 1, c(L-1)-1 and c(L-1), and
+    at least two strictly between when c >= 2 and L >= 3; for c = 1 or
+    L <= 2 it is one way everywhere.  So the step is a saturating dilation
+    by the AP 0, g, ..., c(L-1)g, plus the >= 1 row dilated by the middle
+    AP 2g, ..., (c(L-1)-2)g into >= 2.  Saturated counts depend only on
+    saturated inputs, so the chains combine exactly.  The rows keep bit
+    n - u*a.window.lo for a u-element sum n and are cut at the bit of
+    target.hi.  Cost: O(chains * h^2 * log L) big-int shifts, where the
+    per-element recurrence took O(|a| * h); a set of many short chains is
+    slower this way.
     """
     lo = a.window.lo
     relmax = target.hi - h * lo
     if relmax < 0:
         return DenseSet(target, 0), DenseSet(target, 0)
-    mask = (1 << (relmax + 1)) - 1
+    maxbits = relmax + 1
     ge1 = [1] + [0] * h
     ge2 = [0] * (h + 1)
-    for v in a.members():
-        p = v - lo
+    for a0, g, L in arith_chains(a):
+        p = a0 - lo
         if p > relmax:
             break
-        for u in range(1, h + 1):
-            t1 = (ge1[u - 1] << p) & mask
-            t2 = (ge2[u - 1] << p) & mask
-            ge2[u] |= t2 | (ge1[u] & t1)
-            ge1[u] |= t1
+        for u in range(h, 0, -1):
+            n1, n2 = ge1[u], ge2[u]
+            for c in range(1, u + 1):
+                if c * p > relmax:
+                    break
+                if not ge1[u - c]:
+                    continue
+                x1, x2 = ge1[u - c] << (c * p), ge2[u - c] << (c * p)
+                span = c * (L - 1)
+                t1, t2 = _dilate_pair(x1, x2, g, span + 1, maxbits)
+                if c >= 2 and L >= 3:
+                    t2 |= dilate_or(x1 << (2 * g), g, span - 3, maxbits)
+                n2 |= t2 | (n1 & t1)
+                n1 |= t1
+            ge1[u], ge2[u] = n1, n2
     rows = Window(h * lo, target.hi)
     return DenseSet(rows, ge1[h]).restrict(target), DenseSet(rows, ge2[h]).restrict(target)

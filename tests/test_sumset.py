@@ -3,12 +3,12 @@ import itertools
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonbasis import gapset, sumset
+from nonbasis import gapset, report, sumset
 from nonbasis.errors import TargetExceedsSafeRange
-from nonbasis.families import Params, build_full, build_gapped
+from nonbasis.families import Params, build_full, build_gapped, gcd_case
 from nonbasis.intset import (
     DenseSet,
     Diff,
@@ -187,9 +187,9 @@ def test_multiplicity_pair_matches_counts(a, h):
 
 
 def per_copy_multiplicity_pair(a, h, hi):
-    """multiplicity_pair as it was before the multiset recurrence: (>= 1,
-    >= 2) bits at n - h*a.window.lo for n <= hi, by a DP that adds c = 1..u
-    copies of each member to the u-element rows, u descending."""
+    """The reference for multiplicity_pair: (>= 1, >= 2) bits at
+    n - h*a.window.lo for n <= hi, by a DP that adds c = 1..u copies of each
+    member to the u-element rows, u descending."""
     lo = a.window.lo
     relmax = hi - h * lo
     if relmax < 0:
@@ -248,6 +248,75 @@ def test_multiplicity_pair_matches_the_per_copy_dp(a, h, data):
     want1, want2 = per_copy_multiplicity_pair(a, h, target.hi)
     assert ge1 == DenseSet(rows, want1).restrict(target)
     assert ge2 == DenseSet(rows, want2).restrict(target)
+
+
+def test_multiplicity_pair_on_uniqueness_inputs(monkeypatch):
+    # The kernel's inputs from uniqueness_check on full families: each is
+    # {s} plus one progression, two chains, the case the kernel is fast on.
+    real = sumset.multiplicity_pair
+    calls = []
+
+    def spy(a, h, target):
+        calls.append((a, h, target))
+        return real(a, h, target)
+
+    monkeypatch.setattr(sumset, "multiplicity_pair", spy)
+    for domain, sts in (("n0", range(0, 5)), ("z", range(-3, 5))):
+        for h in range(2, 7):
+            for s, t in itertools.product(sts, sts):
+                if gcd_case(h, s, t).d == 1:
+                    for cap in (0, 3, 57, 400):
+                        report.uniqueness_check(Params(h, s, t, domain), cap)
+    assert len(calls) > 500
+    for a, h, target in calls:
+        assert len(sumset.arith_chains(a)) == 2
+        rows = Window(h * a.window.lo, target.hi)
+        want1, want2 = per_copy_multiplicity_pair(a, h, target.hi)
+        assert real(a, h, target) == (
+            DenseSet(rows, want1).restrict(target),
+            DenseSet(rows, want2).restrict(target),
+        )
+
+
+@pytest.mark.parametrize("h", range(2, 7))
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_multiplicity_pair_on_one_chain(length, stride, h):
+    # c copies of a chain of length 3 reach c*a0 + g*j twice only in the
+    # middle band 2 <= j <= 2c - 2, a single point at c = 2.
+    a = dense_from_iter(range(4, 4 + stride * length, stride), Window(-2, 20))
+    assert [(a0, n) for a0, _, n in sumset.arith_chains(a)] == [(4, length)]
+    target = Window(-2 * h, 20 * h)
+    ge1, ge2 = sumset.multiplicity_pair(a, h, target)
+    for n in range(target.lo, target.hi + 1):
+        c = sumset.representation_count(a, h, n)
+        assert (ge1.member(n), ge2.member(n)) == (c >= 1, c >= 2), n
+
+
+def one_shift_at_a_time(x1, x2, gap, count, maxbits):
+    mask = (1 << maxbits) - 1
+    r1 = r2 = 0
+    for i in range(count):
+        y1, y2 = (x1 << (i * gap)) & mask, (x2 << (i * gap)) & mask
+        r2 |= y2 | (r1 & y1)
+        r1 |= y1
+    return r1, r2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**48 - 1),
+    st.integers(0, 2**48 - 1),
+    st.integers(1, 9),
+    st.integers(0, 70),
+    st.integers(1, 700),
+)
+@example(0b1011, 0b0011, 1, 3, 64)
+@example(0b110101, 0b100001, 2, 70, 90)
+def test_dilate_pair_matches_one_shift_at_a_time(x1, sub, gap, count, maxbits):
+    x2 = x1 & sub
+    want = one_shift_at_a_time(x1, x2, gap, count, maxbits)
+    assert sumset._dilate_pair(x1, x2, gap, count, maxbits) == want
 
 
 @pytest.mark.parametrize(
