@@ -4,8 +4,9 @@ The ground truth the structural theorems are checked against.  hA is
 computed by one loop: kA is (k-1)A + A, the OR of one operand shifted by
 every member of the other.  Members that form a run with a common stride
 are shifted as a group via doubling, which is an algebraic identity on
-OR-over-shifts, and each step walks the runs of whichever operand has
-fewer.  Results are bit-identical to the per-element loop (property-tested).
+OR-over-shifts; a sum of two residue classes with few holes is full in its
+middle, which is set at once, so only its ends are walked run by run.
+Results are bit-identical to the per-element loop (property-tested).
 Representation multiplicities, saturated at two, are added run by run too:
 the sums of c copies from one run are a saturating dilation by an AP.
 """
@@ -13,6 +14,7 @@ the sums of c copies from one run are a saturating dilation by an AP.
 from __future__ import annotations
 
 import bisect
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -54,14 +56,14 @@ class SumsetResult:
         return self.dense.members()
 
 
-def _fewest_runs(bits: int) -> tuple[int, int]:
-    """(stride, run count) of the candidate stride with the fewest runs.
+def _fewest_runs(bits: int) -> int:
+    """The candidate stride with the fewest runs.
 
     A stride-g run starts at each member whose g-predecessor is not a
     member, so the runs are counted by one popcount per candidate.
     """
     if not bits:
-        return 1, 0
+        return 1
     strides = set(_SMALL_STRIDES)
     # the lowest members, shifted so that the first one is bit 0
     head = (bits >> ((bits & -bits).bit_length() - 1)) & ((1 << _HEAD_BITS) - 1)
@@ -74,8 +76,7 @@ def _fewest_runs(bits: int) -> tuple[int, int]:
         strides.add(at - prev)
         prev = at
     runs = {g: (bits & ~(bits << g)).bit_count() for g in sorted(strides)}
-    g = min(runs, key=runs.get)
-    return g, runs[g]
+    return min(runs, key=runs.get)
 
 
 def arith_chains(a: DenseSet) -> list[tuple[int, int, int]]:
@@ -87,7 +88,7 @@ def arith_chains(a: DenseSet) -> list[tuple[int, int, int]]:
     mod g the starts and ends alternate, so they pair up in order.
     """
     x = a.bits
-    g, _ = _fewest_runs(x)
+    g = _fewest_runs(x)
     ends_of: dict[int, list[int]] = {}
     for e in DenseSet(a.window, x & ~(x >> g)).members():
         ends_of.setdefault(e % g, []).append(e)
@@ -98,27 +99,126 @@ def arith_chains(a: DenseSet) -> list[tuple[int, int, int]]:
     ]
 
 
+_Class = namedtuple("_Class", "starts counts lo hi terms holes")
+
+
+def _class_table(a: DenseSet) -> tuple[int, list[_Class]]:
+    """The stride g of a's chains and, per residue class mod g, its chains'
+    starts and counts and its hull [lo, hi] of `terms` points and `holes`."""
+    chains = arith_chains(a)
+    g = chains[0][1] if chains else 1
+    grouped: dict[int, list[tuple[int, int]]] = {}
+    for a0, _, cnt in chains:
+        grouped.setdefault(a0 % g, []).append((a0, cnt))
+    classes = []
+    for starts, counts in (zip(*chain_list) for chain_list in grouped.values()):
+        lo, hi = starts[0], starts[-1] + (counts[-1] - 1) * g
+        terms = (hi - lo) // g + 1
+        classes.append(_Class(starts, counts, lo, hi, terms, terms - sum(counts)))
+    return g, classes
+
+
+def _residue_classes(p: DenseSet, g: int) -> list[tuple[int, int, int, int]]:
+    """(lo, hi, terms, holes) of each nonempty residue class of p mod g."""
+    comb = ((1 << (g * (p.window.width // g + 1))) - 1) // ((1 << g) - 1)  # bits 0, g, 2g, ...
+    out = []
+    for i in range(g):
+        x = p.bits & (comb << i)
+        if x:
+            lo, hi = (x & -x).bit_length() - 1, x.bit_length() - 1
+            terms = (hi - lo) // g + 1
+            out.append((p.window.lo + lo, p.window.lo + hi, terms, terms - x.bit_count()))
+    return out
+
+
+def _cut(c: _Class, g: int, x0: int, x1: int) -> Iterator[tuple[int, int]]:
+    """c's chains cut to [x0, x1], as (start, count)."""
+    first = max(bisect.bisect_right(c.starts, x0) - 1, 0)
+    for i in range(first, bisect.bisect_right(c.starts, x1)):
+        a0, cnt = c.starts[i], c.counts[i]
+        k0, k1 = max(0, -((a0 - x0) // g)), min(cnt - 1, (x1 - a0) // g)
+        if k0 <= k1:
+            yield a0 + k0 * g, k1 - k0 + 1
+
+
+def _splits(c: _Class, g: int, terms: int, m: int) -> bool:
+    """Whether c plus a class of `terms` points, m holes between the two,
+    is filled in its middle and walked only at its ends.
+
+    A sum point j steps above the low end of the hull, m <= j <= c.terms +
+    terms - 2 - m, has over m representations in the hulls and a hole
+    spoils one each, so the middle is full when both classes have over m
+    points.  Walking c's chains within (m - 1) * g of its ends pays only
+    while they are at most half of c's chains, so c needs four or more."""
+    if min(c.terms, terms) - 1 < m:
+        return False
+    n = len(c.starts)
+    w = (m - 1) * g  # chains starting in the low end, plus those meeting the high end
+    ends = bisect.bisect_right(c.starts, c.lo + w) + n + 1 - bisect.bisect_right(c.starts, c.hi - w)
+    return 2 * ends <= n
+
+
+def _fill(first: int, last: int, g: int, target: Window) -> int:
+    """Bits on target of the progression first, first + g, ... up to last."""
+    first += max(0, -((first - target.lo) // g)) * g
+    last = min(last, target.hi)
+    if first > last:
+        return 0
+    return dilate_or(1 << (first - target.lo), g, (last - first) // g + 1, last - target.lo + 1)
+
+
+def _walk(p: DenseSet, lo: int, hi: int, chains, g: int, target: Window) -> int:
+    """Bits on target of (p cut to [lo, hi]) + the (start, count) chains of
+    stride g, one dilation per chain; bits above target may remain."""
+    lo, hi = max(lo, p.window.lo), min(hi, p.window.hi)
+    bits = (p.bits >> (lo - p.window.lo)) & ((1 << max(hi - lo + 1, 0)) - 1)
+    nbits, width, acc = bits.bit_length(), target.width, 0
+    for a0, cnt in chains:
+        off = lo + a0 - target.lo
+        if off >= width:
+            break
+        reach = nbits + (cnt - 1) * g
+        if off + reach > 0:
+            r = dilate_or(bits, g, cnt, min(width - off, reach)) if cnt > 1 else bits
+            acc |= (r << off) if off >= 0 else (r >> -off)
+    return acc
+
+
 def pairwise_sum(
-    p: DenseSet,
-    q: DenseSet,
-    target: Window,
-    q_chains: list[tuple[int, int, int]] | None = None,
+    p: DenseSet, q: DenseSet, target: Window, q_table: tuple[int, list[_Class]] | None = None
 ) -> DenseSet:
-    """(p + q) intersected with target; exact as a set sum of the two sets."""
-    if q_chains is None:
-        q_chains = arith_chains(q)
-    acc = 0
-    for a0, g, cnt in q_chains:
-        frame_lo = p.window.lo + a0
-        if frame_lo > target.hi:
+    """(p + q) intersected with target; exact as a set sum of the two sets.
+
+    p is split into residue classes mod the stride of q's chains when some
+    class of q (q_table = _class_table(q)) splits against a copy of itself,
+    else it is one class of no terms.  A one-point class of p is one shift
+    of q.  A class of q that _splits against each other class of p is one
+    filled progression per pair plus two end walks, each over p cut to the
+    hull of the end windows; any other class of q is walked whole.  Each
+    bit ORed in is a sum of a member of p and one of q, and every such sum
+    is covered."""
+    g, classes = q_table if q_table is not None else _class_table(q)
+    can_split = any(_splits(c, g, c.terms, 2 * c.holes) for c in classes)
+    p_classes = _residue_classes(p, g) if can_split else [(p.window.lo, p.window.hi, 0, 0)]
+    points = sorted((lo, 1) for lo, _, terms, _ in p_classes if terms == 1)
+    acc = _walk(q, q.window.lo, q.window.hi, points, g, target) if points else 0
+    p_classes = [pc for pc in p_classes if pc[2] != 1]
+    if not p_classes:
+        return DenseSet(target, acc & ((1 << target.width) - 1))
+    p_lo, p_hi = min(pc[0] for pc in p_classes), max(pc[1] for pc in p_classes)
+    for c in classes:
+        split = [(lo, hi, c.holes + holes) for lo, hi, terms, holes in p_classes
+                 if _splits(c, g, terms, c.holes + holes)]
+        if len(split) < len(p_classes):  # walking all of c over p covers every pair
+            acc |= _walk(p, p_lo, p_hi, zip(c.starts, c.counts), g, target)
             continue
-        span = target.hi - frame_lo + 1
-        base = p.bits & ((1 << span) - 1)
-        if base == 0:
-            continue
-        r = dilate_or(base, g, cnt, span) if cnt > 1 else base
-        off = frame_lo - target.lo
-        acc |= (r << off) if off >= 0 else (r >> -off)
+        for lo, hi, m in split:
+            acc |= _fill(c.lo + lo + m * g, c.hi + hi - m * g, g, target)
+        w = (max(m for _, _, m in split) - 1) * g
+        low_hi = max(lo + (m - 1) * g for lo, _, m in split)
+        acc |= _walk(p, p_lo, low_hi, _cut(c, g, c.lo, c.lo + w), g, target)
+        high_lo = min(hi - (m - 1) * g for _, hi, m in split)
+        acc |= _walk(p, high_lo, p_hi, _cut(c, g, c.hi - w, c.hi), g, target)
     return DenseSet(target, acc & ((1 << target.width) - 1))
 
 
@@ -133,12 +233,11 @@ def _clip_window(k: int, h: int, src: Window, target: Window) -> Window | None:
 
 
 def _fold(a: DenseSet, h: int, target: Window) -> tuple[DenseSet | None, ...]:
-    # kA on its clip window for k = 0..h, each step one pairwise sum with a.
-    # A nonempty clip window has a nonempty one before it, so the empty
-    # windows are a suffix.  The set sum is symmetric, so walking the runs
-    # of (k-1)A instead of A's, when it has fewer, gives the same bits.
+    # kA on its clip window for k = 0..h, each step one pairwise sum with a
+    # through a's class table, built once.  A nonempty clip window has a
+    # nonempty one before it, so the empty windows are a suffix.
     src = a.window
-    chains = arith_chains(a) if h > 1 else []
+    table = _class_table(a) if h > 1 else None
     out: list[DenseSet | None] = []
     for k in range(h + 1):
         wk = _clip_window(k, h, src, target)
@@ -148,10 +247,8 @@ def _fold(a: DenseSet, h: int, target: Window) -> tuple[DenseSet | None, ...]:
             out.append(DenseSet(wk, 1))  # the window is [0, 0]
         elif k == 1:
             out.append(a.restrict(wk))
-        elif _fewest_runs(out[-1].bits)[1] < len(chains):
-            out.append(pairwise_sum(a, out[-1], wk, arith_chains(out[-1])))
         else:
-            out.append(pairwise_sum(out[-1], a, wk, chains))
+            out.append(pairwise_sum(out[-1], a, wk, table))
     return tuple(out)
 
 
@@ -215,8 +312,10 @@ def adjoin(result: SumsetResult, b: int) -> SumsetResult:
             part = result.partials[h - j]
             if part is None:
                 continue
-            bits |= part.restrict(Window(target.lo - j * b, target.hi - j * b)).bits
-    return SumsetResult(h, result.source, target, DenseSet(target, bits), result.exactness)
+            off = part.window.lo + j * b - target.lo
+            bits |= (part.bits << off) if off >= 0 else (part.bits >> -off)
+    dense = DenseSet(target, bits & ((1 << target.width) - 1))
+    return SumsetResult(h, result.source, target, dense, result.exactness)
 
 
 def _multisets(a: DenseSet, h: int, n: int) -> Iterator[tuple[int, ...]]:

@@ -57,6 +57,13 @@ GOLDEN = [
      "0d62730370a0fef3d5430c0699ae3b7a2475e34f9652217f00f041464bd3fe72"),
     ("verify thm2 --h 2 --s 0 --t 1 --gap geometric,2,1 --window=-10000:10000", 0,
      "b1702792acfbf5015b81b39341cf314e9b343c63af21f09aef16661369bef93a"),
+    # many-chain folds, where each step fills the middle of a class sum
+    ("verify lemma --h 4 --gap triangular --window 0:200000", 0,
+     "14297495641e2adc69f6902216d2a5416155e7eddde2b18ca0e692fc5f4ed51e"),
+    ("verify thm4 --h 5 --s 0 --t 1 --gap triangular --window 0:100000", 0,
+     "197b72fccaed1a33b6e35d57cdc478e4d9e19e7c2a84cef070c3070271483587"),
+    ("verify thm2 --h 3 --s 0 --t 1 --gap triangular --window=-100000:100000", 0,
+     "8538d0fd3624ea46c925e59f63f02fba49525c6bbb0f3c6de48f57820f2bfb9f"),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonbasis import gapset, report, sumset
+from nonbasis import gapset, intset, report, sumset, verify
 from nonbasis.errors import TargetExceedsSafeRange
 from nonbasis.families import Params, build_full, build_gapped, gcd_case
 from nonbasis.intset import (
@@ -26,6 +26,11 @@ def brute_sumset(values, h, target):
     for _ in range(h):
         sums = {x + v for x in sums for v in values}
     return sorted(v for v in sums if target.lo <= v <= target.hi)
+
+
+def brute_sumset_of(ps, qs, target):
+    """Independent oracle for p + q on target: enumerate all pairs."""
+    return sorted({x + y for x in ps for y in qs if target.contains(x + y)})
 
 
 def brute_multiset_count(values, h, n):
@@ -439,8 +444,110 @@ def test_stride_h_family_matches_reference_loop(h):
 
 def test_fold_walks_the_partial_with_fewer_runs():
     # N0 minus the triangular numbers has a stride-1 run per gap of Y; 2A
-    # is nearly one interval, so later steps walk the partial's runs
+    # is nearly one interval, so every step fills the middle of the sum and
+    # walks A's runs only near its ends, where the low holes of Y sit
     a = materialize(Diff(ModClassNonneg(1, 0), GapTail(gapset.Triangular())), Window(0, 400))
     r = sumset.hfold_exact_bounded_below(a, 4)
     assert len(sumset.arith_chains(r.partials[2])) < len(sumset.arith_chains(a))
     assert r.dense == dense_from_iter(per_element_kfold(a.members(), 4), r.target)
+
+
+def chain_walk(p, q, target):
+    """The reference for pairwise_sum: p dilated by every arithmetic chain of
+    q over the full width, the kernel before the class split."""
+    acc = 0
+    for a0, g, cnt in sumset.arith_chains(q):
+        frame_lo = p.window.lo + a0
+        if frame_lo > target.hi:
+            continue
+        span = target.hi - frame_lo + 1
+        r = intset.dilate_or(p.bits & ((1 << span) - 1), g, cnt, span)
+        off = frame_lo - target.lo
+        acc |= (r << off) if off >= 0 else (r >> -off)
+    return DenseSet(target, acc & ((1 << target.width) - 1))
+
+
+@st.composite
+def holed_classes(draw, g):
+    """A set on a window of up to 400 points: one, two or three long
+    stride-g progressions, each minus a few holes, or one such progression
+    beside a single point, or random members at one density."""
+    lo = draw(st.integers(-30, 30))
+    w = Window(lo, lo + draw(st.integers(0, 400)))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["classes", "classes", "point and class", "random"]))
+    if kind == "random":
+        density = draw(st.sampled_from([0.05, 0.5, 0.95]))
+        return dense_from_iter((v for v in range(w.lo, w.hi + 1) if rng.random() < density), w)
+    vals = set()
+    for _ in range(draw(st.integers(1, 3)) if kind == "classes" else 1):
+        first = rng.randint(w.lo, (3 * w.lo + w.hi) // 4)
+        ap = range(first, rng.randint((w.lo + 3 * w.hi) // 4, w.hi) + 1, g)
+        holes = rng.randint(0, min(2, len(ap))) if len(ap) < 30 else rng.randint(3, len(ap) // 10)
+        vals |= set(ap) - set(rng.sample(ap, holes))
+    if kind == "point and class":
+        vals.add(rng.randint(w.lo, w.hi))
+    return dense_from_iter(vals, w)
+
+
+def end_cutting_target(data, lo, hi):
+    """A target whose ends lie near the ends of the sum hull [lo, hi]."""
+    t_lo = lo + data.draw(st.integers(-10, 60))
+    return Window(t_lo, max(t_lo, hi - data.draw(st.integers(-10, 60))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pairwise_sum_matches_brute_force_and_the_chain_walk(data):
+    g = data.draw(st.integers(1, 4))
+    p, q = data.draw(holed_classes(g)), data.draw(holed_classes(g))
+    target = end_cutting_target(data, p.window.lo + q.window.lo, p.window.hi + q.window.hi)
+    got = sumset.pairwise_sum(p, q, target)
+    assert got == chain_walk(p, q, target)
+    assert got.members() == brute_sumset_of(p.members(), q.members(), target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(holed_classes), st.integers(2, 4), st.data())
+def test_fold_partials_match_the_chain_walk(a, h, data):
+    target = end_cutting_target(data, h * a.window.lo, h * a.window.hi)
+    r = sumset.hfold_truncated(a, h, target)
+    for k in range(2, h + 1):
+        part = r.partials[k]
+        if part is None:
+            break
+        assert part == chain_walk(r.partials[k - 1], a, part.window)
+    assert r.members() == sorted(v for v in per_element_kfold(a.members(), h) if target.contains(v))
+
+
+def test_fill_spans_the_pigeonhole_middle(monkeypatch):
+    # 400 terms of 3x + 1 with 3 holes: 4 chains, one at each end of the
+    # hull, so A + A is one filled progression between ends of m = 6 terms
+    a = dense_from_iter(
+        (3 * x + 1 for x in range(400) if x not in (100, 200, 300)), Window(0, 1200)
+    )
+    fills = []
+    real = sumset._fill
+    monkeypatch.setattr(sumset, "_fill", lambda *args: fills.append(args[:2]) or real(*args))
+    target = Window(0, 2400)
+    got = sumset.pairwise_sum(a, a, target)
+    m, lo, hi = 6, 2 * 1, 2 * (3 * 399 + 1)
+    assert fills == [(lo + 3 * m, hi - 3 * m)]
+    assert got.members() == brute_sumset_of(a.members(), a.members(), target)
+
+
+def test_lemma_fold_makes_few_wide_dilations(monkeypatch):
+    # one filled progression per fold step; every chain walk stays near the
+    # ends of a sum (the chain walk made one full-width dilation per run)
+    h, window = 4, Window(0, 10**5)
+    wide = []
+    real = sumset.dilate_or
+
+    def counting(bits, gap, count, maxbits):
+        if maxbits > window.width // 10:
+            wide.append(maxbits)
+        return real(bits, gap, count, maxbits)
+
+    monkeypatch.setattr(sumset, "dilate_or", counting)
+    assert verify.lemma_basis_check(gapset.Triangular(), h, window).covered_above_threshold
+    assert len(wide) <= h - 1
