@@ -19,7 +19,6 @@ from .families import (
     DOMAIN_N0,
     DOMAIN_Z,
     Family,
-    GcdCase,
     Params,
     build_full,
     build_gapped,
@@ -31,7 +30,6 @@ from .gapset import (
     GapGenerator,
     Geometric,
     Triangular,
-    close_pairs,
     elements_in,
     gap_radius,
     is_member,
@@ -59,7 +57,6 @@ from .sumset import (
     hfold_truncated,
     multiplicity_pair,
     pairwise_sum,
-    representation_count,
     witness,
 )
 from .verify import (

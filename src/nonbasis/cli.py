@@ -239,7 +239,7 @@ def _cmd_verify(args) -> int:
     if preset in ("thm1", "thm3"):
         params = Params(args.h, args.s, args.t, domain)
         checks = report.dichotomy_checks(params, window)
-        if gcd_case(args.h, args.s, args.t).d == 1:
+        if gcd_case(args.h, args.s, args.t) == 1:
             checks.append(report.uniqueness_check(params, min(window.hi, 4000)))
         fam = build_full(params)
         rep = report.report_dict(report.family_to_dict(fam), window, None, checks)

@@ -36,16 +36,12 @@ class Params:
             )
 
 
-@dataclass(frozen=True)
-class GcdCase:
-    d: int
-    tag: str  # "nonbasis" when d >= 2, else "basis"
+def gcd_case(h: int, s: int, t: int) -> int:
+    """The dichotomy pivot d = gcd(h, s - t), with gcd(h, 0) = h.
 
-
-def gcd_case(h: int, s: int, t: int) -> GcdCase:
-    """The dichotomy pivot d = gcd(h, s - t), with gcd(h, 0) = h."""
-    d = math.gcd(h, abs(s - t))
-    return GcdCase(d, "nonbasis" if d >= 2 else "basis")
+    d >= 2 makes the full families nonbases; d = 1 makes them bases.
+    """
+    return math.gcd(h, abs(s - t))
 
 
 @dataclass(frozen=True)
@@ -94,11 +90,23 @@ class Family:
         return self.y is not None and gapset.is_member(self.y, x)
 
     def a_contains(self, n: int) -> bool:
-        return intset.member(self.spec, n)
+        """n in A = {s} u (h*X + t)."""
+        x, rem = divmod(n - self.t, self.h)
+        return n == self.s or (rem == 0 and self.x_contains(x))
 
     def shifted_y_value(self, y: int) -> int:
         """The structured complement element produced by y in Y."""
         return (self.h - 1) * self.s + self.h * y + self.t
+
+    def shifted_ys(self, window: intset.Window) -> list[tuple[int, int]]:
+        """(y, shifted_y_value(y)) for each y in Y whose value lies in window, ascending."""
+        if self.y is None:
+            return []
+        off = (self.h - 1) * self.s + self.t
+        ys = gapset.elements_in(
+            self.y, intset.Window((window.lo - off) // self.h, (window.hi - off) // self.h)
+        )
+        return [(y, n) for y in ys if window.contains(n := self.h * y + off)]
 
 
 def _carrier(params: Params) -> intset.SetSpec:
@@ -119,11 +127,9 @@ def build_full(params: Params) -> Family:
 
 def build_gapped(params: Params, y: gapset.GapGenerator) -> Family:
     """A = {s} u {h*x + t : x in carrier minus Y}; needs gcd(h, s - t) = 1."""
-    case = gcd_case(params.h, params.s, params.t)
-    if case.d != 1:
-        raise GcdViolation(
-            f"gcd({params.h}, {params.s}-{params.t}) = {case.d}; gapped families need 1"
-        )
+    d = gcd_case(params.h, params.s, params.t)
+    if d != 1:
+        raise GcdViolation(f"gcd({params.h}, {params.s}-{params.t}) = {d}; gapped families need 1")
     xspec = intset.Diff(_carrier(params), intset.GapTail(y))
     spec = intset.union_of(
         intset.Singleton(params.s),

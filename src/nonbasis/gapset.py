@@ -155,24 +155,6 @@ def indexed_elements_in(gen: GapGenerator, window) -> list[tuple[int, int]]:
     return out
 
 
-def close_pairs(gen: GapGenerator, c: int, hi: int) -> list[tuple[int, int]]:
-    """All pairs y < y' <= hi with y' - y <= c, lexicographically sorted."""
-    if c < 1:
-        raise MalformedSpec(f"close_pairs needs C >= 1, got {c}")
-    elems = []
-    for v in values(gen):
-        if v > hi:
-            break
-        elems.append(v)
-    pairs = []
-    for i, y in enumerate(elems):
-        for yp in elems[i + 1 :]:
-            if yp - y > c:
-                break
-            pairs.append((y, yp))
-    return pairs
-
-
 def _monotone_gap_radius(gen: GapGenerator, c: int) -> int:
     # Walk the sequence until the (monotone increasing) consecutive gap
     # exceeds c; every pair at distance <= c lies at or below that element.

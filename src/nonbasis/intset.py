@@ -243,7 +243,7 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _ap_bits(first: int, stride: int, last: int, w: Window) -> int:
+def ap_bits(first: int, stride: int, last: int, w: Window) -> int:
     """Bits of the progression first, first+stride, ... up to `last`, in w."""
     if first > w.hi or first > last:
         return 0
@@ -254,7 +254,7 @@ def _ap_bits(first: int, stride: int, last: int, w: Window) -> int:
     if first > top:
         return 0
     count = (top - first) // stride + 1
-    return dilate_or(1 << (first - w.lo), stride, count, w.width)
+    return dilate_or(1 << (first - w.lo), stride, count, top - w.lo + 1)
 
 
 def _affine_bits(spec: SetSpec, c: int, d: int, w: Window) -> int:
@@ -274,15 +274,15 @@ def _affine_bits(spec: SetSpec, c: int, d: int, w: Window) -> int:
         g = abs(d) * spec.m
         v0 = d * spec.r + c
         first = w.lo + ((v0 - w.lo) % g)
-        return _ap_bits(first, g, w.hi, w)
+        return ap_bits(first, g, w.hi, w)
     if isinstance(spec, ModClassNonneg):
         g = abs(d) * spec.m
         v0 = d * spec.r + c
         if d > 0:
-            return _ap_bits(v0, g, w.hi, w)
+            return ap_bits(v0, g, w.hi, w)
         # image descends from v0; keep the in-window part of {v <= v0, v = v0 mod g}
         first = w.lo + ((v0 - w.lo) % g)
-        return _ap_bits(first, g, v0, w)
+        return ap_bits(first, g, v0, w)
     if isinstance(spec, GapTail):
         if d > 0:
             ylo, yhi = _ceil_div(w.lo - c, d), (w.hi - c) // d

@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import TargetExceedsSafeRange
-from .intset import DenseSet, Window, dilate_or
+from .intset import DenseSet, Window, ap_bits, dilate_or
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -158,15 +158,6 @@ def _splits(c: _Class, g: int, terms: int, m: int) -> bool:
     return 2 * ends <= n
 
 
-def _fill(first: int, last: int, g: int, target: Window) -> int:
-    """Bits on target of the progression first, first + g, ... up to last."""
-    first += max(0, -((first - target.lo) // g)) * g
-    last = min(last, target.hi)
-    if first > last:
-        return 0
-    return dilate_or(1 << (first - target.lo), g, (last - first) // g + 1, last - target.lo + 1)
-
-
 def _walk(p: DenseSet, lo: int, hi: int, chains, g: int, target: Window) -> int:
     """Bits on target of (p cut to [lo, hi]) + the (start, count) chains of
     stride g, one dilation per chain; bits above target may remain."""
@@ -213,7 +204,7 @@ def pairwise_sum(
             acc |= _walk(p, p_lo, p_hi, zip(c.starts, c.counts), g, target)
             continue
         for lo, hi, m in split:
-            acc |= _fill(c.lo + lo + m * g, c.hi + hi - m * g, g, target)
+            acc |= ap_bits(c.lo + lo + m * g, g, c.hi + hi - m * g, target)
         w = (max(m for _, _, m in split) - 1) * g
         low_hi = max(lo + (m - 1) * g for lo, _, m in split)
         acc |= _walk(p, p_lo, low_hi, _cut(c, g, c.lo, c.lo + w), g, target)
@@ -345,11 +336,6 @@ def _multisets(a: DenseSet, h: int, n: int) -> Iterator[tuple[int, ...]]:
                 yield (v,) + sub
 
     yield from search(h, n, 0)
-
-
-def representation_count(a: DenseSet, h: int, n: int) -> int:
-    """Number of multisets of h elements of a summing to n."""
-    return sum(1 for _ in _multisets(a, h, n))
 
 
 def witness(a: DenseSet, h: int, n: int) -> tuple[int, ...] | None:

@@ -471,11 +471,9 @@ class EscapeReport:
     b: int
     residue_case: str  # "not_st" | "eq_s" | "eq_t"
     verdict: str  # "becomes_basis" | "stays_nonbasis" | "inconclusive"
-    threshold: int
     predicted_exceptions: tuple[int, ...]
     leftover: tuple[int, ...]
     added: tuple[int, ...]
-    remaining_shifted: tuple[int, ...]
 
 
 
@@ -491,7 +489,8 @@ def escape_check(
     b not congruent to either (possible only for h >= 3) and b = s (mod h)
     make the window complement above a computed threshold collapse to a
     finite predicted exception list; b = t (mod h) adds at most the single
-    shifted image of its y' plus part of the exceptional set.  Each k-fold
+    shifted image of its y' plus part of the exceptional set.  The
+    predictions walk the family's shifted-Y values, and each k-fold
     decision behind a predicted exception gets its own probe budget.
     """
     if not family.is_gapped:
@@ -521,24 +520,15 @@ def escape_check(
         v = (h - 1) * s + b
         cover = 1 << (v - window.lo) if window.contains(v) else 0
         ok = added & ~(oracle.f_window.bits | cover) == 0
-        remaining = DenseSet(window, oracle.shifted.bits & comp_ab.bits & ~cover)
-        return EscapeReport(
-            b,
-            case,
-            "stays_nonbasis" if ok else "inconclusive",
-            window.lo,
-            (),
-            leftover,
-            tuple(DenseSet(window, added).members()),
-            tuple(remaining.members()[:32]),
-        )
+        added_points = tuple(DenseSet(window, added).members())
+        verdict = "stays_nonbasis" if ok else "inconclusive"
+        return EscapeReport(b, case, verdict, (), leftover, added_points)
 
     predicted: list[int] = []
     threshold = window.lo
     if case == "eq_s":
         u = (b - s) // h
-        for n in oracle.shifted.members():
-            y = (n - (h - 1) * s - t) // h
+        for y, n in family.shifted_ys(window):
             w_val = y - (h - 1) * u
             if (n0 and w_val < 0) or family.y_contains(w_val):
                 predicted.append(n)
@@ -551,7 +541,7 @@ def escape_check(
         kk = h - i - 1
         if n0:
             threshold = b + (h - 3) * s + (h - 1) * t
-        for n in oracle.shifted.members():
+        for _, n in family.shifted_ys(window):
             if n < threshold:
                 continue
             num = n - b - i * s - (h - i - 1) * t
@@ -560,62 +550,37 @@ def escape_check(
             if dec.status == "out":
                 predicted.append(n)
             elif dec.status == "unknown":
-                return EscapeReport(
-                    b, case, "inconclusive", threshold, tuple(predicted), leftover, (), ()
-                )
+                return EscapeReport(b, case, "inconclusive", tuple(predicted), leftover, ())
 
     allowed = oracle.f_window.bits | intset.dense_from_iter(predicted, window).bits
     ok = (comp_ab.bits & ~allowed) >> max(threshold - window.lo, 0) == 0
-    return EscapeReport(
-        b,
-        case,
-        "becomes_basis" if ok else "inconclusive",
-        threshold,
-        tuple(predicted),
-        leftover,
-        (),
-        (),
-    )
+    verdict = "becomes_basis" if ok else "inconclusive"
+    return EscapeReport(b, case, verdict, tuple(predicted), leftover, ())
 
 
 @dataclass(frozen=True)
 class YPrimeFilter:
     """Index/value selection of a subset Y' of Y.
 
-    Kinds with a finite Y minus Y' ("all", "drop_values") are the
-    co-finite selections; the rest leave infinitely many elements out.
+    "even_indices" leaves infinitely many elements of Y out;
+    "drop_values" leaves out only the listed values, so Y minus Y' is finite.
     """
 
-    kind: str  # "none" | "all" | "even_indices" | "odd_indices" | "drop_values" | "keep_values"
+    kind: str  # "even_indices" | "drop_values"
     values: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in (
-            "none",
-            "all",
-            "even_indices",
-            "odd_indices",
-            "drop_values",
-            "keep_values",
-        ):
+        if self.kind not in ("even_indices", "drop_values"):
             raise DomainConstraint(f"unknown y-prime filter {self.kind!r}")
 
     def selects(self, index: int, y: int) -> bool:
-        if self.kind == "none":
-            return False
-        if self.kind == "all":
-            return True
         if self.kind == "even_indices":
             return index % 2 == 0
-        if self.kind == "odd_indices":
-            return index % 2 == 1
-        if self.kind == "drop_values":
-            return y not in self.values
-        return y in self.values
+        return y not in self.values
 
     @property
     def complement_is_finite(self) -> bool:
-        return self.kind in ("all", "drop_values")
+        return self.kind == "drop_values"
 
 
 @dataclass(frozen=True)

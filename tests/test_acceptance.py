@@ -55,7 +55,7 @@ def test_criterion_2_uniqueness():
         for h in range(2, 7):
             for s in range(lo, 11):
                 for t in range(lo, 11):
-                    if gcd_case(h, s, t).d != 1:
+                    if gcd_case(h, s, t) != 1:
                         continue
                     c = report.uniqueness_check(Params(h, s, t, domain), 2000)
                     families += 1
@@ -128,7 +128,7 @@ def test_criterion_4_complement_characterization():
     while randomized < 20:
         h = rng.randint(2, 6)
         s, t = rng.randint(0, 10), rng.randint(0, 10)
-        if gcd_case(h, s, t).d != 1:
+        if gcd_case(h, s, t) != 1:
             continue
         gen = rng.choice(pool)
         sub = build_gapped(Params(h, s, t, "n0"), gen)
@@ -192,7 +192,7 @@ def test_criterion_6_escape_cases():
     for h in range(2, 7):
         for s in range(0, 11):
             for t in range(0, 11):
-                if gcd_case(h, s, t).d != 1:
+                if gcd_case(h, s, t) != 1:
                     continue
                 fam = build_gapped(Params(h, s, t, "n0"), GEOM2)
                 families += 1

@@ -1,8 +1,10 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonbasis import gapset, sumset
+from nonbasis import gapset, intset, sumset
 from nonbasis.errors import DomainConstraint, GcdViolation
 from nonbasis.families import (
     Family,
@@ -11,7 +13,7 @@ from nonbasis.families import (
     build_gapped,
     gcd_case,
 )
-from nonbasis.intset import Window, materialize
+from nonbasis.intset import GapTail, ShiftScale, Window, materialize
 
 GEOM2 = gapset.Geometric(2, 1)
 
@@ -27,8 +29,8 @@ GEOM2 = gapset.Geometric(2, 1)
     ],
 )
 def test_gcd_case(h, s, t, d, tag):
-    case = gcd_case(h, s, t)
-    assert case.d == d and case.tag == tag
+    assert gcd_case(h, s, t) == d
+    assert (d >= 2) == (tag == "nonbasis")
 
 
 def test_build_full_z():
@@ -97,7 +99,7 @@ def test_sumset_residues_confined(h, s, t, dom):
         r = sumset.hfold_truncated(a, h, Window(-150, 150))
     allowed = {(i * (s - t) + h * t) % h for i in range(h)}
     assert all(n % h in allowed for n in r.members())
-    d = gcd_case(h, s, t).d
+    d = gcd_case(h, s, t)
     if d >= 2:
         assert all((n - h * t) % d == 0 for n in r.members())
 
@@ -111,7 +113,7 @@ def test_sumset_residues_confined(h, s, t, dom):
 )
 def test_gapped_is_full_minus_shifted_y(h, s, t, gen):
     """On any window the gapped family is the full family minus {h*y + t}."""
-    if gcd_case(h, s, t).d != 1:
+    if gcd_case(h, s, t) != 1:
         return
     params = Params(h, s, t, "n0")
     gapped = build_gapped(params, gen)
@@ -132,3 +134,51 @@ def test_gapped_union_disjoint():
     fam = build_gapped(Params(3, 2, 1, "n0"), GEOM2)
     h, s, t = fam.h, fam.s, fam.t
     assert (s - t) % h != 0
+
+
+FAMILY_GAPS = [
+    GEOM2,
+    gapset.Triangular(),
+    gapset.Factorial(),
+    gapset.CustomPrefixTail((0, 2, 3), gapset.Geometric(3, 1)),
+]
+
+
+@st.composite
+def any_families(draw, gapped_only=False):
+    """A full or gapped family over Z or N0 with h in 2..5."""
+    n0 = draw(st.booleans())
+    h = draw(st.integers(2, 5))
+    s = draw(st.integers(0 if n0 else -9, 9))
+    t = draw(st.integers(0 if n0 else -9, 9))
+    params = Params(h, s, t, "n0" if n0 else "z")
+    gen = draw(st.sampled_from(FAMILY_GAPS if gapped_only else [None] + FAMILY_GAPS))
+    if gen is None:
+        return build_full(params)
+    assume(math.gcd(h, abs(s - t)) == 1)
+    return build_gapped(params, gen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_families(), st.integers(-40, 0), st.integers(0, 80))
+def test_a_contains_matches_the_spec(fam, below, above):
+    # the window reaches below 0 and past both s and t
+    for n in range(min(fam.s, fam.t) + below - 1, max(fam.s, fam.t) + above + 1):
+        assert fam.a_contains(n) == intset.member(fam.spec, n), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_families(gapped_only=True), st.integers(-60, 120), st.integers(0, 300))
+def test_shifted_ys_match_the_materialized_image(fam, lo, width):
+    # lo may sit below the first shifted value (h-1)s + h*y0 + t, and below 0
+    if fam.domain == "n0":
+        lo = abs(lo)
+    window = Window(lo, lo + width)
+    off = (fam.h - 1) * fam.s + fam.t
+    image = materialize(ShiftScale(GapTail(fam.y), off, fam.h), window).members()
+    assert fam.shifted_ys(window) == [((n - off) // fam.h, n) for n in image]
+    assert all(fam.y_contains(y) for y, _ in fam.shifted_ys(window))
+
+
+def test_full_families_have_no_shifted_ys():
+    assert build_full(Params(3, 0, 1, "z")).shifted_ys(Window(-50, 50)) == []

@@ -64,6 +64,12 @@ GOLDEN = [
      "197b72fccaed1a33b6e35d57cdc478e4d9e19e7c2a84cef070c3070271483587"),
     ("verify thm2 --h 3 --s 0 --t 1 --gap triangular --window=-100000:100000", 0,
      "8538d0fd3624ea46c925e59f63f02fba49525c6bbb0f3c6de48f57820f2bfb9f"),
+    # the escape prediction loops: at budget 3 the not_st escapes go
+    # inconclusive midway, so their partial predicted lists pin the loop order
+    ("verify thm4 --h 3 --s 0 --t 1 --gap triangular --budget 3", 3,
+     "554316901555927af7a99b76db799c9b5f03fefadf35f4286bd28c6901987b19"),
+    ("verify thm4 --h 3 --s 0 --t 1 --gap geometric,2,1 --window 0:3000 --budget 12", 0,
+     "2f5eb54c817f16f6a1f755cc8b095b01aa61ea313b3b30775de2396f606a7644"),
 ]
 
 

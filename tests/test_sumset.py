@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import operator
@@ -33,12 +34,9 @@ def brute_sumset_of(ps, qs, target):
     return sorted({x + y for x in ps for y in qs if target.contains(x + y)})
 
 
-def brute_multiset_count(values, h, n):
-    return sum(
-        1
-        for combo in itertools.combinations_with_replacement(sorted(values), h)
-        if sum(combo) == n
-    )
+def representation_counts(a, h):
+    """Number of multisets of h elements of a, by their sum."""
+    return collections.Counter(map(sum, itertools.combinations_with_replacement(a.members(), h)))
 
 
 def test_exact_small_example():
@@ -91,9 +89,9 @@ def test_safe_range_enforced():
 def test_representation_counts():
     fam = build_full(Params(2, 0, 1, "z"))
     a = materialize(fam.spec, Window(-9, 9))
-    assert sumset.representation_count(a, 2, 7) == 1
-    assert sumset.representation_count(a, 2, 6) == 4
-    assert sumset.representation_count(dense_from_iter([0], Window(0, 0)), 3, 0) == 1
+    assert representation_counts(a, 2)[7] == 1
+    assert representation_counts(a, 2)[6] == 4
+    assert representation_counts(dense_from_iter([0], Window(0, 0)), 3)[0] == 1
 
 
 def test_witness_examples():
@@ -168,10 +166,9 @@ def test_associativity(vals, h1, h2):
 @settings(max_examples=200, deadline=None)
 @given(SMALL_SETS, st.integers(1, 4), st.integers(-40, 60))
 def test_count_and_witness_consistent(a, h, n):
-    count = sumset.representation_count(a, h, n)
+    count = representation_counts(a, h)[n]
     wit = sumset.witness(a, h, n)
     assert (count >= 1) == (wit is not None)
-    assert count == brute_multiset_count(a.members(), h, n)
     if wit is not None:
         assert len(wit) == h
         assert sum(wit) == n
@@ -185,8 +182,9 @@ def test_multiplicity_pair_matches_counts(a, h):
     target = Window(h * a.window.lo, h * a.window.hi)
     ge1, ge2 = sumset.multiplicity_pair(a, h, target)
     assert ge1.window == ge2.window == target
+    counts = representation_counts(a, h)
     for n in range(target.lo, target.hi + 1):
-        c = sumset.representation_count(a, h, n)
+        c = counts[n]
         assert ge1.member(n) == (c >= 1)
         assert ge2.member(n) == (c >= 2)
 
@@ -269,7 +267,7 @@ def test_multiplicity_pair_on_uniqueness_inputs(monkeypatch):
     for domain, sts in (("n0", range(0, 5)), ("z", range(-3, 5))):
         for h in range(2, 7):
             for s, t in itertools.product(sts, sts):
-                if gcd_case(h, s, t).d == 1:
+                if gcd_case(h, s, t) == 1:
                     for cap in (0, 3, 57, 400):
                         report.uniqueness_check(Params(h, s, t, domain), cap)
     assert len(calls) > 500
@@ -293,8 +291,9 @@ def test_multiplicity_pair_on_one_chain(length, stride, h):
     assert [(a0, n) for a0, _, n in sumset.arith_chains(a)] == [(4, length)]
     target = Window(-2 * h, 20 * h)
     ge1, ge2 = sumset.multiplicity_pair(a, h, target)
+    counts = representation_counts(a, h)
     for n in range(target.lo, target.hi + 1):
-        c = sumset.representation_count(a, h, n)
+        c = counts[n]
         assert (ge1.member(n), ge2.member(n)) == (c >= 1, c >= 2), n
 
 
@@ -527,8 +526,10 @@ def test_fill_spans_the_pigeonhole_middle(monkeypatch):
         (3 * x + 1 for x in range(400) if x not in (100, 200, 300)), Window(0, 1200)
     )
     fills = []
-    real = sumset._fill
-    monkeypatch.setattr(sumset, "_fill", lambda *args: fills.append(args[:2]) or real(*args))
+    real = sumset.ap_bits
+    monkeypatch.setattr(
+        sumset, "ap_bits", lambda *args: fills.append((args[0], args[2])) or real(*args)
+    )
     target = Window(0, 2400)
     got = sumset.pairwise_sum(a, a, target)
     m, lo, hi = 6, 2 * 1, 2 * (3 * 399 + 1)

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nonbasis import gapset, intset, report, sumset, verify
-from nonbasis.errors import BNotOutside, GcdViolation, OracleDisagreement
+from nonbasis.errors import BNotOutside, DomainConstraint, GcdViolation, OracleDisagreement
 from nonbasis.families import Params, build_full, build_gapped
 from nonbasis.intset import Window, materialize
 from nonbasis.verify import (
@@ -304,7 +304,6 @@ def test_escape_eq_t_example():
     assert rep.verdict == "stays_nonbasis"
     assert set(rep.added) <= {3} | {4, 6, 10}
     assert 3 in rep.added
-    assert 5 in rep.remaining_shifted
 
 
 def test_escape_not_st_example():
@@ -335,14 +334,14 @@ def test_augment_cofinite():
 
 def test_augment_empty_matches_catalog():
     window = Window(0, 120)
-    rep = verify.augment_check(fam201(), YPrimeFilter("none"), window)
-    assert rep.verdict == "stays_nonbasis"
+    every_y = tuple(gapset.elements_in(GEOM2, window))
+    rep = verify.augment_check(fam201(), YPrimeFilter("drop_values", every_y), window)
     cat = verify.complement_catalog(fam201(), window)
     assert sorted(rep.leftover) == sorted(cat.shifted_y + cat.exceptional)
 
 
 def test_augment_all_becomes_full_family():
-    rep = verify.augment_check(fam201(), YPrimeFilter("all"), Window(0, 120))
+    rep = verify.augment_check(fam201(), YPrimeFilter("drop_values"), Window(0, 120))
     assert rep.verdict == "becomes_basis_on_window"
 
 
@@ -350,11 +349,17 @@ def test_augment_z_uses_full_truncation_for_b():
     # over Z, adjoined elements above the window still matter through
     # negative partners; the augmented oracle must include them
     fam = build_gapped(Params(3, 1, 0, "z"), GEOM2)
-    rep = verify.augment_check(fam, YPrimeFilter("all"), Window(-200, 200))
+    rep = verify.augment_check(fam, YPrimeFilter("drop_values"), Window(-200, 200))
     assert rep.verdict == "becomes_basis_on_window"
     assert rep.extras == ()
     even = verify.augment_check(fam, YPrimeFilter("even_indices"), Window(-200, 200))
     assert even.verdict == "stays_nonbasis"
+
+
+@pytest.mark.parametrize("kind", ["none", "all", "odd_indices", "keep_values"])
+def test_yprime_filter_keeps_only_the_report_kinds(kind):
+    with pytest.raises(DomainConstraint):
+        YPrimeFilter(kind)
 
 
 def test_lemma_geom2_h2():
@@ -543,6 +548,63 @@ def test_escape_checks_fold_once(monkeypatch):
     checks = report.escape_checks(fam301(), Window(0, 3000))
     assert len(checks) == 9
     assert calls == ["hfold_exact_bounded_below"]
+
+
+def test_escape_check_decodes_only_its_own_sets(monkeypatch):
+    # predictions enumerate Y instead of decoding the oracle's shifted-Y bits:
+    # members() runs for the leftover, and for the added points when b = t
+    fam = build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular())
+    window = Window(0, 3000)
+    verify.base_oracle(fam, window)
+    samples = report.sample_escape_bs(fam, 1, window.hi // 2)
+    calls = []
+    real = intset.DenseSet.members
+    monkeypatch.setattr(intset.DenseSet, "members", lambda self: calls.append(1) or real(self))
+    for case, limit in (("not_st", 1), ("eq_s", 1), ("eq_t", 2)):
+        calls.clear()
+        rep = verify.escape_check(fam, samples[case][0], window)
+        assert rep.residue_case == case
+        assert len(calls) <= limit, case
+
+
+def test_window_relative_f_fails_on_a_z_exceptional_entry(monkeypatch):
+    # over Z no F0 verdict holds, so one in the catalog fails the check
+    fam = build_gapped(Params(2, 0, 1, "z"), GEOM2)
+    window = Window(-200, 200)
+    lo, hi = verify.search_band(fam)
+    shifted = map(fam.shifted_y_value, gapset.elements_in(GEOM2, window))
+    bad = next(n for n in shifted if lo <= n <= hi and window.contains(n))
+    real = verify.classify
+    monkeypatch.setattr(
+        verify,
+        "classify",
+        lambda f, n, budget=None: OutExceptional("F0") if n == bad else real(f, n, budget),
+    )
+    _, checks = report.catalog_checks(fam, window)
+    relative_f = next(c for c in checks if c.name == "window_relative_f")
+    assert relative_f.status == "fail"
+    assert str(bad) in relative_f.details
+
+
+def test_bad_u_finite_catches_a_short_radius(monkeypatch):
+    # geometric,2,1 has bad u 0..3 (2 and 4 in Y make 3 bad); a radius of
+    # 0 scans only u <= 2
+    monkeypatch.setattr(gapset, "gap_radius", lambda gen, c: 0)
+    assert verify.lemma_basis_check(GEOM2, 2, Window(0, 200)).bad_u == (0, 1, 2)
+    checks = report.lemma_checks(GEOM2, 2, Window(0, 200))
+    assert (checks[0].name, checks[0].status) == ("bad_u_finite", "fail")
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_bad_u_scan_reaches_past_a_slightly_short_radius(monkeypatch, radius):
+    # the scan runs to R(3) + 2, so radii 1..3 still find u = 3
+    monkeypatch.setattr(gapset, "gap_radius", lambda gen, c: radius)
+    assert verify.lemma_basis_check(GEOM2, 2, Window(0, 200)).bad_u == (0, 1, 2, 3)
+    assert report.lemma_checks(GEOM2, 2, Window(0, 200))[0].status == "pass"
+
+
+def test_bad_u_finite_passes_on_a_tiny_window():
+    assert report.lemma_checks(GEOM2, 2, Window(0, 1))[0].status == "pass"
 
 
 def test_catalog_budget_exhaustion_on_members_is_not_disagreement():
