@@ -55,6 +55,14 @@ class Family:
     # params and y, so it takes no part in equality or hashing.
     xspec: intset.SetSpec = field(compare=False, repr=False)
 
+    def __post_init__(self):
+        # Caches keyed by a family hash it on every lookup; a frozen value
+        # walks its params and spec tree for that once.
+        object.__setattr__(self, "_hash", hash((self.params, self.y, self.spec)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def h(self) -> int:
         return self.params.h

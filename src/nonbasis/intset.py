@@ -169,7 +169,7 @@ def _bits_at(offsets, width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DenseSet:
     """Exact bitset on a window: bit i set iff window.lo + i is a member.
 

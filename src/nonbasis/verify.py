@@ -11,8 +11,8 @@ running out of probes yields a first-class Unknown, never a guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from . import gapset, intset, sumset
 from .errors import (
@@ -121,6 +121,16 @@ def _probes(domain: str, gen: gapset.GapGenerator, budget: Budget):
         return not gapset.is_member(gen, v)
 
     return in_x
+
+
+def pair_bound(gen: gapset.GapGenerator) -> int:
+    """Least pair target m that _decide_2x settles by its fixed branch.
+
+    From m = 2*R(3) + 4 on, u = m // 2 has u - 1 > R(3): the four points
+    u-1..u+2 lie past the close-pair radius, and the pair decision is In
+    after at most two probes.
+    """
+    return 2 * gapset.gap_radius(gen, 3) + 4
 
 
 def _decide_2x(domain: str, r3: int, m: int, in_x) -> KDecision:
@@ -288,9 +298,8 @@ def exceptional_bound(family: Family) -> int:
     if not family.is_gapped:
         raise GcdViolation("exceptional bound applies to gapped families only")
     h, s, t = family.h, family.s, family.t
-    r3 = gapset.gap_radius(family.y, 3)
     x0 = gapset.least_non_member(family.y)
-    out_cap = 2 * r3 + 5 + (h - 2) * x0
+    out_cap = pair_bound(family.y) + 1 + (h - 2) * x0
     f0_high = (h - 1) * abs(s - t) + h * t + h * out_cap
     f0_low = (h - 2) * s + h * t
     f1 = (h - 1) * s + t
@@ -303,22 +312,21 @@ def search_band(family: Family) -> tuple[int, int]:
     Outside the band classify decides n by its fixed branch in at most
     x0 + 3 probes: OutShiftedY on the shifted-Y values, In everywhere else.
     That branch is _decide_2x's four-point argument, taken when the pair
-    target m = q - t - (k-2)*x0 has m // 2 - 1 > R(3).  Over N0 the band is
-    [0, exceptional_bound], above which m > 2*R(3) + 5.  Over Z the pair
-    decision searches only in its climb branch, and only when the first
-    climb probe m + 1 may lie in Y (a negative one lies in X), so for m in
-    [-1, 2*R(3) + 3]; n = i(s-t) + h*q maps that range back for each
-    residue i = h - k.
+    target m = q - t - (k-2)*x0 is at least pair_bound.  Over N0 the band
+    is [0, exceptional_bound], above which m > pair_bound + 1.  Over Z the
+    pair decision searches only in its climb branch, and only when the
+    first climb probe m + 1 may lie in Y (a negative one lies in X), so for
+    m in [-1, pair_bound - 1]; n = i(s-t) + h*q maps that range back for
+    each residue i = h - k.
     """
     if family.domain == DOMAIN_N0:
         return 0, exceptional_bound(family)
     h, s, t = family.h, family.s, family.t
-    r3 = gapset.gap_radius(family.y, 3)
     x0 = gapset.least_non_member(family.y)
     ends = [
         i * (s - t) + h * (t + (h - i - 2) * x0 + m)
         for i in range(h - 1)
-        for m in (-1, 2 * r3 + 3)
+        for m in (-1, pair_bound(family.y) - 1)
     ]
     return min(ends), max(ends)
 
@@ -373,7 +381,8 @@ class BaseOracle:
     dense is A on source; folded is hA on the window with its k-fold
     partials.  shifted and f_window are bitsets on the window: shifted
     holds the shifted-Y values (h-1)s + h*y + t, and f_window the points
-    outside hA that are not shifted-Y values.
+    outside hA that are not shifted-Y values.  shifted_ys lists the same
+    values as Family.shifted_ys pairs (y, value), enumerated from Y.
     """
 
     source: Window
@@ -381,6 +390,7 @@ class BaseOracle:
     folded: sumset.SumsetResult
     shifted: DenseSet
     f_window: DenseSet
+    shifted_ys: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=8)
@@ -400,7 +410,9 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
         image = intset.ShiftScale(GapTail(family.y), (h - 1) * s + t, h)
         shifted = intset.materialize(image, window)
     f_window = DenseSet(window, folded.dense.complement().bits & ~shifted.bits)
-    return BaseOracle(source, dense, folded, shifted, f_window)
+    return BaseOracle(
+        source, dense, folded, shifted, f_window, tuple(family.shifted_ys(window))
+    )
 
 
 def complement_catalog(
@@ -472,8 +484,13 @@ class EscapeReport:
     residue_case: str  # "not_st" | "eq_s" | "eq_t"
     verdict: str  # "becomes_basis" | "stays_nonbasis" | "inconclusive"
     predicted_exceptions: tuple[int, ...]
-    leftover: tuple[int, ...]
+    # The window complement of h(A u {b}); leftover decodes it when read.
+    complement: DenseSet = field(repr=False)
     added: tuple[int, ...]
+
+    @cached_property
+    def leftover(self) -> tuple[int, ...]:
+        return tuple(self.complement.members())
 
 
 
@@ -490,8 +507,11 @@ def escape_check(
     make the window complement above a computed threshold collapse to a
     finite predicted exception list; b = t (mod h) adds at most the single
     shifted image of its y' plus part of the exceptional set.  The
-    predictions walk the family's shifted-Y values, and each k-fold
-    decision behind a predicted exception gets its own probe budget.
+    predictions walk the oracle's shifted-Y pairs, and each k-fold
+    decision behind a predicted exception gets its own probe budget.  A
+    not_st decision runs only while its pair target is below pair_bound:
+    from there on, decide_kX's fixed branch gives In in x0 + 3 probes, so
+    with at least that budget the later values predict nothing.
     """
     if not family.is_gapped:
         raise GcdViolation("escape check applies to gapped families only")
@@ -513,7 +533,6 @@ def escape_check(
     fa = oracle.folded
     fab = sumset.adjoin(fa, b)
     comp_ab = fab.dense.complement()
-    leftover = tuple(comp_ab.members())
 
     if case == "eq_t":
         added = fab.dense.bits & ~fa.dense.bits
@@ -522,13 +541,13 @@ def escape_check(
         ok = added & ~(oracle.f_window.bits | cover) == 0
         added_points = tuple(DenseSet(window, added).members())
         verdict = "stays_nonbasis" if ok else "inconclusive"
-        return EscapeReport(b, case, verdict, (), leftover, added_points)
+        return EscapeReport(b, case, verdict, (), comp_ab, added_points)
 
     predicted: list[int] = []
     threshold = window.lo
     if case == "eq_s":
         u = (b - s) // h
-        for y, n in family.shifted_ys(window):
+        for y, n in oracle.shifted_ys:
             w_val = y - (h - 1) * u
             if (n0 and w_val < 0) or family.y_contains(w_val):
                 predicted.append(n)
@@ -541,21 +560,28 @@ def escape_check(
         kk = h - i - 1
         if n0:
             threshold = b + (h - 3) * s + (h - 1) * t
-        for _, n in family.shifted_ys(window):
+        x0 = gapset.least_non_member(family.y)
+        band_end = window.hi + 1
+        if budget_probes >= x0 + 3:
+            # the first n whose pair target num // h - (kk-2)*x0 reaches pair_bound
+            band_end = b + i * s + kk * t + h * (pair_bound(family.y) + (kk - 2) * x0)
+        for _, n in oracle.shifted_ys:
             if n < threshold:
                 continue
-            num = n - b - i * s - (h - i - 1) * t
+            if n >= band_end:
+                break
+            num = n - b - i * s - kk * t
             assert num % h == 0
             dec = decide_kX(family.x_spec(), kk, num // h, Budget(budget_probes))
             if dec.status == "out":
                 predicted.append(n)
             elif dec.status == "unknown":
-                return EscapeReport(b, case, "inconclusive", tuple(predicted), leftover, ())
+                return EscapeReport(b, case, "inconclusive", tuple(predicted), comp_ab, ())
 
     allowed = oracle.f_window.bits | intset.dense_from_iter(predicted, window).bits
     ok = (comp_ab.bits & ~allowed) >> max(threshold - window.lo, 0) == 0
     verdict = "becomes_basis" if ok else "inconclusive"
-    return EscapeReport(b, case, verdict, tuple(predicted), leftover, ())
+    return EscapeReport(b, case, verdict, tuple(predicted), comp_ab, ())
 
 
 @dataclass(frozen=True)

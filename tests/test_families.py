@@ -182,3 +182,23 @@ def test_shifted_ys_match_the_materialized_image(fam, lo, width):
 
 def test_full_families_have_no_shifted_ys():
     assert build_full(Params(3, 0, 1, "z")).shifted_ys(Window(-50, 50)) == []
+
+
+def test_family_hash_is_computed_once(monkeypatch):
+    from nonbasis import verify
+
+    a = build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular())
+    b = build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular())
+    assert a is not b and a == b and hash(a) == hash(b)
+    verify.base_oracle.cache_clear()
+    window = Window(0, 200)
+    assert verify.base_oracle(a, window) is verify.base_oracle(b, window)
+    info = verify.base_oracle.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    # later hashes read the cached value: neither params nor the spec is walked
+    walked = []
+    for cls in (Params, ShiftScale):
+        real = cls.__hash__
+        monkeypatch.setattr(cls, "__hash__", lambda self, real=real: walked.append(1) or real(self))
+    assert hash(a) == hash(a) == hash(b)
+    assert walked == []

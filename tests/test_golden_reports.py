@@ -70,6 +70,15 @@ GOLDEN = [
      "554316901555927af7a99b76db799c9b5f03fefadf35f4286bd28c6901987b19"),
     ("verify thm4 --h 3 --s 0 --t 1 --gap geometric,2,1 --window 0:3000 --budget 12", 0,
      "2f5eb54c817f16f6a1f755cc8b095b01aa61ea313b3b30775de2396f606a7644"),
+    # not_st predictions on either side of x0 + 3 = 5 probes (x0 = 2 for the
+    # triangular gaps): at budget 4 every shifted-Y value is decided, at 5
+    # only the band's; and Z not_st escapes
+    ("verify thm4 --h 5 --s 0 --t 1 --gap triangular --window 0:3000 --budget 4", 3,
+     "ee2b5c77a18b67287ac0c56a0f6403bbfd07cb05ba14a85f28c2d08a54cafbb8"),
+    ("verify thm4 --h 5 --s 0 --t 1 --gap triangular --window 0:3000 --budget 5", 3,
+     "af6ddb40e602ef151e58f1a760640eed3d51af34065dcef79e574f8c17954306"),
+    ("verify thm2 --h 3 --s 1 --t 0 --gap factorial --window=-600:600", 0,
+     "0049785104700474f8d762cb3eb6619af4dc4a19a56662d23e2e0b76c7e3430d"),
 ]
 
 

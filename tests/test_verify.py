@@ -551,20 +551,223 @@ def test_escape_checks_fold_once(monkeypatch):
 
 
 def test_escape_check_decodes_only_its_own_sets(monkeypatch):
-    # predictions enumerate Y instead of decoding the oracle's shifted-Y bits:
-    # members() runs for the leftover, and for the added points when b = t
+    # predictions read the oracle's shifted-Y pairs instead of decoding its
+    # bits, and the leftover is decoded only when read: an escape decodes
+    # nothing but the added points when b = t
     fam = build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular())
     window = Window(0, 3000)
-    verify.base_oracle(fam, window)
+    oracle = verify.base_oracle(fam, window)
     samples = report.sample_escape_bs(fam, 1, window.hi // 2)
     calls = []
     real = intset.DenseSet.members
     monkeypatch.setattr(intset.DenseSet, "members", lambda self: calls.append(1) or real(self))
-    for case, limit in (("not_st", 1), ("eq_s", 1), ("eq_t", 2)):
+    for case, decoded in (("not_st", 0), ("eq_s", 0), ("eq_t", 1)):
         calls.clear()
         rep = verify.escape_check(fam, samples[case][0], window)
         assert rep.residue_case == case
-        assert len(calls) <= limit, case
+        assert len(calls) == decoded, case
+        calls.clear()
+        fab = sumset.adjoin(oracle.folded, rep.b)
+        assert rep.leftover == tuple(real(fab.dense.complement()))
+        assert rep.leftover == rep.leftover
+        assert len(calls) == 1, case
+
+
+def per_value_escape(fam, b, window, budget_probes):
+    """escape_check with a k-fold decision on every shifted-Y value from the
+    threshold up, and an eagerly decoded leftover: the reference loop."""
+    h, s, t = fam.h, fam.s, fam.t
+    n0 = fam.domain == "n0"
+    oracle = verify.base_oracle(fam, window)
+    fab = sumset.adjoin(oracle.folded, b)
+    comp = fab.dense.complement()
+    leftover = tuple(comp.members())
+    if (b - t) % h == 0:
+        added = fab.dense.bits & ~oracle.folded.dense.bits
+        v = (h - 1) * s + b
+        cover = 1 << (v - window.lo) if window.contains(v) else 0
+        ok = added & ~(oracle.f_window.bits | cover) == 0
+        added_points = tuple(intset.DenseSet(window, added).members())
+        return "eq_t", "stays_nonbasis" if ok else "inconclusive", (), leftover, added_points
+    predicted = []
+    threshold = window.lo
+    if (b - s) % h == 0:
+        case = "eq_s"
+        u = (b - s) // h
+        for y, n in fam.shifted_ys(window):
+            w_val = y - (h - 1) * u
+            if (n0 and w_val < 0) or fam.y_contains(w_val):
+                predicted.append(n)
+    else:
+        case = "not_st"
+        i = (verify.residue_decompose(fam.params, t - b).i - 1) % h
+        if n0:
+            threshold = b + (h - 3) * s + (h - 1) * t
+        for _, n in fam.shifted_ys(window):
+            if n < threshold:
+                continue
+            dec = verify.decide_kX(
+                fam.x_spec(), h - i - 1, (n - b - i * s - (h - i - 1) * t) // h,
+                Budget(budget_probes),
+            )
+            if dec.status == "out":
+                predicted.append(n)
+            elif dec.status == "unknown":
+                return case, "inconclusive", tuple(predicted), leftover, ()
+    allowed = oracle.f_window.bits | intset.dense_from_iter(predicted, window).bits
+    ok = (comp.bits & ~allowed) >> max(threshold - window.lo, 0) == 0
+    return case, "becomes_basis" if ok else "inconclusive", tuple(predicted), leftover, ()
+
+
+@st.composite
+def band_escape_cases(draw):
+    """A gapped family with h up to 6, a window reaching past the not_st
+    band, and a b outside A, over N0 or Z."""
+    n0 = draw(st.booleans())
+    h = draw(st.integers(2, 6))
+    s = draw(st.integers(0 if n0 else -4, 4))
+    t = draw(st.integers(0 if n0 else -4, 4))
+    assume(math.gcd(h, abs(s - t)) == 1)
+    fam = build_gapped(Params(h, s, t, "n0" if n0 else "z"), draw(GAP_GENERATORS))
+    lo = draw(st.integers(0, 20) if n0 else st.integers(-200, 20))
+    window = Window(lo, lo + draw(st.integers(0, 400)))
+    b = draw(st.integers(0 if n0 else -60, 120))
+    assume(not fam.a_contains(b))
+    return fam, window, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(band_escape_cases())
+@example((build_gapped(Params(5, 0, 1, "n0"), gapset.Triangular()), Window(0, 400), 2))
+@example((build_gapped(Params(3, 1, 0, "z"), gapset.Factorial()), Window(-200, 200), 2))
+def test_escape_check_matches_the_per_value_loop(case):
+    # Below the fixed branch's x0 + 3 probes, at its edge and above it
+    fam, window, b = case
+    x0 = gapset.least_non_member(fam.y)
+    for budget in (0, 2, x0 + 2, x0 + 3, verify.DEFAULT_BUDGET):
+        rep = verify.escape_check(fam, b, window, budget)
+        got = (rep.residue_case, rep.verdict, rep.predicted_exceptions, rep.leftover, rep.added)
+        assert got == per_value_escape(fam, b, window, budget), budget
+
+
+@pytest.mark.parametrize("domain", ["n0", "z"])
+@pytest.mark.parametrize(
+    "gen", ORACLE_GAPS + (gapset.CustomPrefixTail((0, 1, 2, 5, 13), GEOM2),), ids=repr
+)
+def test_decide_kx_is_in_from_the_pair_bound_on(domain, gen):
+    # the fixed branch: In within x0 + 3 probes for every pair target at or
+    # above pair_bound, so the escape predictions skip those values
+    fam = build_gapped(Params(3, 0, 1, domain), gen)
+    x0 = gapset.least_non_member(gen)
+    bound = verify.pair_bound(gen)
+    for k in range(2, 7):
+        for p in range(bound, bound + 60):
+            m = p + (k - 2) * x0
+            got = verify.decide_kX(fam.x_spec(), k, m, Budget(x0 + 3))
+            assert got.status == "in", (k, p)
+            assert sum(got.witness) == m and all(fam.x_contains(x) for x in got.witness)
+
+
+def test_not_st_escape_decides_only_inside_the_band(monkeypatch):
+    # exactly the shifted-Y values from the threshold up whose pair target
+    # m - (k-2)*x0 lies below 2*R(3) + 4 get a k-fold decision
+    fam = build_gapped(Params(5, 0, 1, "n0"), gapset.Triangular())
+    h, t = fam.h, fam.t
+    window = Window(0, 3000)
+    x0 = gapset.least_non_member(fam.y)
+    bound = 2 * gapset.gap_radius(fam.y, 3) + 4
+    calls = []
+    real = verify.decide_kX
+    monkeypatch.setattr(
+        verify, "decide_kX",
+        lambda xspec, k, m, budget=None: calls.append((k, m)) or real(xspec, k, m, budget),
+    )
+    for b in range(60):
+        if b % h in (0, 1):
+            continue
+        calls.clear()
+        rep = verify.escape_check(fam, b, window)
+        assert (rep.residue_case, rep.verdict) == ("not_st", "becomes_basis")
+        i = (verify.residue_decompose(fam.params, t - b).i - 1) % h
+        k = h - i - 1
+        threshold = b + (h - 1) * t
+        targets = [(n - b - k * t) // h for _, n in fam.shifted_ys(window) if n >= threshold]
+        assert calls == [(k, m) for m in targets if m - (k - 2) * x0 < bound], b
+        assert len(calls) < len(targets) / 4, b
+
+
+def z_summand_bound(fam, n):
+    """A bound on |a| for every summand a of classify's witness for the Z point n.
+
+    classify writes n as i copies of s plus k = h - i summands h*x + t.  On
+    the shifted class the X part is one x, and that summand is n - (h-1)s.
+    Otherwise it is k - 2 copies of x0 (each summand h*x0 + t) and a pair
+    x1 + x2 = m' whose two summands add up to P = n - i*s - (k-2)(h*x0 + t),
+    so |P| <= |n| + (h-2)(|s| + |t| + h*x0):
+    - past pair_bound the fixed branch takes x1, x2 among u-1..u+2 with
+      u = m' // 2, so both summands lie within 2h of P/2, and
+      |P|/2 + 2h <= |P| + |t| + h there;
+    - otherwise over Z the climb takes (-j, m' + j) for the least j >= 1
+      with m' + j outside Y.  When m' + 1 < 0, j = 1: the summands are
+      t - h and P - t + h.  When m' >= -1, m' + j <= max(m' + 2, R(1) + 1),
+      because three or more consecutive Y elements lie at or below R(1), so
+      j <= R(3) + 2 and m' + j <= 2*R(3) + 5 (m' < pair_bound).
+    """
+    h, s, t = fam.h, fam.s, fam.t
+    x0 = gapset.least_non_member(fam.y)
+    r3 = gapset.gap_radius(fam.y, 3)
+    return max(
+        abs(n) + (h - 1) * abs(s),
+        h * x0 + abs(t),
+        abs(n) + (h - 2) * (abs(s) + abs(t) + h * x0) + abs(t) + h,
+        h * (2 * r3 + 5) + abs(t),
+    )
+
+
+@st.composite
+def z_windows(draw, h_max):
+    h = draw(st.integers(2, h_max))
+    s = draw(st.integers(-6, 6))
+    t = draw(st.integers(-6, 6))
+    assume(math.gcd(h, abs(s - t)) == 1)
+    fam = build_gapped(Params(h, s, t, "z"), draw(GAP_GENERATORS))
+    lo = draw(st.integers(-400, 400))
+    return fam, Window(lo, lo + draw(st.integers(0, 40)))
+
+
+def witness_summands(fam, v):
+    return [fam.s] * v.s_count + [fam.h * x + fam.t for x in v.xs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(z_windows(h_max=8))
+def test_z_witness_summands_stay_within_the_derived_bound(case):
+    fam, window = case
+    for n in range(window.lo, window.hi + 1):
+        v = verify.classify(fam, n)
+        if isinstance(v, InSumset):
+            assert max(map(abs, witness_summands(fam, v))) <= z_summand_bound(fam, n), (n, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(z_windows(h_max=8))
+def test_z_oracle_pad_covers_the_witness_bound(case):
+    # With reach = max |window end|, the pad h*(|s| + |t| + h + 2) covers
+    # every term of z_summand_bound once (h-2)*x0 <= h + 1 and reach >=
+    # h*(2*R(3) + 3 - h): the P term needs the first, the climb term the
+    # second.  Windows closer to 0, or a larger x0, can leave it short.
+    fam, window = case
+    h = fam.h
+    x0 = gapset.least_non_member(fam.y)
+    reach = max(abs(window.lo), abs(window.hi))
+    assume((h - 2) * x0 <= h + 1 and reach >= h * (2 * gapset.gap_radius(fam.y, 3) + 3 - h))
+    src = verify.oracle_source(fam.params, window)
+    for n in range(window.lo, window.hi + 1):
+        bound = z_summand_bound(fam, n)
+        assert src.contains(-bound) and src.contains(bound), (n, bound, src)
+        v = verify.classify(fam, n)
+        if isinstance(v, InSumset):
+            assert all(src.contains(a) for a in witness_summands(fam, v)), (n, v)
 
 
 def test_window_relative_f_fails_on_a_z_exceptional_entry(monkeypatch):
