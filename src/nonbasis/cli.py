@@ -153,9 +153,11 @@ def _cmd_sumset(args) -> int:
         bounded_below = fam.domain == DOMAIN_N0
     source = _parse_window(args.source) if args.source else target
     dense = intset.materialize(spec, source)
-    if bounded_below and source.lo >= 0:
-        safe_hi = source.hi + (h - 1) * source.lo
-        tgt = Window(max(target.lo, h * source.lo), min(target.hi, safe_hi))
+    if bounded_below and source.lo == 0:
+        # No member of an N0 family lies below 0, so the fold is exact on its
+        # safe range 0:source.hi; a target that misses it raises there.
+        lo, hi = max(target.lo, 0), min(target.hi, source.hi)
+        tgt = Window(lo, hi) if lo <= hi else target
         result = sumset.hfold_exact_bounded_below(dense, h, target=tgt)
     else:
         result = sumset.hfold_truncated(dense, h, target=target)

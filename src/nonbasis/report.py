@@ -257,7 +257,7 @@ def sample_escape_bs(family: Family, per_case: int, hi: int) -> dict[str, list[i
             if cand <= hi and (cand >= 0 or not n0) and cand != s:
                 out["eq_s"].append(cand)
         u += 1
-    if family.y is not None:
+    if family.y is not None and hi >= t:
         for y in gapset.elements_in(family.y, Window(0, (hi - t) // h)):
             if len(out["eq_t"]) >= per_case:
                 break

@@ -309,38 +309,31 @@ def adjoin(result: SumsetResult, b: int) -> SumsetResult:
     return SumsetResult(h, result.source, target, dense, result.exactness)
 
 
-def _multisets(a: DenseSet, h: int, n: int) -> Iterator[tuple[int, ...]]:
-    # Sorted multisets of h elements of a summing to n, lexicographically.
-    if h == 0:
-        if n == 0:
-            yield ()
-        return
-    vals = a.members()
-    if not vals:
-        return
-    vmax = vals[-1]
+def witness(result: SumsetResult, n: int) -> tuple[int, ...] | None:
+    """Lexicographically smallest sorted multiset of h source elements
+    summing to n, read off the fold's partials; None when n is not in result.
 
-    def search(k: int, rest: int, idx: int) -> Iterator[tuple[int, ...]]:
-        if k == 1:
-            j = bisect.bisect_left(vals, rest, idx)
-            if j < len(vals) and vals[j] == rest:
-                yield (rest,)
-            return
-        for j in range(idx, len(vals)):
-            v = vals[j]
-            if k * v > rest:
-                break
-            if rest - v > (k - 1) * vmax:
-                continue
-            for sub in search(k - 1, rest - v, j):
-                yield (v,) + sub
-
-    yield from search(h, n, 0)
-
-
-def witness(a: DenseSet, h: int, n: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest sorted multiset of h elements summing to n."""
-    return next(_multisets(a, h, n), None)
+    The least v in A with n - v in (h-1)A is the least element of every
+    representation of n, and any representation of n - v by h-1 elements
+    plus v is one of n, so the walk takes v and repeats on n - v.  The
+    elements taken never decrease, so A is walked once.  Every subtotal the
+    walk visits can still complete to n, so it lies in its partial's clip
+    window.
+    """
+    if not result.partials:
+        raise ValueError("witness needs the k-fold partials of a fold")
+    if not result.member(n):
+        return None
+    vals = result.partials[1].members()
+    out: list[int] = []
+    i = 0
+    for k in range(result.h - 1, -1, -1):
+        rest = result.partials[k]
+        while not rest.member(n - vals[i]):
+            i += 1
+        out.append(vals[i])
+        n -= vals[i]
+    return tuple(out)
 
 
 def _dilate_pair(x1: int, x2: int, gap: int, count: int, maxbits: int) -> tuple[int, int]:

@@ -228,14 +228,12 @@ def classify(family: Family, n: int, budget: Budget | None = None) -> Verdict:
     thr = (h - 2) * s + h * t
     if n0 and n < thr:
         # Below the structural threshold: read the answer off the exact oracle.
-        prefix = base_oracle(family, Window(0, thr - 1))
-        if prefix.folded.member(n):
-            wit = sumset.witness(prefix.dense, h, n)
-            assert wit is not None
-            s_count = sum(1 for v in wit if v == s)
-            xs = tuple((v - t) // h for v in wit if v != s)
-            return InSumset(s_count, xs)
-        return OutExceptional("F0")
+        wit = sumset.witness(base_oracle(family, Window(0, thr - 1)).folded, n)
+        if wit is None:
+            return OutExceptional("F0")
+        s_count = sum(1 for v in wit if v == s)
+        xs = tuple((v - t) // h for v in wit if v != s)
+        return InSumset(s_count, xs)
 
     rd = residue_decompose(p, n)
     if rd.i == 0 and n == h * s:

@@ -203,6 +203,25 @@ def test_sumset_subcommand(capsys):
     assert rep["ranges"] == "0-2,7-8,11-16,18-20"
 
 
+def test_sumset_from_a_source_above_0_is_a_lower_bound(capsys):
+    # A has 0, 1 and 7 below the source, so 2A on 10:20 is 11-16,18-20 and
+    # the fold of the truncated set misses most of it
+    code, out, _ = run(
+        capsys,
+        ["sumset", *FAM_ARGS, "--window", "0:20", "--source", "5:40", "--format", "text"],
+    )
+    assert code == 0
+    assert out == "2-fold sumset on 0:20 (lower_bound)\nmembers: 14,18,20\n"
+
+
+def test_sumset_target_outside_the_safe_range_exits_2(capsys):
+    code, _, err = run(
+        capsys, ["sumset", *FAM_ARGS, "--window", "100:200", "--source", "0:40"]
+    )
+    assert code == 2
+    assert "TargetExceedsSafeRange" in err and "safe range 0:40" in err
+
+
 def test_sumset_with_spec_literal(capsys):
     code, out, _ = run(
         capsys,

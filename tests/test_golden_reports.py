@@ -7,10 +7,12 @@ CHANGES.md saying why.
 """
 
 import hashlib
+import sys
 
 import pytest
 
-from nonbasis import cli
+from nonbasis import cli, gapset, verify
+from nonbasis.families import Params, build_gapped
 
 GOLDEN = [
     # thm1 / thm3: d = 1 (coverage and uniqueness) and d >= 2 (residue obstruction)
@@ -79,6 +81,17 @@ GOLDEN = [
      "af6ddb40e602ef151e58f1a760640eed3d51af34065dcef79e574f8c17954306"),
     ("verify thm2 --h 3 --s 1 --t 0 --gap factorial --window=-600:600", 0,
      "0049785104700474f8d762cb3eb6619af4dc4a19a56662d23e2e0b76c7e3430d"),
+    # points below the structural threshold (h-2)s + ht, whose In witnesses
+    # are read off the prefix oracle's partials
+    ("classify --h 6 --s 2000 --t 1 --domain n0 --gap geometric,2,1 --n 8002", 0,
+     "76b4214830ae9242c7fbec5e3f6c31f139cee0a30b3fd9018229aaf9e0584d74"),
+    ("catalog --h 6 --s 300 --t 1 --domain n0 --gap geometric,2,1 --window 0:3000", 0,
+     "2f4a1d06707752ef61914b9abdaf96c26cb8d89af7b403d8bd8044f31bff6bb4"),
+    # windows whose escape sample range ends below t: no eq_t b is sampled
+    ("verify thm4 --h 3 --s 0 --t 7 --gap triangular --window 0:10", 0,
+     "12a081fa173933af16393b6a1d59b926ab15b1eb71f7cb7c513c3928bfa4cbfd"),
+    ("verify thm2 --h 2 --s 0 --t 1 --gap geometric,2,1 --window 0:0", 3,
+     "0b82d9765591a6ebc7ebf770be72134cb18c31c19dce5e7266f5721b4f732ffc"),
 ]
 
 
@@ -88,3 +101,25 @@ def test_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
     assert cli.main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_below_threshold_witness_is_one_walk():
+    # n = 2402 lies below (h-2)s + ht = 2406 and off the F1 class, so its In
+    # witness comes from the prefix oracle; with that oracle built, the
+    # verdict is one walk of its partials, not a search over multisets
+    fam = build_gapped(Params(6, 600, 1, "n0"), gapset.Geometric(2, 1))
+    want = verify.classify(fam, 2402)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("nonbasis"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        got = verify.classify(fam, 2402)
+    finally:
+        sys.setprofile(None)
+    assert got == want and isinstance(got, verify.InSumset)
+    assert calls <= 1000

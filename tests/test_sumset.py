@@ -95,11 +95,19 @@ def test_representation_counts():
 
 
 def test_witness_examples():
+    a = sumset.hfold_exact_bounded_below(dense_from_iter([0, 1, 3], Window(0, 6)), 2)
+    assert sumset.witness(a, 4) == (1, 3)
+    assert sumset.witness(a, 5) is None
+    assert sumset.witness(a, 99) is None  # outside the target
+    two = sumset.hfold_exact_bounded_below(dense_from_iter([2], Window(2, 2)), 2)
+    assert sumset.witness(two, 4) == (2, 2)
+
+
+def test_witness_needs_partials():
     a = dense_from_iter([0, 1, 3], Window(0, 3))
-    assert sumset.witness(a, 2, 4) == (1, 3)
-    assert sumset.witness(a, 2, 5) is None
-    two = dense_from_iter([2], Window(2, 2))
-    assert sumset.witness(two, 2, 4) == (2, 2)
+    adjoined = sumset.adjoin(sumset.hfold_exact_bounded_below(a, 2), 2)
+    with pytest.raises(ValueError):
+        sumset.witness(adjoined, 4)
 
 
 SMALL_SETS = st.integers(-8, 6).flatmap(
@@ -167,13 +175,35 @@ def test_associativity(vals, h1, h2):
 @given(SMALL_SETS, st.integers(1, 4), st.integers(-40, 60))
 def test_count_and_witness_consistent(a, h, n):
     count = representation_counts(a, h)[n]
-    wit = sumset.witness(a, h, n)
+    wit = sumset.witness(sumset.hfold_truncated(a, h, Window(n, n)), n)
     assert (count >= 1) == (wit is not None)
     if wit is not None:
         assert len(wit) == h
         assert sum(wit) == n
         assert all(a.member(v) for v in wit)
         assert tuple(sorted(wit)) == wit
+
+
+@settings(max_examples=200, deadline=None)
+@given(SMALL_SETS, st.integers(1, 4), st.data())
+def test_witness_is_the_least_multiset(a, h, data):
+    # truncated folds on one point, the whole hull and a cut into the middle
+    # of the hull, and exact folds on the same targets cut to the safe range
+    hull = Window(h * a.window.lo, h * a.window.hi)
+    n = data.draw(st.integers(hull.lo, hull.hi))
+    lo = data.draw(st.integers(hull.lo, n))
+    hi = data.draw(st.integers(n, hull.hi))
+    want = min(
+        (m for m in itertools.combinations_with_replacement(a.members(), h) if sum(m) == n),
+        default=None,
+    )
+    safe_hi = a.window.hi + (h - 1) * a.window.lo
+    for target in (Window(n, n), hull, Window(lo, hi)):
+        got = sumset.witness(sumset.hfold_truncated(a, h, target), n)
+        assert got == want, target
+        if n <= safe_hi:
+            cut = Window(target.lo, min(target.hi, safe_hi))
+            assert sumset.witness(sumset.hfold_exact_bounded_below(a, h, cut), n) == want, cut
 
 
 @settings(max_examples=150, deadline=None)

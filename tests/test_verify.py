@@ -550,6 +550,15 @@ def test_escape_checks_fold_once(monkeypatch):
     assert calls == ["hfold_exact_bounded_below"]
 
 
+def test_escape_samples_below_t_take_no_eq_t_b():
+    # hi < t leaves no y with h*y + t <= hi, and the Y window 0:(hi - t)//h
+    # would be empty
+    fam = build_gapped(Params(3, 0, 7, "n0"), gapset.Triangular())
+    samples = report.sample_escape_bs(fam, 5, 5)
+    assert samples["eq_t"] == []
+    assert samples["eq_s"] == [3] and samples["not_st"] == [2, 5]
+
+
 def test_escape_check_decodes_only_its_own_sets(monkeypatch):
     # predictions read the oracle's shifted-Y pairs instead of decoding its
     # bits, and the leftover is decoded only when read: an escape decodes
