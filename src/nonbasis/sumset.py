@@ -17,6 +17,7 @@ import bisect
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import TargetExceedsSafeRange
 from .intset import DenseSet, Window, ap_bits, dilate_or
@@ -55,15 +56,23 @@ class SumsetResult:
     def members(self) -> list[int]:
         return self.dense.members()
 
+    @cached_property
+    def source_members(self) -> tuple[int, ...]:
+        """The members of partials[1] (A on its clip window), decoded once
+        per result for witness."""
+        return tuple(self.partials[1].members())
 
-def _fewest_runs(bits: int) -> int:
-    """The candidate stride with the fewest runs.
 
-    A stride-g run starts at each member whose g-predecessor is not a
-    member, so the runs are counted by one popcount per candidate.
+def _fewest_runs(bits: int) -> tuple[int, int]:
+    """The candidate stride g with the fewest runs, and the edges of its runs.
+
+    The edges at g are bits ^ (bits << g): each stride-g run has exactly
+    two, its first member b and the point e + g past its last member e.  So
+    the runs at g are counted by one popcount, halved, and the first
+    minimum in ascending g wins.
     """
     if not bits:
-        return 1
+        return 1, 0
     strides = set(_SMALL_STRIDES)
     # the lowest members, shifted so that the first one is bit 0
     head = (bits >> ((bits & -bits).bit_length() - 1)) & ((1 << _HEAD_BITS) - 1)
@@ -75,36 +84,56 @@ def _fewest_runs(bits: int) -> int:
         at = (head & -head).bit_length() - 1
         strides.add(at - prev)
         prev = at
-    runs = {g: (bits & ~(bits << g)).bit_count() for g in sorted(strides)}
-    return min(runs, key=runs.get)
+    best = None
+    for g in sorted(strides):
+        edges = bits ^ (bits << g)
+        runs = edges.bit_count()
+        if best is None or runs < best[0]:
+            best = runs, g, edges
+    return best[1], best[2]
 
 
 def arith_chains(a: DenseSet) -> list[tuple[int, int, int]]:
     """The members of a as (start, stride, count) runs, in ascending order.
 
-    Every run has the candidate stride g with the fewest runs.  Run starts
-    are the members without a g-predecessor and run ends the members
-    without a g-successor, both read off the bits; within one residue class
-    mod g the starts and ends alternate, so they pair up in order.
+    Every run has the stride g of _fewest_runs, and its edges are decoded
+    once.  Within one residue class mod g the edges alternate between a
+    run's first member b and the point past its last one, so they pair up
+    in order as (b, stop) with count (stop - b) // g.  A stop past the
+    window is not decoded: it is the one point of its class in [hi + 1,
+    hi + g], where hi is the window's top.
     """
-    x = a.bits
-    g = _fewest_runs(x)
-    ends_of: dict[int, list[int]] = {}
-    for e in DenseSet(a.window, x & ~(x >> g)).members():
-        ends_of.setdefault(e % g, []).append(e)
-    ends = {r: iter(es) for r, es in ends_of.items()}
-    return [
-        (b, g, (next(ends[b % g]) - b) // g + 1)
-        for b in DenseSet(a.window, x & ~(x << g)).members()
-    ]
+    w = a.window
+    g, edges = _fewest_runs(a.bits)
+    out: list = []  # a run's start until its stop is read, then the run
+    open_at: dict[int, int] = {}  # residue mod g -> index in out of its open run
+    for e in DenseSet(w, edges & ((1 << w.width) - 1)).members():
+        r = e % g
+        i = open_at.pop(r, None)
+        if i is None:
+            open_at[r] = len(out)
+            out.append(e)
+        else:
+            out[i] = (out[i], g, (e - out[i]) // g)
+    past = w.hi + 1
+    for r, i in open_at.items():
+        out[i] = (out[i], g, (past + (r - past) % g - out[i]) // g)
+    return out
 
 
 _Class = namedtuple("_Class", "starts counts lo hi terms holes")
 
 
-def _class_table(a: DenseSet) -> tuple[int, list[_Class]]:
-    """The stride g of a's chains and, per residue class mod g, its chains'
-    starts and counts and its hull [lo, hi] of `terms` points and `holes`."""
+def _comb(g: int, width: int) -> int:
+    """Bits 0, g, 2g, ... covering the lowest width bits."""
+    return ((1 << (g * (width // g + 1))) - 1) // ((1 << g) - 1)
+
+
+def _class_table(a: DenseSet, width: int) -> tuple[int, list[_Class], int | None]:
+    """The stride g of a's chains; per residue class mod g, its chains'
+    starts and counts and its hull [lo, hi] of `terms` points and `holes`;
+    and, when some class splits against a copy of itself, the stride-g comb
+    that splits a partner of up to width bits into its classes, else None."""
     chains = arith_chains(a)
     g = chains[0][1] if chains else 1
     grouped: dict[int, list[tuple[int, int]]] = {}
@@ -115,17 +144,18 @@ def _class_table(a: DenseSet) -> tuple[int, list[_Class]]:
         lo, hi = starts[0], starts[-1] + (counts[-1] - 1) * g
         terms = (hi - lo) // g + 1
         classes.append(_Class(starts, counts, lo, hi, terms, terms - sum(counts)))
-    return g, classes
+    can_split = any(_splits(c, g, c.terms, 2 * c.holes) for c in classes)
+    return g, classes, _comb(g, width) if can_split else None
 
 
-def _residue_classes(p: DenseSet, g: int) -> list[tuple[int, int, int, int]]:
-    """(lo, hi, terms, holes) of each nonempty residue class of p mod g."""
-    comb = ((1 << (g * (p.window.width // g + 1))) - 1) // ((1 << g) - 1)  # bits 0, g, 2g, ...
+def _residue_classes(p: DenseSet, g: int, comb: int) -> list[tuple[int, int, int, int]]:
+    """(lo, hi, terms, holes) of each nonempty residue class of p mod g;
+    comb is _comb(g, w) for some w >= p's width."""
     out = []
     for i in range(g):
-        x = p.bits & (comb << i)
+        x = (p.bits >> i) & comb  # class i, shifted down by i
         if x:
-            lo, hi = (x & -x).bit_length() - 1, x.bit_length() - 1
+            lo, hi = (x & -x).bit_length() + i - 1, x.bit_length() + i - 1
             terms = (hi - lo) // g + 1
             out.append((p.window.lo + lo, p.window.lo + hi, terms, terms - x.bit_count()))
     return out
@@ -176,21 +206,23 @@ def _walk(p: DenseSet, lo: int, hi: int, chains, g: int, target: Window) -> int:
 
 
 def pairwise_sum(
-    p: DenseSet, q: DenseSet, target: Window, q_table: tuple[int, list[_Class]] | None = None
+    p: DenseSet,
+    q: DenseSet,
+    target: Window,
+    q_table: tuple[int, list[_Class], int | None] | None = None,
 ) -> DenseSet:
     """(p + q) intersected with target; exact as a set sum of the two sets.
 
-    p is split into residue classes mod the stride of q's chains when some
-    class of q (q_table = _class_table(q)) splits against a copy of itself,
-    else it is one class of no terms.  A one-point class of p is one shift
-    of q.  A class of q that _splits against each other class of p is one
-    filled progression per pair plus two end walks, each over p cut to the
-    hull of the end windows; any other class of q is walked whole.  Each
-    bit ORed in is a sum of a member of p and one of q, and every such sum
-    is covered."""
-    g, classes = q_table if q_table is not None else _class_table(q)
-    can_split = any(_splits(c, g, c.terms, 2 * c.holes) for c in classes)
-    p_classes = _residue_classes(p, g) if can_split else [(p.window.lo, p.window.hi, 0, 0)]
+    p is split into residue classes mod the stride of q's chains by the
+    comb of q_table = _class_table(q, w), w at least p's width, when some
+    class of q splits against a copy of itself, else it is one class of no
+    terms.  A one-point class of p is one shift of q.  A class of q that
+    _splits against each other class of p is one filled progression per
+    pair plus two end walks, each over p cut to the hull of the end
+    windows; any other class of q is walked whole.  Each bit ORed in is a
+    sum of a member of p and one of q, and every such sum is covered."""
+    g, classes, comb = q_table if q_table is not None else _class_table(q, p.window.width)
+    p_classes = [(p.window.lo, p.window.hi, 0, 0)] if comb is None else _residue_classes(p, g, comb)
     points = sorted((lo, 1) for lo, _, terms, _ in p_classes if terms == 1)
     acc = _walk(q, q.window.lo, q.window.hi, points, g, target) if points else 0
     p_classes = [pc for pc in p_classes if pc[2] != 1]
@@ -225,13 +257,14 @@ def _clip_window(k: int, h: int, src: Window, target: Window) -> Window | None:
 
 def _fold(a: DenseSet, h: int, target: Window) -> tuple[DenseSet | None, ...]:
     # kA on its clip window for k = 0..h, each step one pairwise sum with a
-    # through a's class table, built once.  A nonempty clip window has a
-    # nonempty one before it, so the empty windows are a suffix.
-    src = a.window
-    table = _class_table(a) if h > 1 else None
+    # through a's class table and comb, built once for the widest partial
+    # that is summed.  A nonempty clip window has a nonempty one before it,
+    # so the empty windows are a suffix.
+    windows = [_clip_window(k, h, a.window, target) for k in range(h + 1)]
+    summed = [windows[k - 1].width for k in range(2, h + 1) if windows[k] is not None]
+    table = _class_table(a, max(summed)) if summed else None
     out: list[DenseSet | None] = []
-    for k in range(h + 1):
-        wk = _clip_window(k, h, src, target)
+    for k, wk in enumerate(windows):
         if wk is None:
             return tuple(out) + (None,) * (h + 1 - k)
         if k == 0:
@@ -324,7 +357,7 @@ def witness(result: SumsetResult, n: int) -> tuple[int, ...] | None:
         raise ValueError("witness needs the k-fold partials of a fold")
     if not result.member(n):
         return None
-    vals = result.partials[1].members()
+    vals = result.source_members
     out: list[int] = []
     i = 0
     for k in range(result.h - 1, -1, -1):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonbasis import gapset, intset
@@ -214,11 +214,41 @@ def dense_sets(draw):
     return DenseSet(Window(lo, lo + width - 1), bits)
 
 
+@st.composite
+def wide_sparse_sets(draw):
+    """A DenseSet of width 10^5 to 3*10^5 with a handful of members, often
+    at bit 0 or the top bit, on a window that often starts below 0."""
+    lo = draw(st.integers(-(10**6), 10**6))
+    width = draw(st.integers(10**5, 3 * 10**5))
+    offsets = set(draw(st.lists(st.integers(0, width - 1), max_size=6)))
+    if draw(st.booleans()):
+        offsets.add(0)
+    if draw(st.booleans()):
+        offsets.add(width - 1)
+    return DenseSet(Window(lo, lo + width - 1), sum(1 << k for k in offsets))
+
+
+def per_bit_members(d):
+    """The members of d, one bit of its binary digits at a time."""
+    digits = bin(d.bits)[:1:-1]  # bit 0 first
+    return [d.window.lo + i for i, c in enumerate(digits) if c == "1"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(dense_sets())
 def test_members_matches_per_bit_loop(d):
     want = [d.window.lo + i for i in range(d.window.width) if (d.bits >> i) & 1]
+    assert per_bit_members(d) == want
     assert d.members() == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(wide_sparse_sets())
+@example(DenseSet(Window(-(10**5), 10**5), 1 | 1 << (2 * 10**5)))
+@example(DenseSet(Window(-7, 3 * 10**5 - 8), 1 << 150_001))
+@example(DenseSet(Window(0, 10**5 - 1), 0))
+def test_members_matches_per_bit_loop_on_wide_sparse_sets(d):
+    assert d.members() == per_bit_members(d)
 
 
 @settings(max_examples=300, deadline=None)

@@ -582,3 +582,115 @@ def test_lemma_fold_makes_few_wide_dilations(monkeypatch):
     monkeypatch.setattr(sumset, "dilate_or", counting)
     assert verify.lemma_basis_check(gapset.Triangular(), h, window).covered_above_threshold
     assert len(wide) <= h - 1
+
+
+def two_decode_stride(x):
+    """The stride search of the two-decode walk: run starts counted per
+    candidate stride, the first minimum in ascending order."""
+    if not x:
+        return 1
+    strides = set(sumset._SMALL_STRIDES)
+    head = (x >> ((x & -x).bit_length() - 1)) & ((1 << sumset._HEAD_BITS) - 1)
+    prev = 0
+    for _ in range(sumset._HEAD_MEMBERS - 1):
+        head &= head - 1
+        if not head:
+            break
+        at = (head & -head).bit_length() - 1
+        strides.add(at - prev)
+        prev = at
+    runs = {g: (x & ~(x << g)).bit_count() for g in sorted(strides)}
+    return min(runs, key=runs.get)
+
+
+def two_decode_chains(a):
+    """The reference for arith_chains: run starts (no g-predecessor) and run
+    ends (no g-successor) decoded bit by bit, each end paired with the next
+    start of its residue class."""
+
+    def decode(bits):
+        return [a.window.lo + i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
+
+    x = a.bits
+    g = two_decode_stride(x)
+    ends_of = {}
+    for e in decode(x & ~(x >> g)):
+        ends_of.setdefault(e % g, []).append(e)
+    ends = {r: iter(es) for r, es in ends_of.items()}
+    return [(b, g, (next(ends[b % g]) - b) // g + 1) for b in decode(x & ~(x << g))]
+
+
+def has_tied_fewest_runs(a):
+    x = a.bits
+    counts = sorted((x & ~(x << g)).bit_count() for g in sumset._SMALL_STRIDES)
+    return a.popcount() >= 2 and counts[0] == counts[1]
+
+
+@st.composite
+def two_progressions(draw):
+    """Two progressions of one length and strides g1 < g2, one above the
+    other: often tied on run count at g1 and g2."""
+    g1 = draw(st.integers(1, 7))
+    g2 = draw(st.integers(g1 + 1, 8))
+    length = draw(st.integers(2, 40))
+    first, gap = draw(st.integers(-30, 30)), draw(st.integers(1, 50))
+    second = first + g1 * length + gap
+    w = Window(first - draw(st.integers(0, 9)), second + g2 * length + draw(st.integers(0, 9)))
+    vals = [*range(first, first + g1 * length, g1), *range(second, second + g2 * length, g2)]
+    return dense_from_iter(vals, w)
+
+
+CHAIN_SETS = st.one_of(
+    wide_sets(),
+    st.integers(1, 6).flatmap(holed_classes),
+    st.one_of(SMALL_SETS, two_progressions()).filter(has_tied_fewest_runs),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CHAIN_SETS, st.integers(-(10**6), 10**6))
+@example(dense_from_iter([0, 2, 5], Window(0, 5)), -3)  # strides 2, 3 and 5 tie
+@example(dense_from_iter([*range(0, 30, 3), *range(100, 150, 5)], Window(-4, 160)), -10**5)
+@example(dense_from_iter([], Window(0, 9)), -20)
+def test_arith_chains_match_the_two_decode_walk(a, shift):
+    a = DenseSet(Window(a.window.lo + shift, a.window.hi + shift), a.bits)
+    assert sumset.arith_chains(a) == two_decode_chains(a)
+
+
+def test_one_decode_per_chain_split_and_one_comb_per_fold(monkeypatch):
+    decodes, combs = [], []
+    real_members = DenseSet.members
+    monkeypatch.setattr(DenseSet, "members", lambda d: decodes.append(d) or real_members(d))
+    sets = [
+        dense_from_iter([], Window(0, 9)),
+        dense_from_iter([5], Window(-9, 9)),
+        dense_from_iter((v for v in range(-50, 900) if v % 7 != 3), Window(-50, 1000)),
+        materialize(Diff(ModClassNonneg(1, 0), GapTail(gapset.Triangular())), Window(0, 10**4)),
+    ]
+    for a in sets:
+        decodes.clear()
+        sumset.arith_chains(a)
+        assert len(decodes) == 1
+    # N0 minus the triangular numbers: every fold step splits its partial
+    # into classes, through the one comb built with the class table
+    real_comb = sumset._comb
+    monkeypatch.setattr(sumset, "_comb", lambda *args: combs.append(args) or real_comb(*args))
+    a = sets[-1]
+    for h in range(2, 9):
+        combs.clear()
+        sumset.hfold_exact_bounded_below(a, h)
+        assert len(combs) == 1, h
+        combs.clear()
+        sumset.hfold_truncated(a, h, Window(h * 10**4 - 500, h * 10**4))
+        assert len(combs) <= 1, h
+
+
+def test_two_witnesses_decode_the_source_once(monkeypatch):
+    a = dense_from_iter([0, 1, 3, 7, 8], Window(0, 8))
+    r = sumset.hfold_exact_bounded_below(a, 3)
+    decodes = []
+    real = DenseSet.members
+    monkeypatch.setattr(DenseSet, "members", lambda d: decodes.append(d) or real(d))
+    assert sumset.witness(r, 5) == (1, 1, 3)
+    assert sumset.witness(r, 8) == (0, 0, 8)
+    assert decodes == [r.partials[1]]
