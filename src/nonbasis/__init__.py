@@ -48,7 +48,6 @@ from .intset import (
     Union,
     Window,
     materialize,
-    member,
     union_of,
 )
 from .sumset import (

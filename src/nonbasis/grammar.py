@@ -18,61 +18,74 @@ The canonical forms are round-trippable: parse(format(x)) == x.
               | 'custom' ',' '[' INT {',' INT} ']' ',' 'tail=' genbody
 
 Whitespace between tokens is ignored on input and never emitted on output.
+All but 'single:' and the bare names are read and printed from one table,
+_CALLS: a spec writes its arguments as name(a,b), a generator as name,a,b.
 """
 
 from __future__ import annotations
 
+import re
+
 from . import gapset
 from .errors import MalformedSpec
-from .intset import (
-    Diff,
-    Empty,
-    GapTail,
-    ModClass,
-    ModClassNonneg,
-    SetSpec,
-    ShiftScale,
-    Singleton,
-    Union,
-    union_of,
-)
+from .intset import Diff, Empty, GapTail, ModClass, ModClassNonneg, SetSpec, ShiftScale
+from .intset import Singleton, Union, union_of
+
+# name -> (node class, [(field, kind)] in text order).  A kind is int, spec
+# or gen; specs is one or more specs, ints a bracketed list of integers and
+# tail a generator written after 'tail='.
+_CALLS = {
+    name: (cls, [tuple(arg.split(":")) for arg in args.split()])
+    for name, cls, args in (
+        ("class", ModClass, "m:int r:int"),
+        ("classnn", ModClassNonneg, "m:int r:int"),
+        ("gap", GapTail, "gen:gen"),
+        ("union", Union, "parts:specs"),
+        ("diff", Diff, "keep:spec drop:spec"),
+        ("affine", ShiftScale, "d:int c:int inner:spec"),
+        ("geometric", gapset.Geometric, "base:int scale:int"),
+        ("triangular", gapset.Triangular, ""),
+        ("factorial", gapset.Factorial, ""),
+        ("custom", gapset.CustomPrefixTail, "prefix:ints tail:tail"),
+    )
+}
+_NAMES = {cls: name for name, (cls, _) in _CALLS.items()}
+_BARE = {"empty": Empty(), "ints": ModClass(1, 0), "nonneg": ModClassNonneg(1, 0)}
+
+# One token after optional whitespace.  Every other character starts an
+# int, which may be a bare sign, or empty at the end of the text.
+_TOKEN = re.compile(r"\s*(?:(?P<name>[^\W\d]+)|(?P<mark>[^\w\s+-])|(?P<int>[+-]?\d*))")
+
+
+def _format_call(node, base: type, what: str) -> str:
+    name = _NAMES.get(type(node))
+    if name is None or not isinstance(node, base):
+        raise MalformedSpec(f"unknown {what} {node!r}")
+    args = [_FORMAT[kind](getattr(node, field)) for field, kind in _CALLS[name][1]]
+    return f"{name}({','.join(args)})" if base is SetSpec else ",".join([name, *args])
 
 
 def format_generator(gen: gapset.GapGenerator) -> str:
-    if isinstance(gen, gapset.Geometric):
-        return f"geometric,{gen.base},{gen.scale}"
-    if isinstance(gen, gapset.Triangular):
-        return "triangular"
-    if isinstance(gen, gapset.Factorial):
-        return "factorial"
-    if isinstance(gen, gapset.CustomPrefixTail):
-        inner = ",".join(str(v) for v in gen.prefix)
-        return f"custom,[{inner}],tail={format_generator(gen.tail)}"
-    raise MalformedSpec(f"unknown generator {gen!r}")
+    return _format_call(gen, gapset.GapGenerator, "generator")
 
 
 def format_spec(spec: SetSpec) -> str:
-    if isinstance(spec, Empty):
-        return "empty"
     if isinstance(spec, Singleton):
         return f"single:{spec.a}"
-    if isinstance(spec, ModClass):
-        if spec.m == 1:
-            return "ints"
-        return f"class({spec.m},{spec.r})"
-    if isinstance(spec, ModClassNonneg):
-        if spec.m == 1 and spec.r == 0:
-            return "nonneg"
-        return f"classnn({spec.m},{spec.r})"
-    if isinstance(spec, GapTail):
-        return f"gap({format_generator(spec.gen)})"
-    if isinstance(spec, Union):
-        return "union(" + ",".join(format_spec(p) for p in spec.parts) + ")"
-    if isinstance(spec, Diff):
-        return f"diff({format_spec(spec.keep)},{format_spec(spec.drop)})"
-    if isinstance(spec, ShiftScale):
-        return f"affine({spec.d},{spec.c},{format_spec(spec.inner)})"
-    raise MalformedSpec(f"unknown spec node {spec!r}")
+    for name, node in _BARE.items():
+        if spec == node:
+            return name
+    return _format_call(spec, SetSpec, "spec node")
+
+
+_FORMAT = {
+    "int": str,
+    "spec": format_spec,
+    "gen": format_generator,
+    "specs": lambda parts: ",".join(map(format_spec, parts)),
+    "ints": lambda vals: "[" + ",".join(map(str, vals)) + "]",
+    "tail": lambda gen: "tail=" + format_generator(gen),
+}
 
 
 class _Parser:
@@ -80,142 +93,76 @@ class _Parser:
         self.text = text
         self.pos = 0
 
-    def error(self, msg: str) -> MalformedSpec:
-        return MalformedSpec(f"{msg} at position {self.pos} in {self.text!r}")
+    def error(self, msg: str, pos: int) -> MalformedSpec:
+        return MalformedSpec(f"{msg} at position {pos} in {self.text!r}")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def take(self, want: str) -> str:
+        """Consume the next token, a `want` ("name", "int" or that mark), or raise."""
+        m = _TOKEN.match(self.text, self.pos)
+        kind, text = m.lastgroup, m[m.lastgroup]
+        if want == (text if kind == "mark" else kind) and text.strip("+-"):
+            self.pos = m.end()
+            return text
+        at = m.end() if kind == want == "int" else m.start(kind)  # an int is due after its sign
+        expected = {"name": "a name", "int": "an integer"}.get(want, repr(want))
+        raise self.error(f"expected {expected}", at)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def node(self, base: type):
+        """The next spec (base SetSpec) or generator (base GapGenerator)."""
+        name = self.take("name")
+        if base is SetSpec and name in _BARE:
+            return _BARE[name]
+        if base is SetSpec and name == "single":
+            self.take(":")
+            return Singleton(self.read("int"))
+        cls, args = _CALLS.get(name, (None, ()))
+        if cls is None or not issubclass(cls, base):
+            what = "spec constructor" if base is SetSpec else "generator family"
+            raise self.error(f"unknown {what} {name!r}", self.pos)
+        values = {}
+        for i, (field, kind) in enumerate(args):
+            self.take("(" if i == 0 and base is SetSpec else ",")
+            values[field] = self.read(kind)
+        if base is SetSpec:
+            self.take(")")
+        return union_of(*values["parts"]) if cls is Union else cls(**values)
 
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
+    def read(self, kind: str):
+        if kind == "int":
+            return int(self.take("int"))
+        if kind == "specs":
+            return self.items(lambda: self.node(SetSpec))
+        if kind == "ints":
+            self.take("[")
+            vals = self.items(lambda: self.read("int"))
+            self.take("]")
+            return vals
+        if kind == "tail":
+            if self.take("name") != "tail":
+                raise self.error("expected tail=", self.pos)
+            self.take("=")
+        return self.node(SetSpec if kind == "spec" else gapset.GapGenerator)
 
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalpha() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected a name")
-        return self.text[start : self.pos]
+    def items(self, read) -> tuple:
+        out = [read()]
+        while _TOKEN.match(self.text, self.pos)["mark"] == ",":
+            self.take(",")
+            out.append(read())
+        return tuple(out)
 
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or not self.text[start : self.pos].lstrip("+-"):
-            raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
 
-    def int_list(self) -> tuple[int, ...]:
-        self.expect("[")
-        vals = [self.integer()]
-        while self.peek() == ",":
-            self.pos += 1
-            vals.append(self.integer())
-        self.expect("]")
-        return tuple(vals)
-
-    def generator(self) -> gapset.GapGenerator:
-        name = self.ident()
-        if name == "geometric":
-            self.expect(",")
-            base = self.integer()
-            self.expect(",")
-            scale = self.integer()
-            return gapset.Geometric(base, scale)
-        if name == "triangular":
-            return gapset.Triangular()
-        if name == "factorial":
-            return gapset.Factorial()
-        if name == "custom":
-            self.expect(",")
-            prefix = self.int_list()
-            self.expect(",")
-            key = self.ident()
-            if key != "tail":
-                raise self.error("expected tail=")
-            self.expect("=")
-            tail = self.generator()
-            return gapset.CustomPrefixTail(prefix, tail)
-        raise self.error(f"unknown generator family {name!r}")
-
-    def spec(self) -> SetSpec:
-        name = self.ident()
-        if name == "empty":
-            return Empty()
-        if name == "ints":
-            return ModClass(1, 0)
-        if name == "nonneg":
-            return ModClassNonneg(1, 0)
-        if name == "single":
-            self.expect(":")
-            return Singleton(self.integer())
-        if name == "class":
-            self.expect("(")
-            m = self.integer()
-            self.expect(",")
-            r = self.integer()
-            self.expect(")")
-            return ModClass(m, r)
-        if name == "classnn":
-            self.expect("(")
-            m = self.integer()
-            self.expect(",")
-            r = self.integer()
-            self.expect(")")
-            return ModClassNonneg(m, r)
-        if name == "gap":
-            self.expect("(")
-            gen = self.generator()
-            self.expect(")")
-            return GapTail(gen)
-        if name == "union":
-            self.expect("(")
-            parts = [self.spec()]
-            while self.peek() == ",":
-                self.pos += 1
-                parts.append(self.spec())
-            self.expect(")")
-            return union_of(*parts)
-        if name == "diff":
-            self.expect("(")
-            keep = self.spec()
-            self.expect(",")
-            drop = self.spec()
-            self.expect(")")
-            return Diff(keep, drop)
-        if name == "affine":
-            self.expect("(")
-            d = self.integer()
-            self.expect(",")
-            c = self.integer()
-            self.expect(",")
-            inner = self.spec()
-            self.expect(")")
-            return ShiftScale(inner, c, d)
-        raise self.error(f"unknown spec constructor {name!r}")
+def _parse(text: str, base: type):
+    p = _Parser(text)
+    node = p.node(base)
+    m = _TOKEN.match(text, p.pos)
+    if m[m.lastgroup]:
+        raise p.error("trailing input", m.start(m.lastgroup))
+    return node
 
 
 def parse_spec(text: str) -> SetSpec:
     """Parse the spec grammar; raises MalformedSpec on any syntax error."""
-    p = _Parser(text)
-    spec = p.spec()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise p.error("trailing input")
-    return spec
+    return _parse(text, SetSpec)
 
 
 def parse_generator(text: str) -> gapset.GapGenerator:
@@ -223,9 +170,4 @@ def parse_generator(text: str) -> gapset.GapGenerator:
     stripped = text.strip()
     if stripped.startswith("gap(") and stripped.endswith(")"):
         stripped = stripped[4:-1]
-    p = _Parser(stripped)
-    gen = p.generator()
-    p.skip_ws()
-    if p.pos != len(stripped):
-        raise p.error("trailing input")
-    return gen
+    return _parse(stripped, gapset.GapGenerator)

@@ -133,28 +133,6 @@ def union_of(*parts: SetSpec) -> SetSpec:
     return Union(tuple(flat))
 
 
-def member(spec: SetSpec, n: int) -> bool:
-    """Exact membership of n in the described set."""
-    if isinstance(spec, Empty):
-        return False
-    if isinstance(spec, Singleton):
-        return n == spec.a
-    if isinstance(spec, ModClass):
-        return (n - spec.r) % spec.m == 0
-    if isinstance(spec, ModClassNonneg):
-        return n >= spec.r and (n - spec.r) % spec.m == 0
-    if isinstance(spec, GapTail):
-        return gapset.is_member(spec.gen, n)
-    if isinstance(spec, Union):
-        return any(member(p, n) for p in spec.parts)
-    if isinstance(spec, Diff):
-        return member(spec.keep, n) and not member(spec.drop, n)
-    if isinstance(spec, ShiftScale):
-        q, rem = divmod(n - spec.c, spec.d)
-        return rem == 0 and member(spec.inner, q)
-    raise MalformedSpec(f"unknown spec node {spec!r}")
-
-
 _BYTE_OFFSETS = [tuple(i for i in range(8) if (b >> i) & 1) for b in range(256)]
 _NONZERO_FLAG = bytes(1) + b"\x01" * 255  # translate table: every nonzero byte to 1
 

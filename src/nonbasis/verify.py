@@ -346,19 +346,52 @@ class Catalog:
         }
 
 
-def oracle_source(params: Params, window: Window) -> Window:
+def z_summand_bound(family: Family, n: int) -> int:
+    """A bound on |a| for every summand a of classify's witness for the Z point n.
+
+    classify writes n as i copies of s plus k = h - i summands h*x + t.  On
+    the shifted class the X part is one x, and that summand is n - (h-1)s.
+    Otherwise it is k - 2 copies of x0 (each summand h*x0 + t) and a pair
+    x1 + x2 = m' whose two summands add up to P = n - i*s - (k-2)(h*x0 + t),
+    so |P| <= |n| + (h-2)(|s| + |t| + h*x0):
+    - past pair_bound the fixed branch takes x1, x2 among u-1..u+2 with
+      u = m' // 2, so both summands lie within 2h of P/2, and
+      |P|/2 + 2h <= |P| + |t| + h there;
+    - otherwise over Z the climb takes (-j, m' + j) for the least j >= 1
+      with m' + j outside Y.  When m' + 1 < 0, j = 1: the summands are
+      t - h and P - t + h.  When m' >= -1, m' + j <= max(m' + 2, R(1) + 1),
+      because three or more consecutive Y elements lie at or below R(1), so
+      j <= R(3) + 2 and m' + j <= 2*R(3) + 5 (m' < pair_bound).
+    The bound depends on n only through |n|, and grows with it.
+    """
+    h, s, t = family.h, family.s, family.t
+    x0 = gapset.least_non_member(family.y)
+    return max(
+        abs(n) + (h - 1) * abs(s),
+        h * x0 + abs(t),
+        abs(n) + (h - 2) * (abs(s) + abs(t) + h * x0) + abs(t) + h,
+        h * (pair_bound(family.y) + 1) + abs(t),
+    )
+
+
+def oracle_source(family: Family, window: Window) -> Window:
     """The window a family is materialized on for its oracle sumset on window.
 
     Over N0 the set is bounded below, so [0, window.hi] makes the fold
     exact on the window.  Over Z the truncation reaches past the window by
-    a slack that holds the representations the structural checks rely on.
+    a slack that holds the representations the structural checks rely on;
+    for a gapped family it reaches at least z_summand_bound of the window
+    end farther from 0, so every summand of a classify witness on the
+    window lies inside.
     """
-    if params.domain == DOMAIN_N0:
+    if family.domain == DOMAIN_N0:
         return Window(0, window.hi)
-    h, s, t = params.h, params.s, params.t
-    slack = h * (abs(s) + abs(t) + h + 2)
+    h, s, t = family.h, family.s, family.t
     reach = max(abs(window.lo), abs(window.hi))
-    return Window(-(reach + slack), reach + slack)
+    radius = reach + h * (abs(s) + abs(t) + h + 2)
+    if family.is_gapped:
+        radius = max(radius, z_summand_bound(family, reach))
+    return Window(-radius, radius)
 
 
 def oracle_fold(family: Family, dense: DenseSet, window: Window) -> sumset.SumsetResult:
@@ -389,6 +422,19 @@ class BaseOracle:
     shifted: DenseSet
     f_window: DenseSet
     shifted_ys: tuple[tuple[int, int], ...]
+    y: gapset.GapGenerator | None
+
+    @cached_property
+    def y_upto(self) -> frozenset[int]:
+        """The elements of Y from 0 up to the largest y of shifted_ys.
+
+        A set, not bits: a bit test on a window-wide int shifts all of it.
+        Built on first use, by an eq_s escape, so a catalog never walks Y
+        for it.
+        """
+        if not self.shifted_ys:
+            return frozenset()
+        return frozenset(gapset.elements_in(self.y, Window(0, self.shifted_ys[-1][0])))
 
 
 @lru_cache(maxsize=8)
@@ -399,7 +445,7 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
     oracle of [0, threshold - 1].
     """
     h, s, t = family.h, family.s, family.t
-    source = oracle_source(family.params, window)
+    source = oracle_source(family, window)
     dense = intset.materialize(family.spec, source)
     folded = oracle_fold(family, dense, window)
     if family.y is None:
@@ -409,7 +455,7 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
         shifted = intset.materialize(image, window)
     f_window = DenseSet(window, folded.dense.complement().bits & ~shifted.bits)
     return BaseOracle(
-        source, dense, folded, shifted, f_window, tuple(family.shifted_ys(window))
+        source, dense, folded, shifted, f_window, tuple(family.shifted_ys(window)), family.y
     )
 
 
@@ -544,10 +590,19 @@ def escape_check(
     predicted: list[int] = []
     threshold = window.lo
     if case == "eq_s":
+        # n predicts an exception when w_val lies in Y, or below 0 over N0;
+        # oracle.y_upto ends at the largest y, which w_val passes if b < s
         u = (b - s) // h
+        top = oracle.shifted_ys[-1][0] if oracle.shifted_ys else -1
         for y, n in oracle.shifted_ys:
             w_val = y - (h - 1) * u
-            if (n0 and w_val < 0) or family.y_contains(w_val):
+            if w_val < 0:
+                hit = n0
+            elif w_val <= top:
+                hit = w_val in oracle.y_upto
+            else:
+                hit = family.y_contains(w_val)
+            if hit:
                 predicted.append(n)
     else:
         if h == 2:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonbasis import gapset, intset, sumset
+from nonbasis import gapset, sumset
 from nonbasis.errors import DomainConstraint, GcdViolation
 from nonbasis.families import (
     Family,
@@ -14,6 +14,8 @@ from nonbasis.families import (
     gcd_case,
 )
 from nonbasis.intset import GapTail, ShiftScale, Window, materialize
+
+from test_intset import member
 
 GEOM2 = gapset.Geometric(2, 1)
 
@@ -164,7 +166,7 @@ def any_families(draw, gapped_only=False):
 def test_a_contains_matches_the_spec(fam, below, above):
     # the window reaches below 0 and past both s and t
     for n in range(min(fam.s, fam.t) + below - 1, max(fam.s, fam.t) + above + 1):
-        assert fam.a_contains(n) == intset.member(fam.spec, n), n
+        assert fam.a_contains(n) == member(fam.spec, n), n
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,8 +1,11 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
 from nonbasis import gapset, grammar
-from nonbasis.errors import MalformedSpec
+from nonbasis.errors import MalformedSpec, UncertifiableTail
 from nonbasis.families import Params, build_gapped
 from nonbasis.intset import ModClass, ModClassNonneg, Singleton, Union
 
@@ -92,8 +95,63 @@ def test_parse_union_normalizes():
         "gap(custom,[2,1],tail=factorial)",
         "affine(0,1,ints)",
         "class(0,1)",
+        "single:\u00b2",
     ],
 )
 def test_parse_errors(text):
     with pytest.raises(MalformedSpec):
         grammar.parse_spec(text)
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        ("spec", "", "expected a name at position 0 in ''"),
+        ("spec", "bogus", "unknown spec constructor 'bogus' at position 5 in 'bogus'"),
+        ("spec", "single:", "expected an integer at position 7 in 'single:'"),
+        ("spec", "class(2)", "expected ',' at position 7 in 'class(2)'"),
+        ("spec", "class(2,1) trailing", "trailing input at position 11 in 'class(2,1) trailing'"),
+        ("spec", "union(single:1,)", "expected a name at position 15 in 'union(single:1,)'"),
+        ("spec", "gap(custom,[1,2])", "expected ',' at position 16 in 'gap(custom,[1,2])'"),
+        ("spec", "gap(custom,[2,1],tail=factorial)", "custom prefix must be strictly increasing"),
+        ("spec", "affine(0,1,ints)", "shift-scale with d = 0 is rejected"),
+        ("spec", "class(0,1)", "modulus must be >= 1, got 0"),
+        (
+            "spec",
+            "union( single:1 ,single:2",
+            "expected ')' at position 25 in 'union( single:1 ,single:2'",
+        ),
+        ("spec", "single:+", "expected an integer at position 8 in 'single:+'"),
+        ("generator", "geometric,2", "expected ',' at position 11 in 'geometric,2'"),
+        (
+            "generator",
+            "gap(triangular",
+            "unknown generator family 'gap' at position 3 in 'gap(triangular'",
+        ),
+        (
+            "generator",
+            "custom,[0,1],tail=geometric,2,1 x",
+            "trailing input at position 32 in 'custom,[0,1],tail=geometric,2,1 x'",
+        ),
+        (
+            "generator",
+            "custom,[0],tail=custom,[5],tail=factorial",
+            "custom tail must be a certified closed-form family",
+        ),
+    ],
+)
+def test_parse_error_messages(parse, text, message):
+    # the exact text of each error, position included
+    with pytest.raises((MalformedSpec, UncertifiableTail)) as err:
+        getattr(grammar, f"parse_{parse}")(text)
+    assert str(err.value) == message
+
+
+def test_docs_name_exactly_the_table_constructors():
+    # a quoted name followed by '(', ':' or the closing quote, as in
+    # 'class(', 'single:' and 'triangular'; 'tail=' is a keyword
+    names = set(grammar._CALLS) | {"single", "empty", "ints", "nonneg"}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Set-spec grammar", 1)[1].split("```")[1]
+    for doc in (block, grammar.__doc__):
+        assert set(re.findall(r"'([a-z]+)[(:']", doc)) == names

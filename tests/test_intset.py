@@ -17,11 +17,33 @@ from nonbasis.intset import (
     Window,
     dense_from_iter,
     materialize,
-    member,
     union_of,
 )
 
 GEOM2 = gapset.Geometric(2, 1)
+
+
+def member(spec, n):
+    """Exact membership of n in the described set, node by node: the pointwise
+    reference that materialize and Family.a_contains are compared against."""
+    if isinstance(spec, Empty):
+        return False
+    if isinstance(spec, Singleton):
+        return n == spec.a
+    if isinstance(spec, ModClass):
+        return (n - spec.r) % spec.m == 0
+    if isinstance(spec, ModClassNonneg):
+        return n >= spec.r and (n - spec.r) % spec.m == 0
+    if isinstance(spec, GapTail):
+        return gapset.is_member(spec.gen, n)
+    if isinstance(spec, intset.Union):
+        return any(member(p, n) for p in spec.parts)
+    if isinstance(spec, Diff):
+        return member(spec.keep, n) and not member(spec.drop, n)
+    if isinstance(spec, ShiftScale):
+        q, rem = divmod(n - spec.c, spec.d)
+        return rem == 0 and member(spec.inner, q)
+    raise MalformedSpec(f"unknown spec node {spec!r}")
 
 
 def a_x0_spec():

@@ -421,7 +421,7 @@ def escape_cases(draw):
     fam = build_gapped(Params(h, s, t, "n0" if n0 else "z"), draw(st.sampled_from(ORACLE_GAPS)))
     lo = draw(st.integers(0, 20) if n0 else st.integers(-40, 10))
     window = Window(lo, lo + draw(st.integers(0, 50)))
-    src = verify.oracle_source(fam.params, window)
+    src = verify.oracle_source(fam, window)
     # b ranges past the source window on both sides (negative over Z)
     b = draw(st.integers(0 if n0 else src.lo - 10, src.hi + 10))
     assume(not fam.a_contains(b))
@@ -659,6 +659,24 @@ def test_escape_check_matches_the_per_value_loop(case):
         assert got == per_value_escape(fam, b, window, budget), budget
 
 
+@pytest.mark.parametrize(
+    "params,window,b,predicted",
+    [
+        # the oracle keeps Y up to y = 2, and y = 2 predicts through 4 in Y
+        (Params(2, 4, 1, "n0"), Window(0, 12), 0, (9,)),
+        # it keeps Y up to y = 1, and y = 1 predicts through 2, just past it
+        (Params(2, 7, 2, "n0"), Window(0, 12), 5, (11,)),
+    ],
+)
+def test_eq_s_predictions_reach_past_the_oracles_y_set(params, window, b, predicted):
+    # b < s makes y - (h-1)u larger than y, past the Y values the oracle keeps
+    fam = build_gapped(params, GEOM2)
+    rep = verify.escape_check(fam, b, window)
+    assert (rep.residue_case, rep.predicted_exceptions) == ("eq_s", predicted)
+    got = (rep.residue_case, rep.verdict, rep.predicted_exceptions, rep.leftover, rep.added)
+    assert got == per_value_escape(fam, b, window, verify.DEFAULT_BUDGET)
+
+
 @pytest.mark.parametrize("domain", ["n0", "z"])
 @pytest.mark.parametrize(
     "gen", ORACLE_GAPS + (gapset.CustomPrefixTail((0, 1, 2, 5, 13), GEOM2),), ids=repr
@@ -705,34 +723,6 @@ def test_not_st_escape_decides_only_inside_the_band(monkeypatch):
         assert len(calls) < len(targets) / 4, b
 
 
-def z_summand_bound(fam, n):
-    """A bound on |a| for every summand a of classify's witness for the Z point n.
-
-    classify writes n as i copies of s plus k = h - i summands h*x + t.  On
-    the shifted class the X part is one x, and that summand is n - (h-1)s.
-    Otherwise it is k - 2 copies of x0 (each summand h*x0 + t) and a pair
-    x1 + x2 = m' whose two summands add up to P = n - i*s - (k-2)(h*x0 + t),
-    so |P| <= |n| + (h-2)(|s| + |t| + h*x0):
-    - past pair_bound the fixed branch takes x1, x2 among u-1..u+2 with
-      u = m' // 2, so both summands lie within 2h of P/2, and
-      |P|/2 + 2h <= |P| + |t| + h there;
-    - otherwise over Z the climb takes (-j, m' + j) for the least j >= 1
-      with m' + j outside Y.  When m' + 1 < 0, j = 1: the summands are
-      t - h and P - t + h.  When m' >= -1, m' + j <= max(m' + 2, R(1) + 1),
-      because three or more consecutive Y elements lie at or below R(1), so
-      j <= R(3) + 2 and m' + j <= 2*R(3) + 5 (m' < pair_bound).
-    """
-    h, s, t = fam.h, fam.s, fam.t
-    x0 = gapset.least_non_member(fam.y)
-    r3 = gapset.gap_radius(fam.y, 3)
-    return max(
-        abs(n) + (h - 1) * abs(s),
-        h * x0 + abs(t),
-        abs(n) + (h - 2) * (abs(s) + abs(t) + h * x0) + abs(t) + h,
-        h * (2 * r3 + 5) + abs(t),
-    )
-
-
 @st.composite
 def z_windows(draw, h_max):
     h = draw(st.integers(2, h_max))
@@ -755,28 +745,33 @@ def test_z_witness_summands_stay_within_the_derived_bound(case):
     for n in range(window.lo, window.hi + 1):
         v = verify.classify(fam, n)
         if isinstance(v, InSumset):
-            assert max(map(abs, witness_summands(fam, v))) <= z_summand_bound(fam, n), (n, v)
+            assert max(map(abs, witness_summands(fam, v))) <= verify.z_summand_bound(fam, n), (n, v)
 
 
 @settings(max_examples=80, deadline=None)
 @given(z_windows(h_max=8))
 def test_z_oracle_pad_covers_the_witness_bound(case):
-    # With reach = max |window end|, the pad h*(|s| + |t| + h + 2) covers
-    # every term of z_summand_bound once (h-2)*x0 <= h + 1 and reach >=
-    # h*(2*R(3) + 3 - h): the P term needs the first, the climb term the
-    # second.  Windows closer to 0, or a larger x0, can leave it short.
+    # The pad reaches z_summand_bound at both window ends, and the bound
+    # grows with |n|, so it covers every point of the window
     fam, window = case
-    h = fam.h
-    x0 = gapset.least_non_member(fam.y)
-    reach = max(abs(window.lo), abs(window.hi))
-    assume((h - 2) * x0 <= h + 1 and reach >= h * (2 * gapset.gap_radius(fam.y, 3) + 3 - h))
-    src = verify.oracle_source(fam.params, window)
+    src = verify.oracle_source(fam, window)
     for n in range(window.lo, window.hi + 1):
-        bound = z_summand_bound(fam, n)
+        bound = verify.z_summand_bound(fam, n)
         assert src.contains(-bound) and src.contains(bound), (n, bound, src)
         v = verify.classify(fam, n)
         if isinstance(v, InSumset):
             assert all(src.contains(a) for a in witness_summands(fam, v)), (n, v)
+
+
+def test_z_oracle_source_holds_a_witness_past_the_fixed_pad():
+    # (h-2)*x0 > h + 1 here: the pad h*(|s| + |t| + h + 2) = 88 around
+    # -200:200 ends at -288, and classify(-200) takes the summand
+    # 8*(-37) + 1 = -295
+    fam = build_gapped(Params(8, 0, 1, "z"), gapset.Triangular())
+    window = Window(-200, 200)
+    v = verify.classify(fam, -200)
+    assert min(witness_summands(fam, v)) == -295
+    assert verify.base_oracle(fam, window).source.contains(-295)
 
 
 def test_window_relative_f_fails_on_a_z_exceptional_entry(monkeypatch):
