@@ -59,7 +59,6 @@ from .sumset import (
     witness,
 )
 from .verify import (
-    Budget,
     Catalog,
     InSumset,
     KDecision,

@@ -194,7 +194,7 @@ def _verdict_dict(v: verify.Verdict) -> dict:
 
 def _cmd_classify(args) -> int:
     fam = _family_from_args(args)
-    verdict = verify.classify(fam, args.n, verify.Budget(_budget(args)))
+    verdict = verify.classify(fam, args.n, _budget(args))
     rep = {
         "family": report.family_to_dict(fam),
         "n": args.n,

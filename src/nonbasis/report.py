@@ -405,7 +405,7 @@ def catalog_checks(
 def stability_check(family: Family, window: Window) -> Check:
     """Z-case: the windowed complement must not move when the truncation grows."""
     oracle = verify.base_oracle(family, window)
-    small = oracle.source
+    small = oracle.dense.window
     big = Window(small.lo * 2, small.hi * 2)
     dense = intset.materialize(family.spec, big)
     wide = verify.oracle_fold(family, dense, window).dense

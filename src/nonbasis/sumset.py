@@ -57,10 +57,11 @@ class SumsetResult:
         return self.dense.members()
 
     @cached_property
-    def source_members(self) -> tuple[int, ...]:
-        """The members of partials[1] (A on its clip window), decoded once
-        per result for witness."""
-        return tuple(self.partials[1].members())
+    def reversed_source(self) -> int:
+        """partials[1] (A on its clip window) bit-reversed, so bit j stands
+        for its window's hi - j; built once per result for witness."""
+        a = self.partials[1]
+        return int(format(a.bits, f"0{a.window.width}b")[::-1], 2)
 
 
 def _fewest_runs(bits: int) -> tuple[int, int]:
@@ -349,23 +350,28 @@ def witness(result: SumsetResult, n: int) -> tuple[int, ...] | None:
     The least v in A with n - v in (h-1)A is the least element of every
     representation of n, and any representation of n - v by h-1 elements
     plus v is one of n, so the walk takes v and repeats on n - v.  The
-    elements taken never decrease, so A is walked once.  Every subtotal the
-    walk visits can still complete to n, so it lies in its partial's clip
-    window.
+    elements taken never decrease, since a smaller one would have been
+    taken a step earlier.  Every subtotal the walk visits can still
+    complete to n, so it lies in its partial's clip window.  Each step is
+    one bit search: kA ANDed with A reversed about n marks the subtotals p
+    with n - p in A, and the highest one gives the least v = n - p.
     """
     if not result.partials:
         raise ValueError("witness needs the k-fold partials of a fold")
     if not result.member(n):
         return None
-    vals = result.source_members
+    top = result.partials[1].window.hi
+    rev = result.reversed_source
     out: list[int] = []
-    i = 0
     for k in range(result.h - 1, -1, -1):
         rest = result.partials[k]
-        while not rest.member(n - vals[i]):
-            i += 1
-        out.append(vals[i])
-        n -= vals[i]
+        # bit i of the AND stands for p = rest.window.lo + i, whose n - p is
+        # bit top - n + p of rev
+        shift = top - n + rest.window.lo
+        hits = rest.bits & (rev >> shift if shift >= 0 else rev << -shift)
+        p = rest.window.lo + hits.bit_length() - 1
+        out.append(n - p)
+        n = p
     return tuple(out)
 
 

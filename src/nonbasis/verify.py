@@ -32,20 +32,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class Budget:
-    """Countdown of membership probes for one decision."""
-
-    __slots__ = ("remaining",)
-
-    def __init__(self, probes: int = DEFAULT_BUDGET):
-        self.remaining = probes
-
-    def spend(self, n: int = 1) -> None:
-        self.remaining -= n
-        if self.remaining < 0:
-            raise _BudgetExhausted()
-
-
 @dataclass(frozen=True)
 class ResidueDecomposition:
     i: int
@@ -113,18 +99,8 @@ def _xparts(xspec: SetSpec) -> tuple[str, gapset.GapGenerator]:
     )
 
 
-def _probes(domain: str, gen: gapset.GapGenerator, budget: Budget):
-    def in_x(v: int) -> bool:
-        if domain == DOMAIN_N0 and v < 0:
-            return False
-        budget.spend()
-        return not gapset.is_member(gen, v)
-
-    return in_x
-
-
 def pair_bound(gen: gapset.GapGenerator) -> int:
-    """Least pair target m that _decide_2x settles by its fixed branch.
+    """Least pair target m that decide_kX's pair search settles by its fixed branch.
 
     From m = 2*R(3) + 4 on, u = m // 2 has u - 1 > R(3): the four points
     u-1..u+2 lie past the close-pair radius, and the pair decision is In
@@ -133,80 +109,88 @@ def pair_bound(gen: gapset.GapGenerator) -> int:
     return 2 * gapset.gap_radius(gen, 3) + 4
 
 
-def _decide_2x(domain: str, r3: int, m: int, in_x) -> KDecision:
-    if domain == DOMAIN_N0 and m < 0:
-        return KDecision("out")
-    u = m // 2
-    if u - 1 > r3:
-        # All four of {u-1, u, u+1, u+2} sit beyond the close-pair radius,
-        # so at most one lies in Y and one decomposition must survive.
-        if m % 2 == 0:
-            if in_x(u):
-                return KDecision("in", (u, u))
-            return KDecision("in", (u - 1, u + 1))
-        if in_x(u) and in_x(u + 1):
-            return KDecision("in", (u, u + 1))
-        return KDecision("in", (u - 1, u + 2))
-    if domain == DOMAIN_N0:
-        for x in range(0, m // 2 + 1):
-            if in_x(x) and in_x(m - x):
-                return KDecision("in", (x, m - x))
-        return KDecision("out")
-    # Over Z every negative integer is in X; climb until m + j clears Y.
-    j = 1
-    while True:
-        if in_x(m + j):
-            return KDecision("in", (-j, m + j))
-        j += 1
+def fixed_branch_probes(gen: gapset.GapGenerator) -> int:
+    """Most probes decide_kX spends on a pair target from pair_bound on.
+
+    That is x0 + 1 to find the least X element x0, then at most two for the
+    pair: its fixed branch.
+    """
+    return gapset.least_non_member(gen) + 3
 
 
-def _decide_kx_exhaustive(domain: str, r3: int, k: int, m: int, in_x) -> KDecision:
-    if k == 2:
-        return _decide_2x(domain, r3, m, in_x)
-    if m < 0:
-        return KDecision("out")
-    for x in range(0, m // k + 1):
-        if not in_x(x):
-            continue
-        sub = _decide_kx_exhaustive(domain, r3, k - 1, m - x, in_x)
-        if sub.status == "in":
-            return KDecision("in", (x,) + sub.witness)
-    return KDecision("out")
-
-
-def decide_kX(xspec: SetSpec, k: int, m: int, budget: Budget | None = None) -> KDecision:
+def decide_kX(xspec: SetSpec, k: int, m: int, budget: int = DEFAULT_BUDGET) -> KDecision:
     """Is m a sum of k elements of X?  Exact over N0; always In over Z.
 
     k = 2 is the four-point argument around m/2 with an exhaustive scan of
     the finite region below the close-pair radius.  k >= 3 first tries
     k-2 copies of the smallest nonnegative X element x0 plus a pair, then
-    falls back to an exhaustive scan over the smallest summand.  Finding
-    x0 is charged x0 + 1 probes, one per integer its scan rules out or
-    accepts, also when the memoized scan does not rerun, so a verdict
-    never depends on what ran before it.
+    falls back to an exhaustive scan over the smallest summand.  Each
+    membership test of X spends one of the budget's probes, and a decision
+    that would overspend is unknown.  Finding x0 is charged x0 + 1 probes,
+    one per integer its scan rules out or accepts, also when the memoized
+    scan does not rerun, so a verdict never depends on what ran before it.
     """
     if k < 2:
         raise GcdViolation(f"decide_kX needs k >= 2, got {k}")
     domain, gen = _xparts(xspec)
-    budget = budget if budget is not None else Budget()
-    in_x = _probes(domain, gen, budget)
+    n0 = domain == DOMAIN_N0
     r3 = gapset.gap_radius(gen, 3)
+
+    def in_x(v: int) -> bool:
+        nonlocal budget
+        if n0 and v < 0:
+            return False
+        budget -= 1
+        if budget < 0:
+            raise _BudgetExhausted()
+        return not gapset.is_member(gen, v)
+
+    def search(k: int, m: int) -> tuple[int, ...] | None:
+        # k elements of X summing to m, or None; over Z, k = 2 always finds them
+        if n0 and m < 0:
+            return None
+        if k > 2:
+            for x in range(m // k + 1):
+                rest = search(k - 1, m - x) if in_x(x) else None
+                if rest is not None:
+                    return (x,) + rest
+            return None
+        u = m // 2
+        if u - 1 > r3:
+            # All four of {u-1, u, u+1, u+2} sit beyond the close-pair radius,
+            # so at most one lies in Y and one decomposition must survive.
+            if m % 2 == 0:
+                return (u, u) if in_x(u) else (u - 1, u + 1)
+            return (u, u + 1) if in_x(u) and in_x(u + 1) else (u - 1, u + 2)
+        if n0:
+            for x in range(u + 1):
+                if in_x(x) and in_x(m - x):
+                    return x, m - x
+            return None
+        # Over Z every negative integer is in X; climb until m + j clears Y.
+        j = 1
+        while not in_x(m + j):
+            j += 1
+        return (-j, m + j)
+
     try:
-        if k == 2:
-            return _decide_2x(domain, r3, m, in_x)
-        if domain == DOMAIN_N0 and m < 0:
-            return KDecision("out")
-        x0 = gapset.least_non_member(gen)
-        budget.spend(x0 + 1)
-        sub = _decide_2x(domain, r3, m - (k - 2) * x0, in_x)
-        if sub.status == "in":
-            return KDecision("in", (x0,) * (k - 2) + sub.witness)
-        return _decide_kx_exhaustive(domain, r3, k, m, in_x)
+        wit = None
+        if k > 2 and not (n0 and m < 0):
+            x0 = gapset.least_non_member(gen)
+            budget -= x0 + 1
+            if budget < 0:
+                raise _BudgetExhausted()
+            pair = search(2, m - (k - 2) * x0)
+            if pair is not None:
+                wit = (x0,) * (k - 2) + pair
+        if wit is None:
+            wit = search(k, m)
     except _BudgetExhausted:
         return KDecision("unknown")
+    return KDecision("out") if wit is None else KDecision("in", wit)
 
 
-def classify(family: Family, n: int, budget: Budget | None = None) -> Verdict:
+def classify(family: Family, n: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Theorem-backed membership verdict for n against the h-fold sumset."""
     if not family.is_gapped:
         raise GcdViolation("classification applies to gapped families only")
@@ -215,7 +199,6 @@ def classify(family: Family, n: int, budget: Budget | None = None) -> Verdict:
     n0 = p.domain == DOMAIN_N0
     if n0 and n < 0:
         raise DomainConstraint(f"{n} is outside N0")
-    budget = budget if budget is not None else Budget()
 
     if (n - (t - s)) % h == 0:
         z1 = (n - (h - 1) * s - t) // h
@@ -308,11 +291,11 @@ def search_band(family: Family) -> tuple[int, int]:
     """Bounds [lo, hi] of the points whose classify verdict may need a search.
 
     Outside the band classify decides n by its fixed branch in at most
-    x0 + 3 probes: OutShiftedY on the shifted-Y values, In everywhere else.
-    That branch is _decide_2x's four-point argument, taken when the pair
-    target m = q - t - (k-2)*x0 is at least pair_bound.  Over N0 the band
-    is [0, exceptional_bound], above which m > pair_bound + 1.  Over Z the
-    pair decision searches only in its climb branch, and only when the
+    fixed_branch_probes: OutShiftedY on the shifted-Y values, In everywhere
+    else.  That branch is decide_kX's four-point argument, taken when the
+    pair target m = q - t - (k-2)*x0 is at least pair_bound.  Over N0 the
+    band is [0, exceptional_bound], above which m > pair_bound + 1.  Over Z
+    the pair decision searches only in its climb branch, and only when the
     first climb probe m + 1 may lie in Y (a negative one lies in X), so for
     m in [-1, pair_bound - 1]; n = i(s-t) + h*q maps that range back for
     each residue i = h - k.
@@ -409,14 +392,13 @@ def oracle_fold(family: Family, dense: DenseSet, window: Window) -> sumset.Sumse
 class BaseOracle:
     """hA of one family on one window, and the sets read off it.
 
-    dense is A on source; folded is hA on the window with its k-fold
-    partials.  shifted and f_window are bitsets on the window: shifted
-    holds the shifted-Y values (h-1)s + h*y + t, and f_window the points
-    outside hA that are not shifted-Y values.  shifted_ys lists the same
-    values as Family.shifted_ys pairs (y, value), enumerated from Y.
+    dense is A on its oracle_source; folded is hA on the window with its
+    k-fold partials.  shifted and f_window are bitsets on the window:
+    shifted holds the shifted-Y values (h-1)s + h*y + t, and f_window the
+    points outside hA that are not shifted-Y values.  shifted_ys lists the
+    same values as Family.shifted_ys pairs (y, value), enumerated from Y.
     """
 
-    source: Window
     dense: DenseSet
     folded: sumset.SumsetResult
     shifted: DenseSet
@@ -445,8 +427,7 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
     oracle of [0, threshold - 1].
     """
     h, s, t = family.h, family.s, family.t
-    source = oracle_source(family, window)
-    dense = intset.materialize(family.spec, source)
+    dense = intset.materialize(family.spec, oracle_source(family, window))
     folded = oracle_fold(family, dense, window)
     if family.y is None:
         shifted = DenseSet(window, 0)
@@ -455,7 +436,7 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
         shifted = intset.materialize(image, window)
     f_window = DenseSet(window, folded.dense.complement().bits & ~shifted.bits)
     return BaseOracle(
-        source, dense, folded, shifted, f_window, tuple(family.shifted_ys(window)), family.y
+        dense, folded, shifted, f_window, tuple(family.shifted_ys(window)), family.y
     )
 
 
@@ -471,13 +452,13 @@ def complement_catalog(
     window; each of those points is compared with the oracle.  Outside
     them, classify's fixed branch gives the shifted-Y image (see
     search_band), and the oracle agrees with it, so the shifted-Y values
-    there are read off the bits.  A budget below the fixed branch's x0 + 3
-    probes can leave any point Unknown, so then the band is the whole
-    window.  For N0 families the oracle is exact, so classify and the
-    oracle must agree on every point; for Z families the truncated oracle
-    may miss members, so it is only required not to contain any point
-    classified Out.  Either way a disagreement names the first disagreeing
-    point in window order.
+    there are read off the bits.  A budget below fixed_branch_probes can
+    leave any point Unknown, so then the band is the whole window.
+    classify and the oracle must agree on every point: for N0 families the
+    oracle is exact, and for Z families its source reaches z_summand_bound
+    (see oracle_source), so the truncated oracle holds every classify
+    witness.  A disagreement names the first disagreeing point in window
+    order.
     """
     if not family.is_gapped:
         raise GcdViolation("catalog applies to gapped families only")
@@ -486,7 +467,7 @@ def complement_catalog(
         raise DomainConstraint("N0 catalog window must start at 0 or above")
     oracle = base_oracle(family, window)
     comp = oracle.folded.dense.complement()
-    if budget_probes >= gapset.least_non_member(family.y) + 3:
+    if budget_probes >= fixed_branch_probes(family.y):
         lo, hi = search_band(family)
         lo, hi = max(lo, window.lo), min(hi, window.hi)
     else:
@@ -499,11 +480,12 @@ def complement_catalog(
     unknown_members: list[int] = []
 
     for n in DenseSet(window, to_classify).members():
-        v = classify(family, n, Budget(budget_probes))
+        v = classify(family, n, budget_probes)
         if isinstance(v, InSumset):
-            if n0 and comp.member(n):
+            if comp.member(n):
                 raise OracleDisagreement(
-                    f"classify says {n} is a member but the exact oracle disagrees"
+                    f"classify says {n} is a member but the "
+                    f"{'exact' if n0 else 'truncated'} oracle disagrees"
                 )
         elif not comp.member(n):
             if not isinstance(v, Unknown):
@@ -554,8 +536,9 @@ def escape_check(
     predictions walk the oracle's shifted-Y pairs, and each k-fold
     decision behind a predicted exception gets its own probe budget.  A
     not_st decision runs only while its pair target is below pair_bound:
-    from there on, decide_kX's fixed branch gives In in x0 + 3 probes, so
-    with at least that budget the later values predict nothing.
+    from there on, decide_kX's fixed branch gives In within
+    fixed_branch_probes, so with at least that budget the later values
+    predict nothing.
     """
     if not family.is_gapped:
         raise GcdViolation("escape check applies to gapped families only")
@@ -615,7 +598,7 @@ def escape_check(
             threshold = b + (h - 3) * s + (h - 1) * t
         x0 = gapset.least_non_member(family.y)
         band_end = window.hi + 1
-        if budget_probes >= x0 + 3:
+        if budget_probes >= fixed_branch_probes(family.y):
             # the first n whose pair target num // h - (kk-2)*x0 reaches pair_bound
             band_end = b + i * s + kk * t + h * (pair_bound(family.y) + (kk - 2) * x0)
         for _, n in oracle.shifted_ys:
@@ -625,7 +608,7 @@ def escape_check(
                 break
             num = n - b - i * s - kk * t
             assert num % h == 0
-            dec = decide_kX(family.x_spec(), kk, num // h, Budget(budget_probes))
+            dec = decide_kX(family.x_spec(), kk, num // h, budget_probes)
             if dec.status == "out":
                 predicted.append(n)
             elif dec.status == "unknown":
@@ -688,7 +671,7 @@ def augment_check(
         raise GcdViolation("augment check applies to gapped families only")
     h, t = family.h, family.t
     oracle = base_oracle(family, window)
-    src = oracle.source
+    src = oracle.dense.window
     # Over Z, adjoined elements above the window can still reach it with
     # negative partners, so B is collected across the whole oracle source.
     ymax = max((src.hi - t) // h, 0)

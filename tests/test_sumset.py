@@ -685,12 +685,62 @@ def test_one_decode_per_chain_split_and_one_comb_per_fold(monkeypatch):
         assert len(combs) <= 1, h
 
 
-def test_two_witnesses_decode_the_source_once(monkeypatch):
-    a = dense_from_iter([0, 1, 3, 7, 8], Window(0, 8))
+def test_witnesses_reverse_the_source_once_and_probe_only_the_target(monkeypatch):
+    # no decode of A, one reversal of A per result, and one member test per
+    # witness: its entry test of n
+    a = dense_from_iter([0, 1, 3, 7, 8, 40, 41, 60], Window(0, 60))
     r = sumset.hfold_exact_bounded_below(a, 3)
-    decodes = []
-    real = DenseSet.members
-    monkeypatch.setattr(DenseSet, "members", lambda d: decodes.append(d) or real(d))
+    reversals, decodes, probes = [], [], []
+    real_reversal = sumset.SumsetResult.reversed_source.func
+    counting = functools.cached_property(lambda res: reversals.append(res) or real_reversal(res))
+    counting.__set_name__(sumset.SumsetResult, "reversed_source")
+    monkeypatch.setattr(sumset.SumsetResult, "reversed_source", counting)
+    real_members, real_member = DenseSet.members, DenseSet.member
+    monkeypatch.setattr(DenseSet, "members", lambda d: decodes.append(d) or real_members(d))
+    monkeypatch.setattr(DenseSet, "member", lambda d, n: probes.append(n) or real_member(d, n))
     assert sumset.witness(r, 5) == (1, 1, 3)
     assert sumset.witness(r, 8) == (0, 0, 8)
-    assert decodes == [r.partials[1]]
+    assert sumset.witness(r, 57) == (8, 8, 41)
+    assert (reversals, decodes, probes) == ([r], [], [5, 8, 57])
+
+
+def per_element_witness(result, n):
+    """witness by probing A one element at a time: the reference walk."""
+    if not result.member(n):
+        return None
+    vals = result.partials[1].members()
+    out, i = [], 0
+    for k in range(result.h - 1, -1, -1):
+        while not result.partials[k].member(n - vals[i]):
+            i += 1
+        out.append(vals[i])
+        n -= vals[i]
+    return tuple(out)
+
+
+@st.composite
+def wide_sparse_folds(draw):
+    """Folds of at most a dozen members spread over up to 4000 points of a
+    window that may reach below 0: truncated to a cut of the hull, or exact
+    on the part of that cut in the safe range when the window starts at 0
+    or above."""
+    h = draw(st.integers(1, 4))
+    lo = draw(st.integers(-400, 50))
+    w = Window(lo, lo + draw(st.integers(0, 4000)))
+    a = dense_from_iter(draw(st.sets(st.integers(w.lo, w.hi), max_size=12)), w)
+    hull = Window(h * w.lo, h * w.hi)
+    cut_lo = draw(st.integers(hull.lo, hull.hi))
+    cut = Window(cut_lo, draw(st.integers(cut_lo, hull.hi)))
+    safe_hi = w.hi + (h - 1) * w.lo
+    if w.lo >= 0 and cut.lo <= safe_hi and draw(st.booleans()):
+        return sumset.hfold_exact_bounded_below(a, h, Window(cut.lo, min(cut.hi, safe_hi)))
+    return sumset.hfold_truncated(a, h, cut)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_sparse_folds(), st.data())
+def test_witness_matches_the_per_element_walk(r, data):
+    points = r.members()
+    points += data.draw(st.lists(st.integers(r.target.lo, r.target.hi), max_size=5))
+    for n in points:
+        assert sumset.witness(r, n) == per_element_witness(r, n), n

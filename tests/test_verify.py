@@ -10,7 +10,6 @@ from nonbasis.errors import BNotOutside, DomainConstraint, GcdViolation, OracleD
 from nonbasis.families import Params, build_full, build_gapped
 from nonbasis.intset import Window, materialize
 from nonbasis.verify import (
-    Budget,
     InSumset,
     OutExceptional,
     OutShiftedY,
@@ -126,14 +125,14 @@ def test_decide_kx_over_z_always_in():
 
 def test_decide_kx_budget_exhaustion():
     xs = fam201().x_spec()
-    got = verify.decide_kX(xs, 2, 8, Budget(0))
+    got = verify.decide_kX(xs, 2, 8, 0)
     assert got.status == "unknown"
 
 
 def test_decide_kx_charges_the_smallest_x_scan():
     # Y = 0, 1, 3, ... makes x0 = 2; finding it costs three probes
     xs = build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular()).x_spec()
-    assert verify.decide_kX(xs, 3, 40, Budget(2)).status == "unknown"
+    assert verify.decide_kX(xs, 3, 40, 2).status == "unknown"
     assert verify.decide_kX(xs, 3, 40).status == "in"
 
 
@@ -508,7 +507,7 @@ def test_exceptional_bound_covers_the_oracle_complement(fam):
 def test_escape_check_matches_direct_fold(case):
     fam, window, b = case
     oracle = verify.base_oracle(fam, window)
-    src, h = oracle.source, fam.h
+    src, h = oracle.dense.window, fam.h
     a = materialize(fam.spec, src)
     assert oracle.dense == a
     folds = [{0}]
@@ -617,7 +616,7 @@ def per_value_escape(fam, b, window, budget_probes):
                 continue
             dec = verify.decide_kX(
                 fam.x_spec(), h - i - 1, (n - b - i * s - (h - i - 1) * t) // h,
-                Budget(budget_probes),
+                budget_probes,
             )
             if dec.status == "out":
                 predicted.append(n)
@@ -690,9 +689,31 @@ def test_decide_kx_is_in_from_the_pair_bound_on(domain, gen):
     for k in range(2, 7):
         for p in range(bound, bound + 60):
             m = p + (k - 2) * x0
-            got = verify.decide_kX(fam.x_spec(), k, m, Budget(x0 + 3))
+            got = verify.decide_kX(fam.x_spec(), k, m, x0 + 3)
             assert got.status == "in", (k, p)
             assert sum(got.witness) == m and all(fam.x_contains(x) for x in got.witness)
+
+
+def test_each_decision_builds_one_kdecision(monkeypatch):
+    # a k-fold decision is one search that builds its result once, whatever
+    # its depth, over a catalog's classify calls and an escape's predictions
+    built, calls = [], []
+    real_decision, real_decide = verify.KDecision, verify.decide_kX
+    monkeypatch.setattr(
+        verify, "KDecision", lambda *args: built.append(args) or real_decision(*args)
+    )
+    monkeypatch.setattr(
+        verify, "decide_kX", lambda *args: calls.append(args) or real_decide(*args)
+    )
+    fam = build_gapped(Params(5, 0, 1, "n0"), gapset.Triangular())
+    verify.complement_catalog(fam, Window(0, 600))
+    assert any(k > 2 for _, k, _, _ in calls)
+    assert len(built) == len(calls)
+    built.clear()
+    calls.clear()
+    rep = verify.escape_check(fam, 2, Window(0, 3000))
+    assert rep.residue_case == "not_st" and any(k > 2 for _, k, _, _ in calls)
+    assert len(built) == len(calls)
 
 
 def test_not_st_escape_decides_only_inside_the_band(monkeypatch):
@@ -771,7 +792,7 @@ def test_z_oracle_source_holds_a_witness_past_the_fixed_pad():
     window = Window(-200, 200)
     v = verify.classify(fam, -200)
     assert min(witness_summands(fam, v)) == -295
-    assert verify.base_oracle(fam, window).source.contains(-295)
+    assert verify.base_oracle(fam, window).dense.window.contains(-295)
 
 
 def test_window_relative_f_fails_on_a_z_exceptional_entry(monkeypatch):
@@ -838,11 +859,12 @@ def per_point_catalog(fam, window, budget_probes):
     complement = set(verify.base_oracle(fam, window).folded.dense.complement().members())
     shifted, exceptional, unknown, unknown_members = [], [], [], []
     for n in range(window.lo, window.hi + 1):
-        v = verify.classify(fam, n, Budget(budget_probes))
+        v = verify.classify(fam, n, budget_probes)
         if isinstance(v, InSumset):
-            if n0 and n in complement:
+            if n in complement:
                 raise OracleDisagreement(
-                    f"classify says {n} is a member but the exact oracle disagrees"
+                    f"classify says {n} is a member but the "
+                    f"{'exact' if n0 else 'truncated'} oracle disagrees"
                 )
         elif n not in complement:
             if not isinstance(v, Unknown):
@@ -906,7 +928,7 @@ def catalog_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(catalog_cases())
-# an extra Z complement point: the truncated oracle may miss members
+# an extra Z complement point: a member the truncated oracle lacks disagrees
 @example((build_gapped(Params(2, -41, 10, "z"), GEOM2), Window(-100, 200), (150,)))
 def test_catalog_matches_the_per_point_loop(case):
     # Below the fixed branch's x0 + 3 probes, at its edge and above it
@@ -967,6 +989,9 @@ def test_catalog_classifies_only_the_band_and_the_disagreements(monkeypatch):
          "oracle contains 33 but classify returned OutShiftedY"),
         (build_gapped(Params(2, -41, 10, "z"), GEOM2), Window(-100, 200), (33, -15),
          "oracle contains -15 but classify returned OutShiftedY"),
+        # an In point of the band taken out of the truncated Z oracle
+        (build_gapped(Params(2, -41, 10, "z"), GEOM2), Window(-100, 200), (20,),
+         "classify says 20 is a member but the truncated oracle disagrees"),
     ],
 )
 def test_catalog_names_the_first_bulk_disagreement(monkeypatch, fam, window, flips, message):
