@@ -24,6 +24,8 @@ _PRESET_WINDOW = {
     "thm4": "0:20000",
     "lemma": "0:20000",
 }
+# Family flags a preset does not read; passing one is an error, not a no-op.
+_PRESET_IGNORES = {"thm1": ("gap",), "thm3": ("gap",), "lemma": ("s", "t", "domain")}
 
 
 def _parse_window(text: str) -> Window:
@@ -49,10 +51,11 @@ def _add_family_args(p: argparse.ArgumentParser, required: bool = True):
     p.add_argument("--gap", help="gap generator literal, e.g. geometric,2,1")
 
 
-def _add_io_args(p: argparse.ArgumentParser):
+def _add_io_args(p: argparse.ArgumentParser, budget: bool = False):
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--output", help="write the report here instead of stdout")
-    p.add_argument("--budget", type=int, default=None, help="probe budget per decision")
+    if budget:
+        p.add_argument("--budget", type=int, default=None, help="probe budget per decision")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,18 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="membership verdict for one integer")
     _add_family_args(p)
     p.add_argument("--n", type=int, required=True)
-    _add_io_args(p)
+    _add_io_args(p, budget=True)
 
     p = sub.add_parser("catalog", help="complement catalog on a window")
     _add_family_args(p)
     p.add_argument("--window", required=True)
-    _add_io_args(p)
+    _add_io_args(p, budget=True)
 
     p = sub.add_parser("verify", help="run a theorem verification preset")
     p.add_argument("preset", choices=["thm1", "lemma", "thm2", "thm3", "thm4"])
     _add_family_args(p, required=False)
     p.add_argument("--window")
-    _add_io_args(p)
+    _add_io_args(p, budget=True)
     return ap
 
 
@@ -220,6 +223,9 @@ def _cmd_verify(args) -> int:
     preset = args.preset
     window = _parse_window(args.window or _PRESET_WINDOW[preset])
     budget = _budget(args)
+    for flag in _PRESET_IGNORES.get(preset, ()):
+        if getattr(args, flag) is not None:
+            raise NonbasisError(f"preset {preset} takes no --{flag}")
 
     if preset == "lemma":
         if not args.gap:

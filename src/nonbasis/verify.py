@@ -10,6 +10,8 @@ running out of probes yields a first-class Unknown, never a guess.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -393,30 +395,21 @@ class BaseOracle:
     """hA of one family on one window, and the sets read off it.
 
     dense is A on its oracle_source; folded is hA on the window with its
-    k-fold partials.  shifted and f_window are bitsets on the window:
-    shifted holds the shifted-Y values (h-1)s + h*y + t, and f_window the
-    points outside hA that are not shifted-Y values.  shifted_ys lists the
-    same values as Family.shifted_ys pairs (y, value), enumerated from Y.
+    k-fold partials.  ys lists Y from its first element up to
+    (source.hi - t) // h, the y whose h*y + t can lie in the source; the
+    window lies inside the source, so ys holds every y with a shifted-Y
+    value (h-1)s + h*y + t in the window.  shifted_ys lists those as
+    Family.shifted_ys pairs (y, value), and shifted and f_window are
+    bitsets on the window: shifted holds the shifted-Y values, and
+    f_window the points outside hA that are not shifted-Y values.
     """
 
     dense: DenseSet
     folded: sumset.SumsetResult
+    ys: tuple[int, ...]
+    shifted_ys: tuple[tuple[int, int], ...]
     shifted: DenseSet
     f_window: DenseSet
-    shifted_ys: tuple[tuple[int, int], ...]
-    y: gapset.GapGenerator | None
-
-    @cached_property
-    def y_upto(self) -> frozenset[int]:
-        """The elements of Y from 0 up to the largest y of shifted_ys.
-
-        A set, not bits: a bit test on a window-wide int shifts all of it.
-        Built on first use, by an eq_s escape, so a catalog never walks Y
-        for it.
-        """
-        if not self.shifted_ys:
-            return frozenset()
-        return frozenset(gapset.elements_in(self.y, Window(0, self.shifted_ys[-1][0])))
 
 
 @lru_cache(maxsize=8)
@@ -426,18 +419,19 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
     classify also reads N0 points below the structural threshold off the
     oracle of [0, threshold - 1].
     """
-    h, s, t = family.h, family.s, family.t
-    dense = intset.materialize(family.spec, oracle_source(family, window))
+    src = oracle_source(family, window)
+    dense = intset.materialize(family.spec, src)
     folded = oracle_fold(family, dense, window)
-    if family.y is None:
-        shifted = DenseSet(window, 0)
-    else:
-        image = intset.ShiftScale(GapTail(family.y), (h - 1) * s + t, h)
-        shifted = intset.materialize(image, window)
-    f_window = DenseSet(window, folded.dense.complement().bits & ~shifted.bits)
-    return BaseOracle(
-        dense, folded, shifted, f_window, tuple(family.shifted_ys(window)), family.y
+    ys: tuple[int, ...] = ()
+    if family.y is not None:
+        top = (src.hi - family.t) // family.h
+        ys = tuple(itertools.takewhile(lambda y: y <= top, gapset.values(family.y)))
+    shifted_ys = tuple(
+        (y, n) for y in ys if window.contains(n := family.shifted_y_value(y))
     )
+    shifted = intset.dense_from_iter((n for _, n in shifted_ys), window)
+    f_window = DenseSet(window, folded.dense.complement().bits & ~shifted.bits)
+    return BaseOracle(dense, folded, ys, shifted_ys, shifted, f_window)
 
 
 def complement_catalog(
@@ -574,15 +568,15 @@ def escape_check(
     threshold = window.lo
     if case == "eq_s":
         # n predicts an exception when w_val lies in Y, or below 0 over N0;
-        # oracle.y_upto ends at the largest y, which w_val passes if b < s
+        # w_val passes the end of oracle.ys only if b < s
         u = (b - s) // h
-        top = oracle.shifted_ys[-1][0] if oracle.shifted_ys else -1
+        ys = oracle.ys
         for y, n in oracle.shifted_ys:
             w_val = y - (h - 1) * u
             if w_val < 0:
                 hit = n0
-            elif w_val <= top:
-                hit = w_val in oracle.y_upto
+            elif w_val <= ys[-1]:
+                hit = ys[bisect.bisect_left(ys, w_val)] == w_val
             else:
                 hit = family.y_contains(w_val)
             if hit:
@@ -674,10 +668,9 @@ def augment_check(
     src = oracle.dense.window
     # Over Z, adjoined elements above the window can still reach it with
     # negative partners, so B is collected across the whole oracle source.
-    ymax = max((src.hi - t) // h, 0)
     selected_b: list[int] = []
     dropped_shifted: list[int] = []
-    for idx, y in gapset.indexed_elements_in(family.y, Window(0, ymax)):
+    for idx, y in enumerate(oracle.ys):
         if yprime.selects(idx, y):
             selected_b.append(h * y + t)
         else:

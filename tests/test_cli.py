@@ -62,6 +62,37 @@ def test_negative_budget_flag_exits_2(capsys, argv):
     assert "probe budget must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", *FAM_ARGS, "--budget", "5"],
+        ["sumset", *FAM_ARGS, "--window", "0:10", "--budget", "-7"],
+    ],
+)
+def test_budget_only_where_probes_are_spent(capsys, argv):
+    # construct and sumset spend no probes, so they take no --budget
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "thm1", "--h", "3", "--s", "0", "--t", "1", "--gap", "geometric,2,1"], "gap"),
+        (["verify", "thm3", "--h", "3", "--s", "0", "--t", "1", "--gap", "triangular"], "gap"),
+        (["verify", "lemma", "--h", "3", "--gap", "triangular", "--s", "7"], "s"),
+        (["verify", "lemma", "--h", "3", "--gap", "triangular", "--t", "9"], "t"),
+        (["verify", "lemma", "--h", "3", "--gap", "triangular", "--domain", "z"], "domain"),
+    ],
+)
+def test_preset_rejects_flags_it_ignores(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"takes no --{flag}" in err
+
+
 def test_negative_budget_env_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("NONBASIS_BUDGET", "-1")
     code, out, err = run(capsys, ["classify", *FAM_ARGS, "--n", "10"])

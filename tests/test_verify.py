@@ -17,6 +17,8 @@ from nonbasis.verify import (
     YPrimeFilter,
 )
 
+from test_families import any_families
+
 GEOM2 = gapset.Geometric(2, 1)
 
 
@@ -260,7 +262,33 @@ def test_catalog_derives_the_family_facts_once(monkeypatch):
         memo.cache_clear()
     cat = verify.complement_catalog(fam, Window(0, 2000))
     assert cat.unknown == () and len(cat.exceptional) > 0
-    assert len(walks) <= 8
+    assert len(walks) <= 6
+
+
+def test_adjunction_checks_read_the_oracles_y_prefix(monkeypatch):
+    # The oracle walks Y once for its shifted-Y bits, its pairs, the eq_s
+    # lookups and the augmentation.  With R(3) and x0 memoized, the escape
+    # run walks Y for its b samples, for A and for the oracle's prefix; the
+    # augment run on the cached oracle walks it only for the first y.
+    fam = build_gapped(Params(5, 0, 1, "n0"), GEOM2)
+    window = Window(0, 3000)
+    for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle):
+        memo.cache_clear()
+    verify.pair_bound(fam.y), gapset.least_non_member(fam.y)
+    walks = []
+    values = gapset.values
+
+    def counting(gen):
+        walks.append(gen)
+        return values(gen)
+
+    monkeypatch.setattr(gapset, "values", counting)
+    escapes = report.escape_checks(fam, window)
+    assert {c.name.split("_b")[0] for c in escapes} >= {"escape_eq_s", "escape_not_st"}
+    assert len(walks) <= 3
+    walks.clear()
+    report.augment_checks(fam, window)
+    assert len(walks) <= 1
 
 
 def test_catalog_example():
@@ -661,19 +689,43 @@ def test_escape_check_matches_the_per_value_loop(case):
 @pytest.mark.parametrize(
     "params,window,b,predicted",
     [
-        # the oracle keeps Y up to y = 2, and y = 2 predicts through 4 in Y
+        # the largest shifted y is 2, and y = 2 predicts through 4 in Y
         (Params(2, 4, 1, "n0"), Window(0, 12), 0, (9,)),
-        # it keeps Y up to y = 1, and y = 1 predicts through 2, just past it
+        # the largest shifted y is 1, and y = 1 predicts through 2, just past it
         (Params(2, 7, 2, "n0"), Window(0, 12), 5, (11,)),
+        # shifted ys 1, 2, 4, 8 and oracle.ys up to 16: w_val = y + 8 gives
+        # 9, 10, 12 outside Y and 16 in it, all past 8 and at most 16
+        (Params(2, 18, 1, "n0"), Window(0, 50), 2, (35,)),
+        # over Z, b far below s sends w_val = y + 248 past oracle.ys, which
+        # ends at 16; y = 8 predicts through 256 in Y
+        (Params(2, 0, 1, "z"), Window(-40, 40), -496, (17,)),
     ],
 )
 def test_eq_s_predictions_reach_past_the_oracles_y_set(params, window, b, predicted):
-    # b < s makes y - (h-1)u larger than y, past the Y values the oracle keeps
+    # b < s makes y - (h-1)u larger than y, past the largest shifted y
     fam = build_gapped(params, GEOM2)
     rep = verify.escape_check(fam, b, window)
     assert (rep.residue_case, rep.predicted_exceptions) == ("eq_s", predicted)
     got = (rep.residue_case, rep.verdict, rep.predicted_exceptions, rep.leftover, rep.added)
     assert got == per_value_escape(fam, b, window, verify.DEFAULT_BUDGET)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_families(gapped_only=True), st.integers(-60, 120), st.integers(0, 300))
+@example(build_gapped(Params(3, 2, 1, "n0"), GEOM2), 40, 60)
+def test_base_oracle_reads_one_y_prefix(fam, lo, width):
+    # N0 windows may start above (h-1)s + t, where the shifted-Y values
+    # begin past the first elements of oracle.ys
+    if fam.domain == "n0":
+        lo = abs(lo)
+    window = Window(lo, lo + width)
+    oracle = verify.base_oracle(fam, window)
+    top = (verify.oracle_source(fam, window).hi - fam.t) // fam.h
+    expected = gapset.elements_in(fam.y, Window(0, top)) if top >= 0 else []
+    assert oracle.ys == tuple(expected)
+    image = intset.ShiftScale(intset.GapTail(fam.y), (fam.h - 1) * fam.s + fam.t, fam.h)
+    assert oracle.shifted == materialize(image, window)
+    assert oracle.shifted_ys == tuple(fam.shifted_ys(window))
 
 
 @pytest.mark.parametrize("domain", ["n0", "z"])
