@@ -16,16 +16,15 @@ from .errors import NonbasisError
 from .families import DOMAIN_N0, DOMAIN_Z, Family, Params, build_full, build_gapped, gcd_case
 from .intset import Window
 
-_PRESET_DOMAIN = {"thm1": DOMAIN_Z, "thm2": DOMAIN_Z, "thm3": DOMAIN_N0, "thm4": DOMAIN_N0}
-_PRESET_WINDOW = {
-    "thm1": "-2000:2000",
-    "thm2": "-1000:1000",
-    "thm3": "0:2000",
-    "thm4": "0:20000",
-    "lemma": "0:20000",
+# preset: (domain, default window, family flags it does not read). A preset needs
+# each of --s, --t and --gap it reads; passing one it does not read is an error.
+_PRESETS = {
+    "thm1": (DOMAIN_Z, "-2000:2000", ("gap",)),
+    "lemma": (DOMAIN_N0, "0:20000", ("s", "t", "domain")),
+    "thm2": (DOMAIN_Z, "-1000:1000", ()),
+    "thm3": (DOMAIN_N0, "0:2000", ("gap",)),
+    "thm4": (DOMAIN_N0, "0:20000", ()),
 }
-# Family flags a preset does not read; passing one is an error, not a no-op.
-_PRESET_IGNORES = {"thm1": ("gap",), "thm3": ("gap",), "lemma": ("s", "t", "domain")}
 
 
 def _parse_window(text: str) -> Window:
@@ -73,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sumset", help="brute-force h-fold sumset on a window")
     _add_family_args(p, required=False)
     p.add_argument("--spec", help="set spec literal instead of family parameters")
-    p.add_argument("--fold", type=int, help="fold count (defaults to --h)")
     p.add_argument("--window", required=True, help="target window LO:HI")
     p.add_argument("--source", help="source window LO:HI (defaults to target)")
     _add_io_args(p)
@@ -89,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p, budget=True)
 
     p = sub.add_parser("verify", help="run a theorem verification preset")
-    p.add_argument("preset", choices=["thm1", "lemma", "thm2", "thm3", "thm4"])
+    p.add_argument("preset", choices=list(_PRESETS))
     _add_family_args(p, required=False)
     p.add_argument("--window")
     _add_io_args(p, budget=True)
@@ -120,6 +118,12 @@ def _budget(args) -> int:
     return budget
 
 
+def _reject_unread(args, command: str, flags) -> None:
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise NonbasisError(f"{command} takes no --{flag}")
+
+
 def _emit(args, text: str) -> None:
     if args.output:
         with open(args.output, "w") as fh:
@@ -141,10 +145,10 @@ def _cmd_construct(args) -> int:
 
 def _cmd_sumset(args) -> int:
     target = _parse_window(args.window)
-    h = args.fold if args.fold is not None else args.h
     if args.spec:
+        _reject_unread(args, "sumset --spec", ("s", "t", "gap"))
         spec = grammar.parse_spec(args.spec)
-        fam_dict = {"h": h, "s": None, "t": None, "domain": args.domain, "gap": None,
+        fam_dict = {"h": args.h, "s": None, "t": None, "domain": args.domain, "gap": None,
                     "spec": grammar.format_spec(spec)}
         bounded_below = False
     else:
@@ -161,15 +165,15 @@ def _cmd_sumset(args) -> int:
         # safe range 0:source.hi; a target that misses it raises there.
         lo, hi = max(target.lo, 0), min(target.hi, source.hi)
         tgt = Window(lo, hi) if lo <= hi else target
-        result = sumset.hfold_exact_bounded_below(dense, h, target=tgt)
+        result = sumset.hfold_exact_bounded_below(dense, args.h, target=tgt)
     else:
-        result = sumset.hfold_truncated(dense, h, target=target)
+        result = sumset.hfold_truncated(dense, args.h, target=target)
     members = result.members()
     rep = {
         "family": fam_dict,
         "window": [result.target.lo, result.target.hi],
         "source": [source.lo, source.hi],
-        "h": h,
+        "h": args.h,
         "exactness": result.exactness,
         "count": len(members),
         "ranges": report.format_ranges(members),
@@ -179,7 +183,7 @@ def _cmd_sumset(args) -> int:
     else:
         _emit(
             args,
-            f"{h}-fold sumset on {result.target.lo}:{result.target.hi} "
+            f"{args.h}-fold sumset on {result.target.lo}:{result.target.hi} "
             f"({result.exactness})\nmembers: {report.format_ranges(members)}\n",
         )
     return 0
@@ -221,49 +225,37 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_verify(args) -> int:
     preset = args.preset
-    window = _parse_window(args.window or _PRESET_WINDOW[preset])
+    domain, default_window, unread = _PRESETS[preset]
+    window = _parse_window(args.window or default_window)
     budget = _budget(args)
-    for flag in _PRESET_IGNORES.get(preset, ()):
-        if getattr(args, flag) is not None:
-            raise NonbasisError(f"preset {preset} takes no --{flag}")
-
-    if preset == "lemma":
-        if not args.gap:
-            raise NonbasisError("verify lemma needs --gap")
-        gen = grammar.parse_generator(args.gap)
-        checks = report.lemma_checks(gen, args.h, window)
-        fam_dict = {"h": args.h, "s": None, "t": None, "domain": DOMAIN_N0,
-                    "gap": grammar.format_generator(gen), "spec": None}
-        rep = report.report_dict(fam_dict, window, None, checks)
-        _emit(args, _render(args, rep))
-        return report.exit_code(checks)
-
-    domain = _PRESET_DOMAIN[preset]
+    _reject_unread(args, f"preset {preset}", unread)
     if args.domain and args.domain != domain:
         raise NonbasisError(f"preset {preset} runs over domain {domain!r}")
-    if args.s is None or args.t is None:
+    if "s" not in unread and (args.s is None or args.t is None):
         raise NonbasisError(f"preset {preset} needs --s and --t")
-
-    if preset in ("thm1", "thm3"):
-        params = Params(args.h, args.s, args.t, domain)
-        checks = report.dichotomy_checks(params, window)
-        if gcd_case(args.h, args.s, args.t) == 1:
-            checks.append(report.uniqueness_check(params, min(window.hi, 4000)))
-        fam = build_full(params)
-        rep = report.report_dict(report.family_to_dict(fam), window, None, checks)
-        _emit(args, _render(args, rep))
-        return report.exit_code(checks)
-
-    # thm2 / thm4: gapped complement structure, escapes, augmentation
-    if not args.gap:
+    if "gap" not in unread and not args.gap:
         raise NonbasisError(f"preset {preset} needs --gap")
-    fam = _family_from_args(args, domain)
-    catalog, checks = report.catalog_checks(fam, window, budget)
-    if preset == "thm2":
-        checks.append(report.stability_check(fam, window))
-    checks.extend(report.escape_checks(fam, window, budget))
-    checks.extend(report.augment_checks(fam, window))
-    rep = report.report_dict(report.family_to_dict(fam), window, catalog, checks)
+
+    if preset == "lemma":
+        gen = grammar.parse_generator(args.gap)
+        catalog, checks = None, report.lemma_checks(gen, args.h, window)
+        fam_dict = {"h": args.h, "s": None, "t": None, "domain": domain,
+                    "gap": grammar.format_generator(gen), "spec": None}
+    else:
+        fam = _family_from_args(args, domain)
+        fam_dict = report.family_to_dict(fam)
+        if preset in ("thm1", "thm3"):
+            catalog, checks = None, report.dichotomy_checks(fam.params, window)
+            if gcd_case(args.h, args.s, args.t) == 1:
+                checks.append(report.uniqueness_check(fam.params, min(window.hi, 4000)))
+        else:
+            # thm2 / thm4: gapped complement structure, escapes, augmentation
+            catalog, checks = report.catalog_checks(fam, window, budget)
+            if preset == "thm2":
+                checks.append(report.stability_check(fam, window))
+            checks.extend(report.escape_checks(fam, window, budget))
+            checks.extend(report.augment_checks(fam, window))
+    rep = report.report_dict(fam_dict, window, catalog, checks)
     _emit(args, _render(args, rep))
     return report.exit_code(checks)
 
@@ -284,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonbasisError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

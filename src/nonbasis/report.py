@@ -254,7 +254,7 @@ def sample_escape_bs(family: Family, per_case: int, hi: int) -> dict[str, list[i
         for cand in (s + h * u, s - h * u):
             if len(out["eq_s"]) >= per_case:
                 break
-            if cand <= hi and (cand >= 0 or not n0) and cand != s:
+            if cand >= 0 or not n0:
                 out["eq_s"].append(cand)
         u += 1
     if family.y is not None and hi >= t:
@@ -266,7 +266,7 @@ def sample_escape_bs(family: Family, per_case: int, hi: int) -> dict[str, list[i
         classes = [c for c in range(h) if c != s % h and c != t % h]
         b = 0
         while len(out["not_st"]) < per_case and b <= hi:
-            if b % h in classes and (b >= 0 or not n0):
+            if b % h in classes:
                 out["not_st"].append(b)
             b += 1
     return out

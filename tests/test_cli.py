@@ -395,3 +395,51 @@ def test_parser_is_built_once(capsys, monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["verify", "thm1", "--h", "3", "--s", "0", "--t", "1", "--gap", "triangular"],
+         "preset thm1 takes no --gap"),
+        (["verify", "lemma", "--h", "3", "--gap", "triangular", "--s", "7"],
+         "preset lemma takes no --s"),
+        (["verify", "thm3", "--h", "2", "--s", "0", "--t", "1", "--domain", "z"],
+         "preset thm3 runs over domain 'n0'"),
+        (["verify", "thm1", "--h", "2", "--s", "1"], "preset thm1 needs --s and --t"),
+        (["verify", "thm2", "--h", "2", "--s", "0", "--t", "1"], "preset thm2 needs --gap"),
+        (["verify", "lemma", "--h", "2"], "preset lemma needs --gap"),
+        (["verify", "thm4", *FAM_ARGS, "--window", "20"],
+         "window must look like LO:HI, got '20'"),
+        (["verify", "thm4", *FAM_ARGS, "--budget=-1"], "probe budget must be >= 0, got -1"),
+    ],
+)
+def test_verify_error_line(capsys, argv, line):
+    assert run(capsys, argv) == (2, "", f"error: NonbasisError: {line}\n")
+
+
+def test_verify_reports_the_first_error_in_order(capsys):
+    # thm2 lacks --s, --t and --gap; the --s/--t check comes first
+    code, _, err = run(capsys, ["verify", "thm2", "--h", "2"])
+    assert (code, err) == (2, "error: NonbasisError: preset thm2 needs --s and --t\n")
+
+
+def test_sumset_folds_h_times_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sumset", *FAM_ARGS, "--window", "0:10", "--fold", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("s", "5"), ("t", "3"), ("gap", "triangular")])
+def test_sumset_spec_rejects_family_flags(capsys, flag, value):
+    argv = ["sumset", "--h", "2", "--spec", "single:1", "--window", "0:5", f"--{flag}", value]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: NonbasisError: sumset --spec takes no --{flag}\n"
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, ["construct", *FAM_ARGS, "--output", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
