@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import grammar, intset, report, sumset, verify
@@ -54,7 +53,9 @@ def _add_io_args(p: argparse.ArgumentParser, budget: bool = False):
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--output", help="write the report here instead of stdout")
     if budget:
-        p.add_argument("--budget", type=int, default=None, help="probe budget per decision")
+        p.add_argument(
+            "--budget", type=int, default=verify.DEFAULT_BUDGET, help="probe budget per decision"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,13 +110,9 @@ def _family_from_args(args, domain: str | None = None) -> Family:
 
 
 def _budget(args) -> int:
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get("NONBASIS_BUDGET")
-        budget = int(env) if env else verify.DEFAULT_BUDGET
-    if budget < 0:
-        raise NonbasisError(f"probe budget must be >= 0, got {budget}")
-    return budget
+    if args.budget < 0:
+        raise NonbasisError(f"probe budget must be >= 0, got {args.budget}")
+    return args.budget
 
 
 def _reject_unread(args, command: str, flags) -> None:
@@ -146,9 +143,9 @@ def _cmd_construct(args) -> int:
 def _cmd_sumset(args) -> int:
     target = _parse_window(args.window)
     if args.spec:
-        _reject_unread(args, "sumset --spec", ("s", "t", "gap"))
+        _reject_unread(args, "sumset --spec", ("s", "t", "domain", "gap"))
         spec = grammar.parse_spec(args.spec)
-        fam_dict = {"h": args.h, "s": None, "t": None, "domain": args.domain, "gap": None,
+        fam_dict = {"h": args.h, "s": None, "t": None, "domain": None, "gap": None,
                     "spec": grammar.format_spec(spec)}
         bounded_below = False
     else:

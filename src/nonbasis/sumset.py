@@ -94,18 +94,17 @@ def _fewest_runs(bits: int) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def arith_chains(a: DenseSet) -> list[tuple[int, int, int]]:
-    """The members of a as (start, stride, count) runs, in ascending order.
+def _runs_at(a: DenseSet, g: int, edges: int) -> list[tuple[int, int, int]]:
+    """The stride-g runs of a as (start, g, count), in ascending order, from
+    their edges bits ^ (bits << g), decoded once.
 
-    Every run has the stride g of _fewest_runs, and its edges are decoded
-    once.  Within one residue class mod g the edges alternate between a
-    run's first member b and the point past its last one, so they pair up
-    in order as (b, stop) with count (stop - b) // g.  A stop past the
-    window is not decoded: it is the one point of its class in [hi + 1,
-    hi + g], where hi is the window's top.
+    Within one residue class mod g the edges alternate between a run's first
+    member b and the point past its last one, so they pair up in order as
+    (b, stop) with count (stop - b) // g.  A stop past the window is not
+    decoded: it is the one point of its class in [hi + 1, hi + g], where hi
+    is the window's top.
     """
     w = a.window
-    g, edges = _fewest_runs(a.bits)
     out: list = []  # a run's start until its stop is read, then the run
     open_at: dict[int, int] = {}  # residue mod g -> index in out of its open run
     for e in DenseSet(w, edges & ((1 << w.width) - 1)).members():
@@ -122,44 +121,36 @@ def arith_chains(a: DenseSet) -> list[tuple[int, int, int]]:
     return out
 
 
+def arith_chains(a: DenseSet) -> list[tuple[int, int, int]]:
+    """The members of a as (start, stride, count) runs, in ascending order,
+    all at the stride g of _fewest_runs."""
+    return _runs_at(a, *_fewest_runs(a.bits))
+
+
 _Class = namedtuple("_Class", "starts counts lo hi terms holes")
 
 
-def _comb(g: int, width: int) -> int:
-    """Bits 0, g, 2g, ... covering the lowest width bits."""
-    return ((1 << (g * (width // g + 1))) - 1) // ((1 << g) - 1)
-
-
-def _class_table(a: DenseSet, width: int) -> tuple[int, list[_Class], int | None]:
-    """The stride g of a's chains; per residue class mod g, its chains'
-    starts and counts and its hull [lo, hi] of `terms` points and `holes`;
-    and, when some class splits against a copy of itself, the stride-g comb
-    that splits a partner of up to width bits into its classes, else None."""
-    chains = arith_chains(a)
-    g = chains[0][1] if chains else 1
+def _classes(runs: list[tuple[int, int, int]], g: int) -> list[_Class]:
+    """Per nonempty residue class mod g of the stride-g runs: its runs'
+    starts and counts, and its hull [lo, hi] of `terms` points and `holes`."""
     grouped: dict[int, list[tuple[int, int]]] = {}
-    for a0, _, cnt in chains:
+    for a0, _, cnt in runs:
         grouped.setdefault(a0 % g, []).append((a0, cnt))
-    classes = []
-    for starts, counts in (zip(*chain_list) for chain_list in grouped.values()):
+    out = []
+    for starts, counts in (zip(*run_list) for run_list in grouped.values()):
         lo, hi = starts[0], starts[-1] + (counts[-1] - 1) * g
         terms = (hi - lo) // g + 1
-        classes.append(_Class(starts, counts, lo, hi, terms, terms - sum(counts)))
-    can_split = any(_splits(c, g, c.terms, 2 * c.holes) for c in classes)
-    return g, classes, _comb(g, width) if can_split else None
-
-
-def _residue_classes(p: DenseSet, g: int, comb: int) -> list[tuple[int, int, int, int]]:
-    """(lo, hi, terms, holes) of each nonempty residue class of p mod g;
-    comb is _comb(g, w) for some w >= p's width."""
-    out = []
-    for i in range(g):
-        x = (p.bits >> i) & comb  # class i, shifted down by i
-        if x:
-            lo, hi = (x & -x).bit_length() + i - 1, x.bit_length() + i - 1
-            terms = (hi - lo) // g + 1
-            out.append((p.window.lo + lo, p.window.lo + hi, terms, terms - x.bit_count()))
+        out.append(_Class(starts, counts, lo, hi, terms, terms - sum(counts)))
     return out
+
+
+def _class_table(a: DenseSet) -> tuple[int, list[_Class], bool]:
+    """The stride g of a's chains, a's classes mod g, and whether some class
+    splits against a copy of itself."""
+    chains = arith_chains(a)
+    g = chains[0][1] if chains else 1
+    classes = _classes(chains, g)
+    return g, classes, any(_splits(c, g, c.terms, 2 * c.holes) for c in classes)
 
 
 def _cut(c: _Class, g: int, x0: int, x1: int) -> Iterator[tuple[int, int]]:
@@ -210,29 +201,35 @@ def pairwise_sum(
     p: DenseSet,
     q: DenseSet,
     target: Window,
-    q_table: tuple[int, list[_Class], int | None] | None = None,
+    q_table: tuple[int, list[_Class], bool] | None = None,
 ) -> DenseSet:
     """(p + q) intersected with target; exact as a set sum of the two sets.
 
-    p is split into residue classes mod the stride of q's chains by the
-    comb of q_table = _class_table(q, w), w at least p's width, when some
-    class of q splits against a copy of itself, else it is one class of no
-    terms.  A one-point class of p is one shift of q.  A class of q that
-    _splits against each other class of p is one filled progression per
-    pair plus two end walks, each over p cut to the hull of the end
-    windows; any other class of q is walked whole.  Each bit ORed in is a
-    sum of a member of p and one of q, and every such sum is covered."""
-    g, classes, comb = q_table if q_table is not None else _class_table(q, p.window.width)
-    p_classes = [(p.window.lo, p.window.hi, 0, 0)] if comb is None else _residue_classes(p, g, comb)
-    points = sorted((lo, 1) for lo, _, terms, _ in p_classes if terms == 1)
+    p is split into residue classes mod the stride g of q's chains, from
+    q_table = _class_table(q), when some class of q splits against a copy
+    of itself, else it is one class of no terms.  p's classes come from its
+    stride-g runs, decoded as q's are, or are q's own when p equals q.  A
+    one-point class of p is one shift of q.  A class of q that _splits
+    against each other class of p is one filled progression per pair plus
+    two end walks, each over p cut to the hull of the end windows; any
+    other class of q is walked whole.  Each bit ORed in is a sum of a
+    member of p and one of q, and every such sum is covered."""
+    g, classes, can_split = q_table if q_table is not None else _class_table(q)
+    if not can_split:
+        p_classes = [_Class((), (), p.window.lo, p.window.hi, 0, 0)]
+    elif p == q:
+        p_classes = classes
+    else:
+        p_classes = _classes(_runs_at(p, g, p.bits ^ (p.bits << g)), g)
+    points = sorted((pc.lo, 1) for pc in p_classes if pc.terms == 1)
     acc = _walk(q, q.window.lo, q.window.hi, points, g, target) if points else 0
-    p_classes = [pc for pc in p_classes if pc[2] != 1]
+    p_classes = [pc for pc in p_classes if pc.terms != 1]
     if not p_classes:
         return DenseSet(target, acc & ((1 << target.width) - 1))
-    p_lo, p_hi = min(pc[0] for pc in p_classes), max(pc[1] for pc in p_classes)
+    p_lo, p_hi = min(pc.lo for pc in p_classes), max(pc.hi for pc in p_classes)
     for c in classes:
-        split = [(lo, hi, c.holes + holes) for lo, hi, terms, holes in p_classes
-                 if _splits(c, g, terms, c.holes + holes)]
+        split = [(pc.lo, pc.hi, c.holes + pc.holes) for pc in p_classes
+                 if _splits(c, g, pc.terms, c.holes + pc.holes)]
         if len(split) < len(p_classes):  # walking all of c over p covers every pair
             acc |= _walk(p, p_lo, p_hi, zip(c.starts, c.counts), g, target)
             continue
@@ -258,12 +255,10 @@ def _clip_window(k: int, h: int, src: Window, target: Window) -> Window | None:
 
 def _fold(a: DenseSet, h: int, target: Window) -> tuple[DenseSet | None, ...]:
     # kA on its clip window for k = 0..h, each step one pairwise sum with a
-    # through a's class table and comb, built once for the widest partial
-    # that is summed.  A nonempty clip window has a nonempty one before it,
-    # so the empty windows are a suffix.
+    # through a's class table, built once.  A nonempty clip window has a
+    # nonempty one before it, so the empty windows are a suffix.
     windows = [_clip_window(k, h, a.window, target) for k in range(h + 1)]
-    summed = [windows[k - 1].width for k in range(2, h + 1) if windows[k] is not None]
-    table = _class_table(a, max(summed)) if summed else None
+    table = _class_table(a) if h > 1 and windows[2] is not None else None
     out: list[DenseSet | None] = []
     for k, wk in enumerate(windows):
         if wk is None:

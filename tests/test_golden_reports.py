@@ -97,8 +97,7 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_report_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
-    monkeypatch.delenv("NONBASIS_BUDGET", raising=False)
+def test_report_bytes_are_pinned(capsys, argv, code, digest):
     assert cli.main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import operator
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -528,7 +529,7 @@ def end_cutting_target(data, lo, hi):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_pairwise_sum_matches_brute_force_and_the_chain_walk(data):
-    g = data.draw(st.integers(1, 4))
+    g = data.draw(st.integers(1, 16))
     p, q = data.draw(holed_classes(g)), data.draw(holed_classes(g))
     target = end_cutting_target(data, p.window.lo + q.window.lo, p.window.hi + q.window.hi)
     got = sumset.pairwise_sum(p, q, target)
@@ -537,7 +538,7 @@ def test_pairwise_sum_matches_brute_force_and_the_chain_walk(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(holed_classes), st.integers(2, 4), st.data())
+@given(st.integers(1, 16).flatmap(holed_classes), st.integers(2, 4), st.data())
 def test_fold_partials_match_the_chain_walk(a, h, data):
     target = end_cutting_target(data, h * a.window.lo, h * a.window.hi)
     r = sumset.hfold_truncated(a, h, target)
@@ -657,8 +658,8 @@ def test_arith_chains_match_the_two_decode_walk(a, shift):
     assert sumset.arith_chains(a) == two_decode_chains(a)
 
 
-def test_one_decode_per_chain_split_and_one_comb_per_fold(monkeypatch):
-    decodes, combs = [], []
+def test_one_decode_per_chain_split_and_one_class_table_per_fold(monkeypatch):
+    decodes, tables = [], []
     real_members = DenseSet.members
     monkeypatch.setattr(DenseSet, "members", lambda d: decodes.append(d) or real_members(d))
     sets = [
@@ -672,17 +673,60 @@ def test_one_decode_per_chain_split_and_one_comb_per_fold(monkeypatch):
         sumset.arith_chains(a)
         assert len(decodes) == 1
     # N0 minus the triangular numbers: every fold step splits its partial
-    # into classes, through the one comb built with the class table
-    real_comb = sumset._comb
-    monkeypatch.setattr(sumset, "_comb", lambda *args: combs.append(args) or real_comb(*args))
+    # into classes.  A's are decoded once, with its class table; the exact
+    # fold's first partial is A itself and reads them, and every other
+    # partial is decoded once
+    real_table = sumset._class_table
+    monkeypatch.setattr(sumset, "_class_table", lambda a: tables.append(a) or real_table(a))
     a = sets[-1]
     for h in range(2, 9):
-        combs.clear()
+        decodes.clear()
+        tables.clear()
         sumset.hfold_exact_bounded_below(a, h)
-        assert len(combs) == 1, h
-        combs.clear()
+        assert len(tables) == 1, h
+        assert len(decodes) <= h - 1, h
+        decodes.clear()
+        tables.clear()
         sumset.hfold_truncated(a, h, Window(h * 10**4 - 500, h * 10**4))
-        assert len(combs) <= 1, h
+        assert len(tables) == 1, h
+        assert len(decodes) <= h, h
+
+
+def per_residue_classes(p, g):
+    """The reference for the classes of p that pairwise_sum reads: per
+    residue class mod g of p's members, read bit by bit, its hull (lo, hi)
+    of `terms` points and `holes`."""
+    by_residue = {}
+    for i, c in enumerate(bin(p.bits)[:1:-1]):
+        if c == "1":
+            v = p.window.lo + i
+            by_residue.setdefault(v % g, []).append(v)
+    out = []
+    for vs in by_residue.values():
+        terms = (vs[-1] - vs[0]) // g + 1
+        out.append((vs[0], vs[-1], terms, terms - len(vs)))
+    return sorted(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(SMALL_SETS, st.integers(1, 16).flatmap(holed_classes)), st.integers(1, 16))
+@example(dense_from_iter([], Window(-9, 9)), 5)
+@example(dense_from_iter([-7], Window(-9, 9)), 16)
+@example(dense_from_iter([-20, -4, 12, 3], Window(-20, 12)), 16)
+def test_partial_classes_match_a_per_residue_reference(p, g):
+    # q is one stride-g progression far from p, with its table set to
+    # split: so p is split into its classes mod g, each decoded from p's runs
+    q = dense_from_iter(range(5000, 5000 + 3 * g, g), Window(4990, 5000 + 3 * g))
+    q_g, classes, _ = sumset._class_table(q)
+    assert q_g == g
+    read = []
+    real = sumset._classes
+    target = Window(p.window.lo + q.window.lo, p.window.hi + q.window.hi)
+    with mock.patch.object(sumset, "_classes", lambda runs, g: read.append(real(runs, g)) or read[-1]):
+        got = sumset.pairwise_sum(p, q, target, (g, classes, True))
+    assert len(read) == 1
+    assert sorted((c.lo, c.hi, c.terms, c.holes) for c in read[0]) == per_residue_classes(p, g)
+    assert got.members() == brute_sumset_of(p.members(), q.members(), target)
 
 
 def test_witnesses_reverse_the_source_once_and_probe_only_the_target(monkeypatch):
