@@ -228,6 +228,8 @@ def _cmd_verify(args) -> int:
     _reject_unread(args, f"preset {preset}", unread)
     if args.domain and args.domain != domain:
         raise NonbasisError(f"preset {preset} runs over domain {domain!r}")
+    if domain == DOMAIN_N0 and window.lo < 0:
+        raise NonbasisError(f"preset {preset} needs a window in N0, got {window.lo}:{window.hi}")
     if "s" not in unread and (args.s is None or args.t is None):
         raise NonbasisError(f"preset {preset} needs --s and --t")
     if "gap" not in unread and not args.gap:
@@ -242,9 +244,9 @@ def _cmd_verify(args) -> int:
         fam = _family_from_args(args, domain)
         fam_dict = report.family_to_dict(fam)
         if preset in ("thm1", "thm3"):
-            catalog, checks = None, report.dichotomy_checks(fam.params, window)
+            catalog, checks = None, report.dichotomy_checks(fam, window)
             if gcd_case(args.h, args.s, args.t) == 1:
-                checks.append(report.uniqueness_check(fam.params, min(window.hi, 4000)))
+                checks.append(report.uniqueness_check(fam, min(window.hi, 4000)))
         else:
             # thm2 / thm4: gapped complement structure, escapes, augmentation
             catalog, checks = report.catalog_checks(fam, window, budget)

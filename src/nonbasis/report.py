@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import gapset, grammar, intset, sumset, verify
 from .errors import OracleDisagreement
-from .families import DOMAIN_N0, DOMAIN_Z, Family, Params, build_full, gcd_case
+from .families import DOMAIN_N0, Family, gcd_case
 from .intset import Window
 
 PASS = "pass"
@@ -115,7 +115,7 @@ def exit_code(checks: list[Check]) -> int:
     return 0
 
 
-def dichotomy_checks(params: Params, window: Window) -> list[Check]:
+def dichotomy_checks(family: Family, window: Window) -> list[Check]:
     """The gcd dichotomy against the oracle on a window.
 
     d >= 2: the sumset touches no residue class outside the h/d admissible
@@ -123,9 +123,9 @@ def dichotomy_checks(params: Params, window: Window) -> list[Check]:
     complement above (h-1)|s-t| + ht is empty (exactly, for N0; for Z the
     truncated oracle must cover the whole window).
     """
-    h, s, t = params.h, params.s, params.t
+    h, s, t = family.h, family.s, family.t
     d = gcd_case(h, s, t)
-    oracle = verify.base_oracle(build_full(params), window).folded
+    oracle = verify.base_oracle(family, window).folded
     checks = []
     if d >= 2:
         allowed = {(i * (s - t) + h * t) % h for i in range(h)}
@@ -151,7 +151,7 @@ def dichotomy_checks(params: Params, window: Window) -> list[Check]:
     else:
         thr = (h - 1) * abs(s - t) + h * t
         comp = oracle.dense.complement()
-        if params.domain == DOMAIN_N0:
+        if family.domain == DOMAIN_N0:
             above = (comp.bits >> max(thr - window.lo, 0)).bit_count()
             checks.append(
                 check(
@@ -172,30 +172,29 @@ def dichotomy_checks(params: Params, window: Window) -> list[Check]:
     return checks
 
 
-def uniqueness_check(params: Params, cap_hi: int) -> Check:
+def uniqueness_check(family: Family, cap_hi: int) -> Check:
     """Representation multiplicity along n = t-s (mod h) above the threshold.
 
     Each such n in the safe region must have exactly one multiset
     representation against the truncated set; checked for the whole region
     at once with the saturating-multiplicity sweep.
     """
-    h, s, t = params.h, params.s, params.t
+    h, s, t = family.h, family.s, family.t
     if gcd_case(h, s, t) != 1:
         return Check("uniqueness", FAIL, "gcd case is not 1")
     thr = (h - 1) * abs(s - t) + h * t
     start = thr + ((t - s) - thr) % h
     if start > cap_hi:
         return Check("uniqueness", UNKNOWN, f"no residues in [{start}, {cap_hi}]")
-    fam = build_full(params)
     pad = (h + 1) * (abs(s) + abs(t) + 1) + h
     # The canonical representation of every checked n fits inside
     # [-pad, cap_hi + pad]; any second multiset inside the truncation would
     # already disprove uniqueness, so a modest truncation is a fair test.
-    if params.domain == DOMAIN_N0:
+    if family.domain == DOMAIN_N0:
         src = Window(0, cap_hi + pad)
     else:
         src = Window(-pad, cap_hi + pad)
-    dense = intset.materialize(fam.spec, src)
+    dense = intset.materialize(family.spec, src)
     # No clip at h * src.lo: start >= 0 = h * src.lo over N0, start >= h*t >= -h*pad over Z
     region = intset.materialize(intset.ModClass(h, t - s), Window(start, cap_hi))
     ge1, ge2 = sumset.multiplicity_pair(dense, h, region.window)
@@ -275,7 +274,7 @@ def sample_escape_bs(family: Family, per_case: int, hi: int) -> dict[str, list[i
 def escape_checks(
     family: Family,
     window: Window,
-    budget_probes: int = verify.DEFAULT_BUDGET,
+    budget: int = verify.DEFAULT_BUDGET,
 ) -> list[Check]:
     samples = sample_escape_bs(family, ESCAPES_PER_CASE, window.hi // 2)
     checks = []
@@ -285,7 +284,7 @@ def escape_checks(
         ("eq_t", "stays_nonbasis"),
     ):
         for b in samples[case]:
-            rep = verify.escape_check(family, b, window, budget_probes)
+            rep = verify.escape_check(family, b, window, budget)
             status = PASS if rep.verdict == expected else (
                 UNKNOWN if rep.verdict == "inconclusive" else FAIL
             )
@@ -333,11 +332,11 @@ def augment_checks(family: Family, window: Window) -> list[Check]:
 def catalog_checks(
     family: Family,
     window: Window,
-    budget_probes: int = verify.DEFAULT_BUDGET,
+    budget: int = verify.DEFAULT_BUDGET,
 ) -> tuple[verify.Catalog, list[Check]]:
     """Complement characterization plus certificate hygiene on a window."""
     try:
-        catalog = verify.complement_catalog(family, window, budget_probes)
+        catalog = verify.complement_catalog(family, window, budget)
     except OracleDisagreement as exc:
         return verify.Catalog((), (), ()), [check("oracle_agreement", False, str(exc))]
     if catalog.unknown_members:

@@ -6,9 +6,11 @@ every member of the other.  Members that form a run with a common stride
 are shifted as a group via doubling, which is an algebraic identity on
 OR-over-shifts; a sum of two residue classes with few holes is full in its
 middle, which is set at once, so only its ends are walked run by run.
-Results are bit-identical to the per-element loop (property-tested).
-Representation multiplicities, saturated at two, are added run by run too:
-the sums of c copies from one run are a saturating dilation by an AP.
+Results are bit-identical to the per-element loop (property-tested), and
+keep their k-fold partials: h(A u {b}) is h shifts of them, as bits, and a
+witness one bit search per summand.  Representation multiplicities,
+saturated at two, are added run by run too: the sums of c copies from one
+run are a saturating dilation by an AP.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class SumsetResult:
     partials[k] is the k-fold sumset kA on the clip window of the k-th fold
     step (the k-element subtotals that h-k more source elements can still
     complete to a target value), or None where that window is empty, for
-    k = 0..h.  Every fold fills it; a result built by adjoin has none.
+    k = 0..h; adjoin and witness read them.
     """
 
     h: int
@@ -48,7 +50,7 @@ class SumsetResult:
     target: Window
     dense: DenseSet
     exactness: str
-    partials: tuple[DenseSet | None, ...] = field(default=(), compare=False, repr=False)
+    partials: tuple[DenseSet | None, ...] = field(compare=False, repr=False)
 
     def member(self, n: int) -> bool:
         return self.dense.member(n)
@@ -315,16 +317,14 @@ def hfold_truncated(a: DenseSet, h: int, target: Window) -> SumsetResult:
     return _folded(a, h, target, LOWER_BOUND)
 
 
-def adjoin(result: SumsetResult, b: int) -> SumsetResult:
-    """h(A u {b}) on result's target, built from the partials of hA.
+def adjoin(result: SumsetResult, b: int) -> DenseSet:
+    """h(A u {b}) on result's target, as bits, built from the partials of hA.
 
     A u {b} is taken on the same source window, so a b outside it adds
     nothing.  h(A u {b}) is the union over j = 0..h of j*b + (h-j)A, and
     with b in the source every (h-j)A value that lands in the target lies
     in the clip window of its partial, so this is h shifts and no fold.
     """
-    if not result.partials:
-        raise ValueError("adjoin needs the k-fold partials of a fold")
     h, target = result.h, result.target
     bits = result.dense.bits
     if result.source.contains(b):
@@ -334,8 +334,7 @@ def adjoin(result: SumsetResult, b: int) -> SumsetResult:
                 continue
             off = part.window.lo + j * b - target.lo
             bits |= (part.bits << off) if off >= 0 else (part.bits >> -off)
-    dense = DenseSet(target, bits & ((1 << target.width) - 1))
-    return SumsetResult(h, result.source, target, dense, result.exactness)
+    return DenseSet(target, bits & ((1 << target.width) - 1))
 
 
 def witness(result: SumsetResult, n: int) -> tuple[int, ...] | None:
@@ -351,8 +350,6 @@ def witness(result: SumsetResult, n: int) -> tuple[int, ...] | None:
     one bit search: kA ANDed with A reversed about n marks the subtotals p
     with n - p in A, and the highest one gives the least v = n - p.
     """
-    if not result.partials:
-        raise ValueError("witness needs the k-fold partials of a fold")
     if not result.member(n):
         return None
     top = result.partials[1].window.hi

@@ -437,7 +437,7 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
 def complement_catalog(
     family: Family,
     window: Window,
-    budget_probes: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> Catalog:
     """Partition of window minus hA into shifted-Y / exceptional / unknown.
 
@@ -461,7 +461,7 @@ def complement_catalog(
         raise DomainConstraint("N0 catalog window must start at 0 or above")
     oracle = base_oracle(family, window)
     comp = oracle.folded.dense.complement()
-    if budget_probes >= fixed_branch_probes(family.y):
+    if budget >= fixed_branch_probes(family.y):
         lo, hi = search_band(family)
         lo, hi = max(lo, window.lo), min(hi, window.hi)
     else:
@@ -474,7 +474,7 @@ def complement_catalog(
     unknown_members: list[int] = []
 
     for n in DenseSet(window, to_classify).members():
-        v = classify(family, n, budget_probes)
+        v = classify(family, n, budget)
         if isinstance(v, InSumset):
             if comp.member(n):
                 raise OracleDisagreement(
@@ -518,7 +518,7 @@ def escape_check(
     family: Family,
     b: int,
     window: Window,
-    budget_probes: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> EscapeReport:
     """What adjoining one element b outside A does to the h-fold sumset.
 
@@ -553,10 +553,10 @@ def escape_check(
     oracle = base_oracle(family, window)
     fa = oracle.folded
     fab = sumset.adjoin(fa, b)
-    comp_ab = fab.dense.complement()
+    comp_ab = fab.complement()
 
     if case == "eq_t":
-        added = fab.dense.bits & ~fa.dense.bits
+        added = fab.bits & ~fa.dense.bits
         v = (h - 1) * s + b
         cover = 1 << (v - window.lo) if window.contains(v) else 0
         ok = added & ~(oracle.f_window.bits | cover) == 0
@@ -592,7 +592,7 @@ def escape_check(
             threshold = b + (h - 3) * s + (h - 1) * t
         x0 = gapset.least_non_member(family.y)
         band_end = window.hi + 1
-        if budget_probes >= fixed_branch_probes(family.y):
+        if budget >= fixed_branch_probes(family.y):
             # the first n whose pair target num // h - (kk-2)*x0 reaches pair_bound
             band_end = b + i * s + kk * t + h * (pair_bound(family.y) + (kk - 2) * x0)
         for _, n in oracle.shifted_ys:
@@ -602,7 +602,7 @@ def escape_check(
                 break
             num = n - b - i * s - kk * t
             assert num % h == 0
-            dec = decide_kX(family.x_spec(), kk, num // h, budget_probes)
+            dec = decide_kX(family.x_spec(), kk, num // h, budget)
             if dec.status == "out":
                 predicted.append(n)
             elif dec.status == "unknown":

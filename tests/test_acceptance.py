@@ -34,7 +34,7 @@ def test_criterion_1_gcd_dichotomy():
         for h in range(2, 7):
             for s in range(lo, 11):
                 for t in range(lo, 11):
-                    checks = report.dichotomy_checks(Params(h, s, t, domain), window)
+                    checks = report.dichotomy_checks(build_full(Params(h, s, t, domain)), window)
                     families += 1
                     checks_run += len(checks)
                     failures += sum(1 for c in checks if c.status != report.PASS)
@@ -57,7 +57,7 @@ def test_criterion_2_uniqueness():
                 for t in range(lo, 11):
                     if gcd_case(h, s, t) != 1:
                         continue
-                    c = report.uniqueness_check(Params(h, s, t, domain), 2000)
+                    c = report.uniqueness_check(build_full(Params(h, s, t, domain)), 2000)
                     families += 1
                     if c.status != report.PASS:
                         failures += 1

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nonbasis import cli, grammar
-from nonbasis.families import Params, build_gapped
+from nonbasis.families import Params, build_full, build_gapped
 from nonbasis import gapset
 
 FAM_ARGS = ["--h", "2", "--s", "0", "--t", "1", "--domain", "n0", "--gap", "geometric,2,1"]
@@ -303,7 +303,7 @@ def test_uniqueness_vacuous_region_is_unknown():
     from nonbasis import report as rpt
     from nonbasis.families import Params
 
-    c = rpt.uniqueness_check(Params(6, 10, 9, "n0"), 50)  # first residue 59 > 50
+    c = rpt.uniqueness_check(build_full(Params(6, 10, 9, "n0")), 50)  # first residue 59 > 50
     assert c.status == "unknown"
 
 
@@ -340,7 +340,7 @@ def test_uniqueness_reports_its_first_failure(monkeypatch, params, cap, marked, 
         return ge1, DenseSet(target, ge2.bits | dense_from_iter(marked, target).bits)
 
     monkeypatch.setattr(sumset, "multiplicity_pair", represented_twice)
-    c = rpt.uniqueness_check(params, cap)
+    c = rpt.uniqueness_check(build_full(params), cap)
     assert (c.status, c.details) == ("fail", details)
 
 
@@ -412,6 +412,8 @@ def test_parser_is_built_once(capsys, monkeypatch):
         (["verify", "thm4", *FAM_ARGS, "--window", "20"],
          "window must look like LO:HI, got '20'"),
         (["verify", "thm4", *FAM_ARGS, "--budget=-1"], "probe budget must be >= 0, got -1"),
+        (["verify", "thm3", "--h", "3", "--s", "0", "--t", "1", "--window=-5:100"],
+         "preset thm3 needs a window in N0, got -5:100"),
     ],
 )
 def test_verify_error_line(capsys, argv, line):

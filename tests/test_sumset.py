@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonbasis import gapset, intset, report, sumset, verify
+from nonbasis import gapset, grammar, intset, report, sumset, verify
 from nonbasis.errors import TargetExceedsSafeRange
 from nonbasis.families import Params, build_full, build_gapped, gcd_case
 from nonbasis.intset import (
@@ -102,13 +102,6 @@ def test_witness_examples():
     assert sumset.witness(a, 99) is None  # outside the target
     two = sumset.hfold_exact_bounded_below(dense_from_iter([2], Window(2, 2)), 2)
     assert sumset.witness(two, 4) == (2, 2)
-
-
-def test_witness_needs_partials():
-    a = dense_from_iter([0, 1, 3], Window(0, 3))
-    adjoined = sumset.adjoin(sumset.hfold_exact_bounded_below(a, 2), 2)
-    with pytest.raises(ValueError):
-        sumset.witness(adjoined, 4)
 
 
 SMALL_SETS = st.integers(-8, 6).flatmap(
@@ -300,7 +293,7 @@ def test_multiplicity_pair_on_uniqueness_inputs(monkeypatch):
             for s, t in itertools.product(sts, sts):
                 if gcd_case(h, s, t) == 1:
                     for cap in (0, 3, 57, 400):
-                        report.uniqueness_check(Params(h, s, t, domain), cap)
+                        report.uniqueness_check(build_full(Params(h, s, t, domain)), cap)
     assert len(calls) > 500
     for a, h, target in calls:
         assert len(sumset.arith_chains(a)) == 2
@@ -386,6 +379,12 @@ def test_arith_chains():
     assert chains([10, 11, 12, 13, 14, 16, 18], Window(8, 20)) == [(10, 2, 5), (11, 2, 2)]
     # a stride above the small ones is found from the gaps of the lowest members
     assert chains([3, 13, 23, 33, 43], Window(-5, 50)) == [(3, 10, 5)]
+    # a stride among the small ones is tried even when no gap between the
+    # lowest members shows it: two points far apart below a long class mod 7
+    spec = grammar.parse_spec("union(single:0,single:5000,classnn(7,10000))")
+    assert sumset.arith_chains(intset.materialize(spec, Window(0, 200000))) == [
+        (0, 7, 1), (5000, 7, 1), (10000, 7, 27143)
+    ]
 
 
 @settings(max_examples=200, deadline=None)
@@ -447,16 +446,7 @@ def test_adjoin_matches_direct_fold(a, h, target, b):
     got = sumset.adjoin(base, b)
     bits = a.bits | (1 << (b - a.window.lo) if a.window.contains(b) else 0)
     direct = sumset.hfold_truncated(DenseSet(a.window, bits), h, target)
-    assert got.dense == direct.dense
-    assert got.exactness == sumset.LOWER_BOUND
-
-
-def test_adjoin_needs_partials():
-    a = dense_from_iter([0, 1, 3], Window(0, 3))
-    adjoined = sumset.adjoin(sumset.hfold_exact_bounded_below(a, 4), 2)
-    assert adjoined.partials == ()
-    with pytest.raises(ValueError):
-        sumset.adjoin(adjoined, 2)
+    assert got == direct.dense
 
 
 @pytest.mark.parametrize("h", [2, 3, 5, 11])

@@ -479,6 +479,26 @@ def classify_windows(draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 39), st.integers(0, 8), GAP_GENERATORS)
+def test_below_threshold_verdicts_match_the_residue_route(h, s, t, gen):
+    # Over N0 below (h-2)s + ht, classify reads In or F0 off the prefix
+    # oracle.  Off the F1 class the residue route decides the same points
+    # exactly: i copies of s plus k = h - i summands h*x + t, so a k-fold
+    # decision on q - t, or h copies of s when n = h*s.
+    assume(math.gcd(h, abs(s - t)) == 1)
+    fam = build_gapped(Params(h, s, t, "n0"), gen)
+    for n in range((h - 2) * s + h * t):
+        if (n - (t - s)) % h == 0:
+            continue
+        rd = verify.residue_decompose(fam.params, n)
+        dec = verify.decide_kX(fam.x_spec(), rd.k, rd.q - t)
+        assert dec.status != "unknown", n
+        want = dec.status == "in" or (rd.i == 0 and n == h * s)
+        v = verify.classify(fam, n)
+        assert isinstance(v, InSumset if want else OutExceptional), (n, v)
+
+
+@settings(max_examples=60, deadline=None)
 @given(classify_windows())
 def test_classify_matches_the_oracle_on_random_windows(case):
     # Over N0 the oracle is exact; over Z it is truncated and may miss
@@ -604,7 +624,7 @@ def test_escape_check_decodes_only_its_own_sets(monkeypatch):
         assert len(calls) == decoded, case
         calls.clear()
         fab = sumset.adjoin(oracle.folded, rep.b)
-        assert rep.leftover == tuple(real(fab.dense.complement()))
+        assert rep.leftover == tuple(real(fab.complement()))
         assert rep.leftover == rep.leftover
         assert len(calls) == 1, case
 
@@ -616,10 +636,10 @@ def per_value_escape(fam, b, window, budget_probes):
     n0 = fam.domain == "n0"
     oracle = verify.base_oracle(fam, window)
     fab = sumset.adjoin(oracle.folded, b)
-    comp = fab.dense.complement()
+    comp = fab.complement()
     leftover = tuple(comp.members())
     if (b - t) % h == 0:
-        added = fab.dense.bits & ~oracle.folded.dense.bits
+        added = fab.bits & ~oracle.folded.dense.bits
         v = (h - 1) * s + b
         cover = 1 << (v - window.lo) if window.contains(v) else 0
         ok = added & ~(oracle.f_window.bits | cover) == 0
@@ -889,7 +909,7 @@ def test_bad_u_finite_passes_on_a_tiny_window():
 
 def test_catalog_budget_exhaustion_on_members_is_not_disagreement():
     fam = build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular())
-    cat = verify.complement_catalog(fam, Window(0, 2000), budget_probes=3)
+    cat = verify.complement_catalog(fam, Window(0, 2000), budget=3)
     assert 14 in cat.unknown_members
     assert cat.shifted_y[:4] == (1, 4, 10, 19)
     oracle = verify.base_oracle(fam, Window(0, 2000)).folded
