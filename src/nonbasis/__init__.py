@@ -64,7 +64,6 @@ from .verify import (
     KDecision,
     OutExceptional,
     OutShiftedY,
-    ResidueDecomposition,
     Unknown,
     Verdict,
     YPrimeFilter,
@@ -74,7 +73,6 @@ from .verify import (
     decide_kX,
     escape_check,
     lemma_basis_check,
-    residue_decompose,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

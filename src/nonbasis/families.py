@@ -59,6 +59,10 @@ class Family:
         # Caches keyed by a family hash it on every lookup; a frozen value
         # walks its params and spec tree for that once.
         object.__setattr__(self, "_hash", hash((self.params, self.y, self.spec)))
+        # residue's (s - t)^-1 mod h; None when gcd(h, s - t) != 1
+        h, s, t = self.params.h, self.params.s, self.params.t
+        inv = pow(s - t, -1, h) if gcd_case(h, s, t) == 1 else None
+        object.__setattr__(self, "_st_inv", inv)
 
     def __hash__(self) -> int:
         return self._hash
@@ -82,6 +86,18 @@ class Family:
     @property
     def is_gapped(self) -> bool:
         return self.y is not None
+
+    def residue(self, n: int) -> tuple[int, int]:
+        """The unique (i, q) with n = i(s - t) + h*q and 0 <= i < h.
+
+        That is n as i copies of s plus h - i summands h*x + t whose x sum
+        to q - t.  Needs gcd(h, s - t) = 1.
+        """
+        if self._st_inv is None:
+            h, s, t = self.h, self.s, self.t
+            raise GcdViolation(f"residue decomposition needs gcd({h},{s}-{t}) = 1")
+        i = n * self._st_inv % self.h
+        return i, (n - i * (self.s - self.t)) // self.h
 
     def x_spec(self) -> intset.SetSpec:
         """The spec for X: the carrier, minus Y for gapped families."""

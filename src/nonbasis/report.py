@@ -243,9 +243,10 @@ def lemma_checks(gen: gapset.GapGenerator, h: int, window: Window) -> list[Check
 ESCAPES_PER_CASE = 3
 
 
-def sample_escape_bs(family: Family, per_case: int, hi: int) -> dict[str, list[int]]:
-    """Deterministic b samples per residue case, all outside A."""
+def sample_escape_bs(family: Family, per_case: int, window: Window) -> dict[str, list[int]]:
+    """Deterministic b samples per residue case up to window.hi // 2, all outside A."""
     h, s, t = family.h, family.s, family.t
+    hi = window.hi // 2
     n0 = family.domain == DOMAIN_N0
     out: dict[str, list[int]] = {"not_st": [], "eq_s": [], "eq_t": []}
     u = 1
@@ -256,11 +257,10 @@ def sample_escape_bs(family: Family, per_case: int, hi: int) -> dict[str, list[i
             if cand >= 0 or not n0:
                 out["eq_s"].append(cand)
         u += 1
-    if family.y is not None and hi >= t:
-        for y in gapset.elements_in(family.y, Window(0, (hi - t) // h)):
-            if len(out["eq_t"]) >= per_case:
-                break
-            out["eq_t"].append(h * y + t)
+    for y in verify.base_oracle(family, window).ys:
+        if len(out["eq_t"]) >= per_case or h * y + t > hi:
+            break
+        out["eq_t"].append(h * y + t)
     if h >= 3:
         classes = [c for c in range(h) if c != s % h and c != t % h]
         b = 0
@@ -276,7 +276,7 @@ def escape_checks(
     window: Window,
     budget: int = verify.DEFAULT_BUDGET,
 ) -> list[Check]:
-    samples = sample_escape_bs(family, ESCAPES_PER_CASE, window.hi // 2)
+    samples = sample_escape_bs(family, ESCAPES_PER_CASE, window)
     checks = []
     for case, expected in (
         ("not_st", "becomes_basis"),
@@ -317,8 +317,8 @@ def augment_checks(family: Family, window: Window) -> list[Check]:
                 f"window {window.lo}:{window.hi}, too small to tell",
             )
         )
-    first_y = next(gapset.values(family.y))
-    drop = verify.augment_check(family, verify.YPrimeFilter("drop_values", (first_y,)), window)
+    first = verify.base_oracle(family, window).ys[:1]
+    drop = verify.augment_check(family, verify.YPrimeFilter("drop_values", first), window)
     checks.append(
         check(
             "augment_cofinite",

@@ -24,7 +24,7 @@ from .errors import (
     OracleDisagreement,
     UncertifiableTail,
 )
-from .families import DOMAIN_N0, DOMAIN_Z, Family, Params
+from .families import DOMAIN_N0, DOMAIN_Z, Family
 from .intset import DenseSet, Diff, GapTail, ModClass, ModClassNonneg, SetSpec, Window
 
 DEFAULT_BUDGET = 1_000_000
@@ -32,13 +32,6 @@ DEFAULT_BUDGET = 1_000_000
 
 class _BudgetExhausted(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ResidueDecomposition:
-    i: int
-    q: int
-    k: int
 
 
 @dataclass(frozen=True)
@@ -73,18 +66,6 @@ Verdict = InSumset | OutShiftedY | OutExceptional | Unknown
 class KDecision:
     status: str  # "in" | "out" | "unknown"
     witness: tuple[int, ...] = ()
-
-
-def residue_decompose(params: Params, n: int) -> ResidueDecomposition:
-    """Unique (i, q) with n = i(s-t) + h*q and i in {0..h-1}; k = h - i."""
-    h, s, t = params.h, params.s, params.t
-    st = (s - t) % h
-    if st == 0 or math.gcd(h, st) != 1:
-        raise GcdViolation(f"residue decomposition needs gcd({h},{s}-{t}) = 1")
-    inv = pow(st, -1, h)
-    i = (n % h) * inv % h
-    q = (n - i * (s - t)) // h
-    return ResidueDecomposition(i, q, h - i)
 
 
 def _xparts(xspec: SetSpec) -> tuple[str, gapset.GapGenerator]:
@@ -202,8 +183,9 @@ def classify(family: Family, n: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     if n0 and n < 0:
         raise DomainConstraint(f"{n} is outside N0")
 
-    if (n - (t - s)) % h == 0:
-        z1 = (n - (h - 1) * s - t) // h
+    i, q = family.residue(n)
+    if i == h - 1:
+        z1 = q - t
         if n0 and z1 < 0:
             return OutExceptional("F1")
         if family.y_contains(z1):
@@ -220,12 +202,11 @@ def classify(family: Family, n: int, budget: int = DEFAULT_BUDGET) -> Verdict:
         xs = tuple((v - t) // h for v in wit if v != s)
         return InSumset(s_count, xs)
 
-    rd = residue_decompose(p, n)
-    if rd.i == 0 and n == h * s:
+    if i == 0 and n == h * s:
         return InSumset(h, ())
-    dec = decide_kX(family.x_spec(), rd.k, rd.q - t, budget)
+    dec = decide_kX(family.x_spec(), h - i, q - t, budget)
     if dec.status == "in":
-        return InSumset(rd.i, dec.witness)
+        return InSumset(i, dec.witness)
     if dec.status == "out":
         return OutExceptional("F0")
     return Unknown("probe budget exhausted")
@@ -522,11 +503,12 @@ def escape_check(
 ) -> EscapeReport:
     """What adjoining one element b outside A does to the h-fold sumset.
 
-    The three residue cases of b against s and t mod h behave differently:
-    b not congruent to either (possible only for h >= 3) and b = s (mod h)
-    make the window complement above a computed threshold collapse to a
-    finite predicted exception list; b = t (mod h) adds at most the single
-    shifted image of its y' plus part of the exceptional set.  The
+    Family.residue writes b - t = j(s - t) + h*q, and j names the case:
+    j = 0 is b = t (mod h), j = 1 is b = s (mod h), and any other j
+    (possible only for h >= 3) is not_st, b not congruent to either.
+    not_st and b = s make the window complement above a computed threshold
+    collapse to a finite predicted exception list; b = t adds at most the
+    single shifted image of its y' plus part of the exceptional set.  The
     predictions walk the oracle's shifted-Y pairs, and each k-fold
     decision behind a predicted exception gets its own probe budget.  A
     not_st decision runs only while its pair target is below pair_bound:
@@ -543,12 +525,8 @@ def escape_check(
     if family.a_contains(b):
         raise BNotOutside(f"b = {b} already belongs to the family")
 
-    if (b - s) % h == 0:
-        case = "eq_s"
-    elif (b - t) % h == 0:
-        case = "eq_t"
-    else:
-        case = "not_st"
+    j, q = family.residue(b - t)
+    case = "eq_t" if j == 0 else "eq_s" if j == 1 else "not_st"
 
     oracle = base_oracle(family, window)
     fa = oracle.folded
@@ -567,12 +545,11 @@ def escape_check(
     predicted: list[int] = []
     threshold = window.lo
     if case == "eq_s":
-        # n predicts an exception when w_val lies in Y, or below 0 over N0;
-        # w_val passes the end of oracle.ys only if b < s
-        u = (b - s) // h
+        # b = s + h*q; n predicts an exception when w_val lies in Y, or below
+        # 0 over N0; w_val passes the end of oracle.ys only if b < s
         ys = oracle.ys
         for y, n in oracle.shifted_ys:
-            w_val = y - (h - 1) * u
+            w_val = y - (h - 1) * q
             if w_val < 0:
                 hit = n0
             elif w_val <= ys[-1]:
@@ -582,27 +559,20 @@ def escape_check(
             if hit:
                 predicted.append(n)
     else:
-        if h == 2:
-            raise AssertionError("not_st is vacuous for h = 2")
-        i = (residue_decompose(family.params, t - b).i - 1) % h
-        if i > h - 3:
-            raise AssertionError("not_st congruence landed on s or t")
-        kk = h - i - 1
+        # n = b + (h-1-j)*s + (j summands h*x + t), the x summing to y - q
         if n0:
             threshold = b + (h - 3) * s + (h - 1) * t
         x0 = gapset.least_non_member(family.y)
-        band_end = window.hi + 1
+        y_end = math.inf
         if budget >= fixed_branch_probes(family.y):
-            # the first n whose pair target num // h - (kk-2)*x0 reaches pair_bound
-            band_end = b + i * s + kk * t + h * (pair_bound(family.y) + (kk - 2) * x0)
-        for _, n in oracle.shifted_ys:
+            # the first y whose pair target y - q - (j-2)*x0 reaches pair_bound
+            y_end = q + pair_bound(family.y) + (j - 2) * x0
+        for y, n in oracle.shifted_ys:
             if n < threshold:
                 continue
-            if n >= band_end:
+            if y >= y_end:
                 break
-            num = n - b - i * s - kk * t
-            assert num % h == 0
-            dec = decide_kX(family.x_spec(), kk, num // h, budget)
+            dec = decide_kX(family.x_spec(), j, y - q, budget)
             if dec.status == "out":
                 predicted.append(n)
             elif dec.status == "unknown":

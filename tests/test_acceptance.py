@@ -196,7 +196,7 @@ def test_criterion_6_escape_cases():
                     continue
                 fam = build_gapped(Params(h, s, t, "n0"), GEOM2)
                 families += 1
-                samples = report.sample_escape_bs(fam, 5, window.hi // 2)
+                samples = report.sample_escape_bs(fam, 5, window)
                 for case, expected in (
                     ("not_st", "becomes_basis"),
                     ("eq_s", "becomes_basis"),

@@ -4,7 +4,8 @@ perfbench/tracer.py is loaded by path, as the benchmark loads it, and each
 of its TARGETS is looked up in the package: a callable module attribute,
 or a plain function in the class __dict__ for a Class.method entry.  Each
 workload, run tiny under the tracer, must call every function that
-perfbench/selftest.py maps to it.
+perfbench/selftest.py maps to it; run tiny without it, its outputs must
+pass the benchmark's own checks.
 """
 
 import importlib
@@ -54,6 +55,26 @@ for name, fns in selftest.EXERCISED.items():
 print(json.dumps(idle))
 """
 
+# Run in a child process too: the workloads' Capture patches verify for the
+# whole process.  Prints, per seed and workload, the operation count and
+# the failure messages of workloads.check.
+CHECKS = """
+import json, random, sys
+from pathlib import Path
+
+perfbench = Path(sys.argv[1])
+sys.path[:0] = [str(perfbench.parent / "src"), str(perfbench)]
+import workloads
+
+result = {}
+for seed in (1, 7):
+    for name, workload in workloads.WORKLOADS.items():
+        ops = workload.build(seed, "tiny")
+        workloads.solve(ops)
+        result[f"{name}/{seed}"] = [len(ops), workloads.check(ops, random.Random(seed))]
+print(json.dumps(result))
+"""
+
 
 def _targets():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -81,3 +102,14 @@ def test_traced_workloads_call_their_layers():
     idle = json.loads(proc.stdout.strip().splitlines()[-1])
     assert sorted(idle) == ["adjoin", "catalog", "dichotomy", "lemma"]
     assert not any(idle.values()), idle
+
+
+def test_tiny_workloads_pass_their_own_checks():
+    proc = subprocess.run(
+        [sys.executable, "-c", CHECKS, str(PERFBENCH)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(result) == 8
+    assert all(count > 0 and not failures for count, failures in result.values()), result

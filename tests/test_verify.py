@@ -39,8 +39,8 @@ def fam301():
     ],
 )
 def test_residue_decompose_examples(params, n, i, q, k):
-    rd = verify.residue_decompose(params, n)
-    assert (rd.i, rd.q, rd.k) == (i, q, k)
+    ri, rq = build_full(params).residue(n)
+    assert (ri, rq, params.h - ri) == (i, q, k)
 
 
 @settings(max_examples=200)
@@ -55,14 +55,14 @@ def test_residue_decompose_reconstructs(h, s, t, n):
 
     if math.gcd(h, abs(s - t)) != 1:
         return
-    rd = verify.residue_decompose(Params(h, s, t, "z"), n)
-    assert rd.i * (s - t) + h * rd.q == n
-    assert 0 <= rd.i < h and rd.k == h - rd.i
+    i, q = build_full(Params(h, s, t, "z")).residue(n)
+    assert i * (s - t) + h * q == n
+    assert 0 <= i < h
 
 
 def test_residue_decompose_needs_gcd_one():
     with pytest.raises(GcdViolation):
-        verify.residue_decompose(Params(2, 1, 3, "z"), 5)
+        build_full(Params(2, 1, 3, "z")).residue(5)
 
 
 @pytest.mark.parametrize(
@@ -267,9 +267,9 @@ def test_catalog_derives_the_family_facts_once(monkeypatch):
 
 def test_adjunction_checks_read_the_oracles_y_prefix(monkeypatch):
     # The oracle walks Y once for its shifted-Y bits, its pairs, the eq_s
-    # lookups and the augmentation.  With R(3) and x0 memoized, the escape
-    # run walks Y for its b samples, for A and for the oracle's prefix; the
-    # augment run on the cached oracle walks it only for the first y.
+    # lookups, the eq_t samples and the augmentation.  With R(3) and x0
+    # memoized, the escape run walks Y for A and for the oracle's prefix;
+    # the augment run on the cached oracle does not walk it at all.
     fam = build_gapped(Params(5, 0, 1, "n0"), GEOM2)
     window = Window(0, 3000)
     for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle):
@@ -285,10 +285,10 @@ def test_adjunction_checks_read_the_oracles_y_prefix(monkeypatch):
     monkeypatch.setattr(gapset, "values", counting)
     escapes = report.escape_checks(fam, window)
     assert {c.name.split("_b")[0] for c in escapes} >= {"escape_eq_s", "escape_not_st"}
-    assert len(walks) <= 3
+    assert len(walks) <= 2
     walks.clear()
     report.augment_checks(fam, window)
-    assert len(walks) <= 1
+    assert len(walks) == 0
 
 
 def test_catalog_example():
@@ -490,10 +490,10 @@ def test_below_threshold_verdicts_match_the_residue_route(h, s, t, gen):
     for n in range((h - 2) * s + h * t):
         if (n - (t - s)) % h == 0:
             continue
-        rd = verify.residue_decompose(fam.params, n)
-        dec = verify.decide_kX(fam.x_spec(), rd.k, rd.q - t)
+        i, q = fam.residue(n)
+        dec = verify.decide_kX(fam.x_spec(), h - i, q - t)
         assert dec.status != "unknown", n
-        want = dec.status == "in" or (rd.i == 0 and n == h * s)
+        want = dec.status == "in" or (i == 0 and n == h * s)
         v = verify.classify(fam, n)
         assert isinstance(v, InSumset if want else OutExceptional), (n, v)
 
@@ -598,10 +598,10 @@ def test_escape_checks_fold_once(monkeypatch):
 
 
 def test_escape_samples_below_t_take_no_eq_t_b():
-    # hi < t leaves no y with h*y + t <= hi, and the Y window 0:(hi - t)//h
-    # would be empty
+    # samples reach window.hi // 2 = 5 < t: the oracle's Y prefix holds
+    # y = 0 and 1, but no y with h*y + t <= 5
     fam = build_gapped(Params(3, 0, 7, "n0"), gapset.Triangular())
-    samples = report.sample_escape_bs(fam, 5, 5)
+    samples = report.sample_escape_bs(fam, 5, Window(0, 11))
     assert samples["eq_t"] == []
     assert samples["eq_s"] == [3] and samples["not_st"] == [2, 5]
 
@@ -613,7 +613,7 @@ def test_escape_check_decodes_only_its_own_sets(monkeypatch):
     fam = build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular())
     window = Window(0, 3000)
     oracle = verify.base_oracle(fam, window)
-    samples = report.sample_escape_bs(fam, 1, window.hi // 2)
+    samples = report.sample_escape_bs(fam, 1, window)
     calls = []
     real = intset.DenseSet.members
     monkeypatch.setattr(intset.DenseSet, "members", lambda self: calls.append(1) or real(self))
@@ -656,7 +656,7 @@ def per_value_escape(fam, b, window, budget_probes):
                 predicted.append(n)
     else:
         case = "not_st"
-        i = (verify.residue_decompose(fam.params, t - b).i - 1) % h
+        i = (fam.residue(t - b)[0] - 1) % h
         if n0:
             threshold = b + (h - 3) * s + (h - 1) * t
         for _, n in fam.shifted_ys(window):
@@ -808,12 +808,89 @@ def test_not_st_escape_decides_only_inside_the_band(monkeypatch):
         calls.clear()
         rep = verify.escape_check(fam, b, window)
         assert (rep.residue_case, rep.verdict) == ("not_st", "becomes_basis")
-        i = (verify.residue_decompose(fam.params, t - b).i - 1) % h
+        i = (fam.residue(t - b)[0] - 1) % h
         k = h - i - 1
         threshold = b + (h - 1) * t
         targets = [(n - b - k * t) // h for _, n in fam.shifted_ys(window) if n >= threshold]
         assert calls == [(k, m) for m in targets if m - (k - 2) * x0 < bound], b
         assert len(calls) < len(targets) / 4, b
+
+
+@st.composite
+def residue_route_cases(draw):
+    """A gapped family with h in 2..8 and s, t in -7..7, and an n and a b in
+    -80..80, over Z or N0 (nonnegative there)."""
+    n0 = draw(st.booleans())
+    h = draw(st.integers(2, 8))
+    s = draw(st.integers(0 if n0 else -7, 7))
+    t = draw(st.integers(0 if n0 else -7, 7))
+    assume(math.gcd(h, abs(s - t)) == 1)
+    fam = build_gapped(Params(h, s, t, "n0" if n0 else "z"), draw(GAP_GENERATORS))
+    n = draw(st.integers(0 if n0 else -80, 80))
+    b = draw(st.integers(0 if n0 else -80, 80))
+    return fam, n, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_route_cases())
+@example((build_gapped(Params(8, 7, 0, "n0"), GEOM2), 62, 2))  # h = 8, both not_st
+@example((build_gapped(Params(5, -7, 6, "z"), gapset.Triangular()), -80, -79))  # Z corner
+def test_residue_route_matches_the_modular_formulas(case):
+    # classify's branch, escape_check's case and its not_st decisions agree
+    # with the congruences mod h and the inverse of s - t mod h
+    fam, n, b = case
+    h, s, t = fam.h, fam.s, fam.t
+    n0 = fam.domain == "n0"
+    inv = pow((s - t) % h, -1, h)
+    calls = []
+    decide, witness = verify.decide_kX, sumset.witness
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            verify, "decide_kX",
+            lambda xspec, k, m, budget: calls.append((k, m)) or decide(xspec, k, m, budget),
+        )
+        mp.setattr(sumset, "witness", lambda res, v: calls.append("witness") or witness(res, v))
+        verdict = verify.classify(fam, n)
+        if (n - (t - s)) % h == 0:
+            z1 = (n - (h - 1) * s - t) // h
+            if n0 and z1 < 0:
+                want = OutExceptional("F1")
+            else:
+                want = OutShiftedY(z1) if fam.y_contains(z1) else InSumset(h - 1, (z1,))
+            assert (verdict, calls) == (want, [])
+        elif n0 and n < (h - 2) * s + h * t:
+            assert calls == ["witness"]
+        else:
+            i = n % h * inv % h
+            q = (n - i * (s - t)) // h
+            if i == 0 and n == h * s:
+                assert (verdict, calls) == (InSumset(h, ()), [])
+            else:
+                assert calls == [(h - i, q - t)]
+                assert not isinstance(verdict, InSumset) or verdict.s_count == i
+        if fam.a_contains(b):
+            return
+        window = Window(0, 300) if n0 else Window(-150, 150)
+        calls.clear()
+        rep = verify.escape_check(fam, b, window)
+    if (b - s) % h == 0:
+        assert (rep.residue_case, calls) == ("eq_s", [])
+    elif (b - t) % h == 0:
+        assert (rep.residue_case, calls) == ("eq_t", [])
+    else:
+        # b + i copies of s + k summands h*x + t, one k-fold decision per
+        # shifted-Y value from the threshold to the end of the band
+        i = ((t - b) % h * inv % h - 1) % h
+        k = h - i - 1
+        threshold = b + (h - 3) * s + (h - 1) * t if n0 else window.lo
+        x0 = gapset.least_non_member(fam.y)
+        band_end = b + i * s + k * t + h * (verify.pair_bound(fam.y) + (k - 2) * x0)
+        assert rep.residue_case == "not_st"
+        assert calls == [
+            (k, (v - b - i * s - k * t) // h)
+            for _, v in fam.shifted_ys(window)
+            if threshold <= v < band_end
+        ]
 
 
 @st.composite
