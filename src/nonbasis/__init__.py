@@ -61,7 +61,6 @@ from .sumset import (
 from .verify import (
     Catalog,
     InSumset,
-    KDecision,
     OutExceptional,
     OutShiftedY,
     Unknown,

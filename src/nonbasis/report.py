@@ -262,10 +262,10 @@ def sample_escape_bs(family: Family, per_case: int, window: Window) -> dict[str,
             break
         out["eq_t"].append(h * y + t)
     if h >= 3:
-        classes = [c for c in range(h) if c != s % h and c != t % h]
+        # not_st is residue j >= 2 of b - t, which needs h >= 3
         b = 0
         while len(out["not_st"]) < per_case and b <= hi:
-            if b % h in classes:
+            if family.residue(b - t)[0] >= 2:
                 out["not_st"].append(b)
             b += 1
     return out

@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import TargetExceedsSafeRange
+from .errors import DomainConstraint, TargetExceedsSafeRange
 from .intset import DenseSet, Window, ap_bits, dilate_or
 
 EXACT = "exact"
@@ -294,7 +294,7 @@ def hfold_exact_bounded_below(
     window, so the windowed computation is exact there.
     """
     if h < 1:
-        raise TargetExceedsSafeRange(f"h must be >= 1, got {h}")
+        raise DomainConstraint(f"h must be >= 1, got {h}")
     m, n = a.window.lo, a.window.hi
     safe = Window(h * m, n + (h - 1) * m)
     if target is None:
@@ -313,7 +313,7 @@ def hfold_truncated(a: DenseSet, h: int, target: Window) -> SumsetResult:
     member is a real sum of h window elements.
     """
     if h < 1:
-        raise TargetExceedsSafeRange(f"h must be >= 1, got {h}")
+        raise DomainConstraint(f"h must be >= 1, got {h}")
     return _folded(a, h, target, LOWER_BOUND)
 
 

@@ -62,12 +62,6 @@ class Unknown:
 Verdict = InSumset | OutShiftedY | OutExceptional | Unknown
 
 
-@dataclass(frozen=True)
-class KDecision:
-    status: str  # "in" | "out" | "unknown"
-    witness: tuple[int, ...] = ()
-
-
 def _xparts(xspec: SetSpec) -> tuple[str, gapset.GapGenerator]:
     if (
         isinstance(xspec, Diff)
@@ -101,20 +95,24 @@ def fixed_branch_probes(gen: gapset.GapGenerator) -> int:
     return gapset.least_non_member(gen) + 3
 
 
-def decide_kX(xspec: SetSpec, k: int, m: int, budget: int = DEFAULT_BUDGET) -> KDecision:
-    """Is m a sum of k elements of X?  Exact over N0; always In over Z.
+def decide_kX(
+    xspec: SetSpec, k: int, m: int, budget: int = DEFAULT_BUDGET
+) -> tuple[int, ...] | None | Unknown:
+    """k elements of X summing to m, as a tuple, or None if there are none.
 
-    k = 2 is the four-point argument around m/2 with an exhaustive scan of
-    the finite region below the close-pair radius.  k >= 3 first tries
-    k-2 copies of the smallest nonnegative X element x0 plus a pair, then
-    falls back to an exhaustive scan over the smallest summand.  Each
-    membership test of X spends one of the budget's probes, and a decision
-    that would overspend is unknown.  Finding x0 is charged x0 + 1 probes,
-    one per integer its scan rules out or accepts, also when the memoized
-    scan does not rerun, so a verdict never depends on what ran before it.
+    Exact over N0; over Z there always are.  k = 2 is the four-point
+    argument around m/2 with an exhaustive scan of the finite region below
+    the close-pair radius.  k >= 3 first tries k-2 copies of the smallest
+    nonnegative X element x0 plus a pair, then falls back to an exhaustive
+    scan over the smallest summand.  Each membership test of X spends one
+    of the budget's probes, and a decision that would overspend returns
+    Unknown("probe budget exhausted").  Finding x0 is charged x0 + 1
+    probes, one per integer its scan rules out or accepts, also when the
+    memoized scan does not rerun, so a verdict never depends on what ran
+    before it.
     """
     if k < 2:
-        raise GcdViolation(f"decide_kX needs k >= 2, got {k}")
+        raise DomainConstraint(f"decide_kX needs k >= 2, got {k}")
     domain, gen = _xparts(xspec)
     n0 = domain == DOMAIN_N0
     r3 = gapset.gap_radius(gen, 3)
@@ -157,7 +155,6 @@ def decide_kX(xspec: SetSpec, k: int, m: int, budget: int = DEFAULT_BUDGET) -> K
         return (-j, m + j)
 
     try:
-        wit = None
         if k > 2 and not (n0 and m < 0):
             x0 = gapset.least_non_member(gen)
             budget -= x0 + 1
@@ -165,12 +162,10 @@ def decide_kX(xspec: SetSpec, k: int, m: int, budget: int = DEFAULT_BUDGET) -> K
                 raise _BudgetExhausted()
             pair = search(2, m - (k - 2) * x0)
             if pair is not None:
-                wit = (x0,) * (k - 2) + pair
-        if wit is None:
-            wit = search(k, m)
+                return (x0,) * (k - 2) + pair
+        return search(k, m)
     except _BudgetExhausted:
-        return KDecision("unknown")
-    return KDecision("out") if wit is None else KDecision("in", wit)
+        return Unknown("probe budget exhausted")
 
 
 def classify(family: Family, n: int, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -204,12 +199,12 @@ def classify(family: Family, n: int, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     if i == 0 and n == h * s:
         return InSumset(h, ())
-    dec = decide_kX(family.x_spec(), h - i, q - t, budget)
-    if dec.status == "in":
-        return InSumset(i, dec.witness)
-    if dec.status == "out":
+    wit = decide_kX(family.x_spec(), h - i, q - t, budget)
+    if wit is None:
         return OutExceptional("F0")
-    return Unknown("probe budget exhausted")
+    if isinstance(wit, Unknown):
+        return wit
+    return InSumset(i, wit)
 
 
 def verify_certificate(family: Family, n: int, verdict: Verdict) -> bool:
@@ -572,10 +567,10 @@ def escape_check(
                 continue
             if y >= y_end:
                 break
-            dec = decide_kX(family.x_spec(), j, y - q, budget)
-            if dec.status == "out":
+            wit = decide_kX(family.x_spec(), j, y - q, budget)
+            if wit is None:
                 predicted.append(n)
-            elif dec.status == "unknown":
+            elif isinstance(wit, Unknown):
                 return EscapeReport(b, case, "inconclusive", tuple(predicted), comp_ab, ())
 
     allowed = oracle.f_window.bits | intset.dense_from_iter(predicted, window).bits

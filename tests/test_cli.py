@@ -253,6 +253,12 @@ def test_sumset_target_outside_the_safe_range_exits_2(capsys):
     assert "TargetExceedsSafeRange" in err and "safe range 0:40" in err
 
 
+def test_sumset_h_below_one_exits_2_naming_the_domain(capsys):
+    code, out, err = run(capsys, ["sumset", "--h", "0", "--spec", "nonneg", "--window", "0:5"])
+    assert (code, out) == (2, "")
+    assert err == "error: DomainConstraint: h must be >= 1, got 0\n"
+
+
 def test_sumset_with_spec_literal(capsys):
     code, out, _ = run(
         capsys,

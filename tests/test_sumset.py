@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonbasis import gapset, grammar, intset, report, sumset, verify
-from nonbasis.errors import TargetExceedsSafeRange
+from nonbasis.errors import DomainConstraint, TargetExceedsSafeRange
 from nonbasis.families import Params, build_full, build_gapped, gcd_case
 from nonbasis.intset import (
     DenseSet,
@@ -83,8 +83,10 @@ def test_safe_range_enforced():
     a = dense_from_iter([0, 1, 3], Window(0, 3))
     with pytest.raises(TargetExceedsSafeRange):
         sumset.hfold_exact_bounded_below(a, 2, target=Window(0, 6))
-    with pytest.raises(TargetExceedsSafeRange):
+    with pytest.raises(DomainConstraint):
         sumset.hfold_exact_bounded_below(a, 0)
+    with pytest.raises(DomainConstraint):
+        sumset.hfold_truncated(a, 0, Window(0, 3))
 
 
 def test_representation_counts():
