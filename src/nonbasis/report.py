@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from . import gapset, grammar, intset, sumset, verify
-from .errors import OracleDisagreement
+from .errors import DomainConstraint, OracleDisagreement
 from .families import DOMAIN_N0, Family, gcd_case
 from .intset import Window
 
@@ -176,9 +176,11 @@ def uniqueness_check(family: Family, cap_hi: int) -> Check:
     """Representation multiplicity along n = t-s (mod h) above the threshold.
 
     Each such n in the safe region must have exactly one multiset
-    representation against the truncated set; checked for the whole region
-    at once with the saturating-multiplicity sweep.
+    representation against the truncated set of a full family; checked for
+    the whole region at once with the saturating-multiplicity sweep.
     """
+    if family.is_gapped:
+        raise DomainConstraint("uniqueness check applies to full families only")
     h, s, t = family.h, family.s, family.t
     if gcd_case(h, s, t) != 1:
         return Check("uniqueness", FAIL, "gcd case is not 1")
@@ -190,14 +192,19 @@ def uniqueness_check(family: Family, cap_hi: int) -> Check:
     # The canonical representation of every checked n fits inside
     # [-pad, cap_hi + pad]; any second multiset inside the truncation would
     # already disprove uniqueness, so a modest truncation is a fair test.
+    # The truncated set is two chains: s, which lies in src and off the
+    # progression h*z + t since gcd(h, s - t) = 1, and that progression on
+    # src, which starts at t over N0.
     if family.domain == DOMAIN_N0:
         src = Window(0, cap_hi + pad)
+        first = t
     else:
         src = Window(-pad, cap_hi + pad)
-    dense = intset.materialize(family.spec, src)
+        first = src.lo + (t - src.lo) % h
+    chains = sorted([(s, h, 1), (first, h, (src.hi - first) // h + 1)])
     # No clip at h * src.lo: start >= 0 = h * src.lo over N0, start >= h*t >= -h*pad over Z
     region = intset.materialize(intset.ModClass(h, t - s), Window(start, cap_hi))
-    ge1, ge2 = sumset.multiplicity_pair(dense, h, region.window)
+    ge1, ge2 = sumset.multiplicity_pair(chains, h, region.window)
     bad = region.bits & (~ge1.bits | ge2.bits)
     first_bad = region.window.lo + (bad & -bad).bit_length() - 1
     return check(
@@ -407,7 +414,7 @@ def stability_check(family: Family, window: Window) -> Check:
     small = oracle.dense.window
     big = Window(small.lo * 2, small.hi * 2)
     dense = intset.materialize(family.spec, big)
-    wide = verify.oracle_fold(family, dense, window).dense
+    wide = sumset.hfold_truncated(dense, family.h, target=window).dense
     return check(
         "truncation_stability",
         oracle.folded.dense == wide,

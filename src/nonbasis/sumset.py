@@ -7,8 +7,9 @@ are shifted as a group via doubling, which is an algebraic identity on
 OR-over-shifts; a sum of two residue classes with few holes is full in its
 middle, which is set at once, so only its ends are walked run by run.
 Results are bit-identical to the per-element loop (property-tested), and
-keep their k-fold partials: h(A u {b}) is h shifts of them, as bits, and a
-witness one bit search per summand.  Representation multiplicities,
+keep their k-fold partials: h(A u {b}) is h shifts of them, as bits, a
+witness one bit search per summand, and the fold of {s} u (B + t) over N0
+two shifts per partial of the fold of B.  Representation multiplicities,
 saturated at two, are added run by run too: the sums of c copies from one
 run are a saturating dilation by an AP.
 """
@@ -317,6 +318,44 @@ def hfold_truncated(a: DenseSet, h: int, target: Window) -> SumsetResult:
     return _folded(a, h, target, LOWER_BOUND)
 
 
+def _shift_union(terms, target: Window) -> DenseSet:
+    """The union of p + c over the (p, c) terms, cut to target, one shift
+    each; a None p is empty."""
+    bits = 0
+    for p, c in terms:
+        if p is not None:
+            off = p.window.lo + c - target.lo
+            bits |= (p.bits << off) if off >= 0 else (p.bits >> -off)
+    return DenseSet(target, bits & ((1 << target.width) - 1))
+
+
+def hfold_point_union(fold: SumsetResult, s: int, t: int, target: Window) -> SumsetResult:
+    """Exact h-fold of A = {s} u (B + t) on target, by shifts of the
+    partials of hB; equal, partials too, to hfold_exact_bounded_below of A
+    on fold's source.
+
+    fold is hB folded on its whole source [0, hi] (no target), s and t are
+    >= 0, and target lies in [0, hi].  Then every summand of a sum of A up
+    to hi lies in [0, hi], and so does every subtotal.  A k-element sum
+    with no copy of s is k*t plus one of kB, and one with a copy is s plus
+    a (k-1)-element sum: kA = (k*t + kB) u (s + (k-1)A), two shifts per k.
+    """
+    h, src = fold.h, fold.source
+    if src.lo != 0 or fold.target != src:
+        raise DomainConstraint("hfold_point_union needs hB folded on its whole source [0, hi]")
+    if s < 0 or t < 0:
+        raise DomainConstraint(f"s and t must be >= 0, got s={s} t={t}")
+    if target.lo < 0 or target.hi > src.hi:
+        raise TargetExceedsSafeRange(
+            f"target {target.lo}:{target.hi} outside safe range 0:{src.hi}"
+        )
+    partials = [fold.partials[0]]
+    for k in range(1, h + 1):
+        terms = ((fold.partials[k], k * t), (partials[-1], s))
+        partials.append(_shift_union(terms, _clip_window(k, h, src, target)))
+    return SumsetResult(h, src, target, partials[h], EXACT, tuple(partials))
+
+
 def adjoin(result: SumsetResult, b: int) -> DenseSet:
     """h(A u {b}) on result's target, as bits, built from the partials of hA.
 
@@ -325,16 +364,11 @@ def adjoin(result: SumsetResult, b: int) -> DenseSet:
     with b in the source every (h-j)A value that lands in the target lies
     in the clip window of its partial, so this is h shifts and no fold.
     """
-    h, target = result.h, result.target
-    bits = result.dense.bits
+    h = result.h
+    terms = [(result.dense, 0)]
     if result.source.contains(b):
-        for j in range(1, h + 1):
-            part = result.partials[h - j]
-            if part is None:
-                continue
-            off = part.window.lo + j * b - target.lo
-            bits |= (part.bits << off) if off >= 0 else (part.bits >> -off)
-    return DenseSet(target, bits & ((1 << target.width) - 1))
+        terms += [(result.partials[h - j], j * b) for j in range(1, h + 1)]
+    return _shift_union(terms, result.target)
 
 
 def witness(result: SumsetResult, n: int) -> tuple[int, ...] | None:
@@ -395,12 +429,17 @@ def _dilate_pair(x1: int, x2: int, gap: int, count: int, maxbits: int) -> tuple[
     return r1, r2
 
 
-def multiplicity_pair(a: DenseSet, h: int, target: Window) -> tuple[DenseSet, DenseSet]:
+def multiplicity_pair(
+    chains: list[tuple[int, int, int]], h: int, target: Window
+) -> tuple[DenseSet, DenseSet]:
     """(at_least_one, at_least_two) representation multiplicities on target.
 
-    The first set holds each n in target with at least one multiset
-    representation as a sum of h elements of a, the second each n with at
-    least two.  Counts are saturated at two, and a's arithmetic chains are
+    The set is given as its chains (start, stride, count): disjoint
+    arithmetic progressions in ascending order of start, as arith_chains
+    returns them or a caller that knows its set's shape names them.  The
+    first result holds each n in target with at least one multiset
+    representation as a sum of h elements of the set, the second each n
+    with at least two.  Counts are saturated at two, and the chains are
     added one at a time: row u gains, for c = 1..u, row u-c (still without
     this chain, as u runs h..1) plus c copies from the chain.
 
@@ -412,19 +451,19 @@ def multiplicity_pair(a: DenseSet, h: int, target: Window) -> tuple[DenseSet, De
     by the AP 0, g, ..., c(L-1)g, plus the >= 1 row dilated by the middle
     AP 2g, ..., (c(L-1)-2)g into >= 2.  Saturated counts depend only on
     saturated inputs, so the chains combine exactly.  The rows keep bit
-    n - u*a.window.lo for a u-element sum n and are cut at the bit of
-    target.hi.  Cost: O(chains * h^2 * log L) big-int shifts, where the
-    per-element recurrence took O(|a| * h); a set of many short chains is
-    slower this way.
+    n - u*lo for a u-element sum n, lo the least member, and are cut at
+    the bit of target.hi.  Cost: O(chains * h^2 * log L) big-int shifts,
+    where the per-element recurrence took O(|set| * h); a set of many
+    short chains is slower this way.
     """
-    lo = a.window.lo
-    relmax = target.hi - h * lo
-    if relmax < 0:
+    if not chains or target.hi < h * chains[0][0]:
         return DenseSet(target, 0), DenseSet(target, 0)
+    lo = chains[0][0]
+    relmax = target.hi - h * lo
     maxbits = relmax + 1
     ge1 = [1] + [0] * h
     ge2 = [0] * (h + 1)
-    for a0, g, L in arith_chains(a):
+    for a0, g, L in chains:
         p = a0 - lo
         if p > relmax:
             break

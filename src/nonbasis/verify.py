@@ -355,15 +355,16 @@ def oracle_source(family: Family, window: Window) -> Window:
     return Window(-radius, radius)
 
 
-def oracle_fold(family: Family, dense: DenseSet, window: Window) -> sumset.SumsetResult:
-    """hA on window of a set materialized on its oracle source.
+@lru_cache(maxsize=8)
+def hx_fold(h: int, xspec: SetSpec, hi: int) -> sumset.SumsetResult:
+    """h*X folded on [0, hi] with its partials, for X over N0.
 
-    Exact for N0 families, truncated for Z; either way the result keeps the
-    k-fold partials that the adjunction checks build on.
+    Every N0 family with this h and X builds its oracle on a window ending
+    at hi from it by shifts (sumset.hfold_point_union), whatever its s and
+    t, so a sweep of s and t folds once.
     """
-    if family.domain == DOMAIN_N0:
-        return sumset.hfold_exact_bounded_below(dense, family.h, target=window)
-    return sumset.hfold_truncated(dense, family.h, target=window)
+    hx = intset.materialize(intset.ShiftScale(xspec, 0, h), Window(0, hi))
+    return sumset.hfold_exact_bounded_below(hx, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,11 +394,20 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
     """The oracle shared by the catalog and every adjunction check of a window.
 
     classify also reads N0 points below the structural threshold off the
-    oracle of [0, threshold - 1].
+    oracle of [0, threshold - 1].  Over N0, A = {s} u (h*X + t) and hA are
+    built by shifts from hx_fold, exact on the window (see
+    sumset.hfold_point_union); A on the source is hA's first partial, whose
+    clip window is the whole source since h >= 2.  Over Z, A is
+    materialized and folded, since the truncated source depends on s and t.
     """
     src = oracle_source(family, window)
-    dense = intset.materialize(family.spec, src)
-    folded = oracle_fold(family, dense, window)
+    if family.domain == DOMAIN_N0:
+        hx = hx_fold(family.h, family.xspec, src.hi)
+        folded = sumset.hfold_point_union(hx, family.s, family.t, window)
+        dense = folded.partials[1]
+    else:
+        dense = intset.materialize(family.spec, src)
+        folded = sumset.hfold_truncated(dense, family.h, target=window)
     ys: tuple[int, ...] = ()
     if family.y is not None:
         top = (src.hi - family.t) // family.h
@@ -633,17 +643,26 @@ def augment_check(
     src = oracle.dense.window
     # Over Z, adjoined elements above the window can still reach it with
     # negative partners, so B is collected across the whole oracle source.
-    selected_b: list[int] = []
+    selected: list[int] = []  # the y' of Y' in the oracle's prefix of Y
     dropped_shifted: list[int] = []
     for idx, y in enumerate(oracle.ys):
         if yprime.selects(idx, y):
-            selected_b.append(h * y + t)
+            selected.append(y)
         else:
             dropped_shifted.append(family.shifted_y_value(y))
     dropped = intset.dense_from_iter(dropped_shifted, window)
 
-    bits = oracle.dense.bits | intset.dense_from_iter(selected_b, src).bits
-    comp_ab = oracle_fold(family, DenseSet(src, bits), window).dense.complement()
+    if family.domain == DOMAIN_N0:
+        # A u B = {s} u (h*(X u Y') + t): fold h*(X u Y') and shift, as the
+        # oracle does; a y' past the prefix has h*y' + t above the window
+        hx = hx_fold(h, family.xspec, src.hi).partials[1].bits
+        hb = hx | intset.dense_from_iter((h * y for y in selected), src).bits
+        fold = sumset.hfold_exact_bounded_below(DenseSet(src, hb), h)
+        folded = sumset.hfold_point_union(fold, family.s, t, window)
+    else:
+        b = intset.dense_from_iter((h * y + t for y in selected), src)
+        folded = sumset.hfold_truncated(DenseSet(src, oracle.dense.bits | b.bits), h, target=window)
+    comp_ab = folded.dense.complement()
     beyond_f = comp_ab.bits & ~oracle.f_window.bits
     missing = DenseSet(window, beyond_f & dropped.bits).members()
     extras = DenseSet(window, beyond_f & ~dropped.bits).members()

@@ -5,6 +5,7 @@ import pytest
 from nonbasis import cli, grammar
 from nonbasis.families import Params, build_full, build_gapped
 from nonbasis import gapset
+from nonbasis.errors import DomainConstraint
 
 FAM_ARGS = ["--h", "2", "--s", "0", "--t", "1", "--domain", "n0", "--gap", "geometric,2,1"]
 
@@ -313,6 +314,13 @@ def test_uniqueness_vacuous_region_is_unknown():
     assert c.status == "unknown"
 
 
+def test_uniqueness_applies_to_full_families_only():
+    from nonbasis import report as rpt
+
+    with pytest.raises(DomainConstraint):
+        rpt.uniqueness_check(build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular()), 50)
+
+
 def test_uniqueness_region_below_the_first_residue_is_unknown(capsys):
     # The cap -2500 lies below the first checked residue 7, so there is no
     # region to check and no source window to build from the cap.
@@ -341,8 +349,8 @@ def test_uniqueness_reports_its_first_failure(monkeypatch, params, cap, marked, 
 
     real = sumset.multiplicity_pair
 
-    def represented_twice(dense, h, target):
-        ge1, ge2 = real(dense, h, target)
+    def represented_twice(chains, h, target):
+        ge1, ge2 = real(chains, h, target)
         return ge1, DenseSet(target, ge2.bits | dense_from_iter(marked, target).bits)
 
     monkeypatch.setattr(sumset, "multiplicity_pair", represented_twice)

@@ -206,7 +206,7 @@ def test_witness_is_the_least_multiset(a, h, data):
 @given(SMALL_SETS, st.integers(1, 4))
 def test_multiplicity_pair_matches_counts(a, h):
     target = Window(h * a.window.lo, h * a.window.hi)
-    ge1, ge2 = sumset.multiplicity_pair(a, h, target)
+    ge1, ge2 = sumset.multiplicity_pair(sumset.arith_chains(a), h, target)
     assert ge1.window == ge2.window == target
     counts = representation_counts(a, h)
     for n in range(target.lo, target.hi + 1):
@@ -269,7 +269,7 @@ def test_multiplicity_pair_matches_the_per_copy_dp(a, h, data):
     lo, hi = h * a.window.lo, h * a.window.hi
     target = Window(data.draw(st.integers(lo - 40, hi)), data.draw(st.integers(hi, hi + 40)))
     target = Window(target.lo, data.draw(st.integers(target.lo, target.hi)))
-    ge1, ge2 = sumset.multiplicity_pair(a, h, target)
+    ge1, ge2 = sumset.multiplicity_pair(sumset.arith_chains(a), h, target)
     if target.hi < lo:
         assert ge1 == ge2 == DenseSet(target, 0)
         return
@@ -281,13 +281,14 @@ def test_multiplicity_pair_matches_the_per_copy_dp(a, h, data):
 
 def test_multiplicity_pair_on_uniqueness_inputs(monkeypatch):
     # The kernel's inputs from uniqueness_check on full families: each is
-    # {s} plus one progression, two chains, the case the kernel is fast on.
+    # {s} plus one progression, handed over as its two chains, the case the
+    # kernel is fast on.
     real = sumset.multiplicity_pair
     calls = []
 
-    def spy(a, h, target):
-        calls.append((a, h, target))
-        return real(a, h, target)
+    def spy(chains, h, target):
+        calls.append((chains, h, target))
+        return real(chains, h, target)
 
     monkeypatch.setattr(sumset, "multiplicity_pair", spy)
     for domain, sts in (("n0", range(0, 5)), ("z", range(-3, 5))):
@@ -297,11 +298,14 @@ def test_multiplicity_pair_on_uniqueness_inputs(monkeypatch):
                     for cap in (0, 3, 57, 400):
                         report.uniqueness_check(build_full(Params(h, s, t, domain)), cap)
     assert len(calls) > 500
-    for a, h, target in calls:
-        assert len(sumset.arith_chains(a)) == 2
+    for chains, h, target in calls:
+        assert len(chains) == 2 and chains == sorted(chains)
+        members = [a0 + i * g for a0, g, cnt in chains for i in range(cnt)]
+        a = dense_from_iter(members, Window(min(members), max(members)))
+        assert sumset.arith_chains(a) == chains
         rows = Window(h * a.window.lo, target.hi)
         want1, want2 = per_copy_multiplicity_pair(a, h, target.hi)
-        assert real(a, h, target) == (
+        assert real(chains, h, target) == (
             DenseSet(rows, want1).restrict(target),
             DenseSet(rows, want2).restrict(target),
         )
@@ -316,7 +320,7 @@ def test_multiplicity_pair_on_one_chain(length, stride, h):
     a = dense_from_iter(range(4, 4 + stride * length, stride), Window(-2, 20))
     assert [(a0, n) for a0, _, n in sumset.arith_chains(a)] == [(4, length)]
     target = Window(-2 * h, 20 * h)
-    ge1, ge2 = sumset.multiplicity_pair(a, h, target)
+    ge1, ge2 = sumset.multiplicity_pair(sumset.arith_chains(a), h, target)
     counts = representation_counts(a, h)
     for n in range(target.lo, target.hi + 1):
         c = counts[n]
@@ -363,7 +367,7 @@ def test_dilate_pair_matches_one_shift_at_a_time(x1, sub, gap, count, maxbits):
 def test_multiplicity_pair_targets(target, at_least_one, at_least_two):
     # 2 * {5, 6, 7, 8}: 12, 13 and 14 have two representations each
     a = dense_from_iter(range(5, 9), Window(5, 8))
-    ge1, ge2 = sumset.multiplicity_pair(a, 2, target)
+    ge1, ge2 = sumset.multiplicity_pair(sumset.arith_chains(a), 2, target)
     assert ge1.window == ge2.window == target
     assert (ge1.members(), ge2.members()) == (at_least_one, at_least_two)
 
@@ -449,6 +453,40 @@ def test_adjoin_matches_direct_fold(a, h, target, b):
     bits = a.bits | (1 << (b - a.window.lo) if a.window.contains(b) else 0)
     direct = sumset.hfold_truncated(DenseSet(a.window, bits), h, target)
     assert got == direct.dense
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 60).flatmap(lambda hi: st.tuples(
+        st.just(hi), st.sets(st.integers(0, hi)), st.integers(0, hi), st.integers(0, hi)
+    )),
+    st.integers(1, 5),
+    st.integers(0, 70),
+    st.integers(0, 70),
+)
+def test_point_union_matches_the_fold_of_a(b_and_target, h, s, t):
+    # {s} u (B + t) on [0, hi], folded by shifts of hB's partials, equals
+    # its direct fold, partials and all, and the brute-force sumset
+    hi, b, lo, top = b_and_target
+    target = Window(min(lo, top), max(lo, top))
+    src = Window(0, hi)
+    fold = sumset.hfold_exact_bounded_below(dense_from_iter(b, src), h)
+    got = sumset.hfold_point_union(fold, s, t, target)
+    a = dense_from_iter({s} | {v + t for v in b}, src)
+    want = sumset.hfold_exact_bounded_below(a, h, target)
+    assert got == want and got.partials == want.partials
+    assert got.members() == brute_sumset(a.members(), h, target)
+
+
+def test_point_union_needs_a_whole_source_fold():
+    b = dense_from_iter([0, 3, 6], Window(0, 20))
+    fold = sumset.hfold_exact_bounded_below(b, 2)
+    with pytest.raises(DomainConstraint):
+        sumset.hfold_point_union(sumset.hfold_exact_bounded_below(b, 2, Window(0, 10)), 1, 0, Window(0, 5))
+    with pytest.raises(DomainConstraint):
+        sumset.hfold_point_union(fold, -1, 0, Window(0, 5))
+    with pytest.raises(TargetExceedsSafeRange):
+        sumset.hfold_point_union(fold, 1, 0, Window(0, 21))
 
 
 @pytest.mark.parametrize("h", [2, 3, 5, 11])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nonbasis import gapset, intset, report, sumset, verify
+from nonbasis import gapset, grammar, intset, report, sumset, verify
 from nonbasis.errors import BNotOutside, DomainConstraint, GcdViolation, OracleDisagreement
 from nonbasis.families import Params, build_full, build_gapped
 from nonbasis.intset import Window, materialize
@@ -258,7 +258,7 @@ def test_catalog_derives_the_family_facts_once(monkeypatch):
         return values(gen)
 
     monkeypatch.setattr(gapset, "values", counting)
-    for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle):
+    for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle, verify.hx_fold):
         memo.cache_clear()
     cat = verify.complement_catalog(fam, Window(0, 2000))
     assert cat.unknown == () and len(cat.exceptional) > 0
@@ -272,7 +272,7 @@ def test_adjunction_checks_read_the_oracles_y_prefix(monkeypatch):
     # the augment run on the cached oracle does not walk it at all.
     fam = build_gapped(Params(5, 0, 1, "n0"), GEOM2)
     window = Window(0, 3000)
-    for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle):
+    for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle, verify.hx_fold):
         memo.cache_clear()
     verify.pair_bound(fam.y), gapset.least_non_member(fam.y)
     walks = []
@@ -579,22 +579,74 @@ def test_escape_check_matches_direct_fold(case):
         )
 
 
-def test_escape_checks_fold_once(monkeypatch):
+def counting_folds(monkeypatch) -> list[str]:
+    """Names of the h-fold kernels called from now on, with every oracle
+    memo cleared."""
     calls = []
-
-    def counting(fn):
-        def wrapped(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-
-        return wrapped
-
     for name in ("hfold_exact_bounded_below", "hfold_truncated"):
-        monkeypatch.setattr(sumset, name, counting(getattr(sumset, name)))
+        real = getattr(sumset, name)
+        monkeypatch.setattr(
+            sumset, name, lambda *a, real=real, **k: calls.append(real.__name__) or real(*a, **k)
+        )
     verify.base_oracle.cache_clear()
+    verify.hx_fold.cache_clear()
+    return calls
+
+
+def test_escape_checks_fold_once(monkeypatch):
+    calls = counting_folds(monkeypatch)
     checks = report.escape_checks(fam301(), Window(0, 3000))
     assert len(checks) == 9
     assert calls == ["hfold_exact_bounded_below"]
+
+
+def test_escape_sweep_over_s_and_t_folds_once(monkeypatch):
+    # every N0 oracle of one (h, Y, window) is built by shifts of one fold of h*X
+    calls = counting_folds(monkeypatch)
+    window, runs = Window(0, 600), 0
+    for s in range(8):
+        for t in range(8):
+            if math.gcd(3, s - t) == 1:
+                checks = report.escape_checks(build_gapped(Params(3, s, t, "n0"), GEOM2), window)
+                assert checks and all(c.status == "pass" for c in checks)
+                runs += 1
+    assert runs > 30
+    assert calls == ["hfold_exact_bounded_below"]
+
+
+def test_thm3_sweep_over_s_and_t_folds_once(monkeypatch):
+    calls = counting_folds(monkeypatch)
+    window = Window(0, 2000)
+    for s in range(6):
+        for t in range(6):
+            checks = report.dichotomy_checks(build_full(Params(4, s, t, "n0")), window)
+            assert all(c.status == "pass" for c in checks)
+    assert calls == ["hfold_exact_bounded_below"]
+
+
+CUSTOM_GAP = grammar.parse_generator("custom,[0,1,2,5,13],tail=geometric,2,1")
+
+
+@pytest.mark.parametrize("h", range(2, 8))
+def test_n0_oracles_by_shifts_match_the_fold_of_a(h):
+    # base_oracle builds A and hA from the partials of h*X by shifts; every
+    # field equals A materialized and folded, partials and all
+    windows = [Window(0, 0), Window(0, 3), Window(2, 57), Window(300, 900), Window(0, 1003)]
+    seen = 0
+    for s in range(10):
+        for t in range(10):
+            fams = [build_full(Params(h, s, t, "n0"))]
+            if math.gcd(h, s - t) == 1:
+                fams.append(build_gapped(Params(h, s, t, "n0"), CUSTOM_GAP))
+            for fam in fams:
+                for window in windows:
+                    oracle = verify.base_oracle(fam, window)
+                    dense = materialize(fam.spec, verify.oracle_source(fam, window))
+                    want = sumset.hfold_exact_bounded_below(dense, h, target=window)
+                    assert oracle.dense == dense
+                    assert oracle.folded == want and oracle.folded.partials == want.partials
+                    seen += 1
+    assert seen > 500  # 500 full-family oracles and the gapped ones
 
 
 def test_escape_samples_below_t_take_no_eq_t_b():
