@@ -329,6 +329,22 @@ def _shift_union(terms, target: Window) -> DenseSet:
     return DenseSet(target, bits & ((1 << target.width) - 1))
 
 
+def restrict_fold(fold: SumsetResult, hi: int) -> SumsetResult:
+    """fold cut to [0, hi]: equal, partials too, to the fold on [0, hi].
+
+    fold is hB folded on its whole source [0, H] (no target), for a set B
+    of nonnegative integers, and hi <= H.  Every summand and subtotal of a
+    sum up to hi lies in [0, hi], so kB on [0, hi] is read off B there, and
+    every partial's clip window is [0, hi] (k >= 1) or [0, 0].
+    """
+    src = fold.source
+    if src.lo != 0 or fold.target != src or not 0 <= hi <= src.hi:
+        raise DomainConstraint(f"cannot cut a fold on {src.lo}:{src.hi} to 0:{hi}")
+    w = Window(0, hi)
+    partials = fold.partials[:1] + tuple(p.restrict(w) for p in fold.partials[1:])
+    return SumsetResult(fold.h, w, w, partials[-1], fold.exactness, partials)
+
+
 def hfold_point_union(fold: SumsetResult, s: int, t: int, target: Window) -> SumsetResult:
     """Exact h-fold of A = {s} u (B + t) on target, by shifts of the
     partials of hB; equal, partials too, to hfold_exact_bounded_below of A

@@ -265,29 +265,77 @@ def exceptional_bound(family: Family) -> int:
     return max(f0_high, f0_low, f1)
 
 
-def search_band(family: Family) -> tuple[int, int]:
-    """Bounds [lo, hi] of the points whose classify verdict may need a search.
+@lru_cache(maxsize=64)
+def class_fronts(family: Family) -> tuple[int, ...]:
+    """Per residue class i, the least point of the class that hA can reach over N0.
 
-    Outside the band classify decides n by its fixed branch in at most
-    fixed_branch_probes: OutShiftedY on the shifted-Y values, In everywhere
-    else.  That branch is decide_kX's four-point argument, taken when the
-    pair target m = q - t - (k-2)*x0 is at least pair_bound.  Over N0 the
-    band is [0, exceptional_bound], above which m > pair_bound + 1.  Over Z
-    the pair decision searches only in its climb branch, and only when the
-    first climb probe m + 1 may lie in Y (a negative one lies in X), so for
-    m in [-1, pair_bound - 1]; n = i(s-t) + h*q maps that range back for
-    each residue i = h - k.
+    Class i holds n = i(s-t) + h*q, stepping by h, and n is In when some
+    k = h - i elements of X sum to q - t.  With x0 the least element of X
+    no k of them sum below k*x0, so for i < h-1 the front is q - t = k*x0
+    and the class points below it are F0 (n = h*s aside, which is In).  On
+    class h-1 a single x = q - t is In from 0 on, unless it lies in Y, and
+    the points below are the F1 progression.
     """
-    if family.domain == DOMAIN_N0:
-        return 0, exceptional_bound(family)
     h, s, t = family.h, family.s, family.t
     x0 = gapset.least_non_member(family.y)
-    ends = [
-        i * (s - t) + h * (t + (h - i - 2) * x0 + m)
-        for i in range(h - 1)
-        for m in (-1, pair_bound(family.y) - 1)
-    ]
-    return min(ends), max(ends)
+    return tuple(
+        i * (s - t) + h * (t + ((h - i) * x0 if i < h - 1 else 0)) for i in range(h)
+    )
+
+
+@lru_cache(maxsize=64)
+def search_band(family: Family) -> tuple[tuple[int, int], ...]:
+    """Per residue class i < h-1, the class points [lo, hi] that may need a search.
+
+    classify decides n = i(s-t) + h*q by k = h - i summands of X summing to
+    m = q - t; class h-1 (k = 1) never searches, so it has no interval.
+    With x0 the least nonnegative element of X, decide_kX's fixed branch
+    gives In within fixed_branch_probes once the pair target
+    m - (k-2)*x0 reaches pair_bound, so each interval ends at the class
+    point before that.  Over N0 the class points below the front (see
+    class_fronts) are F0: with no probe where m < 0, and read off the
+    exact prefix oracle below (h-2)s + ht.  So the interval starts at the
+    front, or lower at the first class point from (h-2)s + ht on, where
+    decide_kX spends probes, but not below m = 0.  Over Z the pair
+    decision searches only in its climb branch, and only when the first
+    climb probe m' + 1 may lie in Y (a negative one lies in X), so the
+    interval is the pair target m' in [-1, pair_bound - 1].  The bounds
+    are derived once per family.
+    """
+    h, s, t = family.h, family.s, family.t
+    x0 = gapset.least_non_member(family.y)
+    top = pair_bound(family.y) - 1
+    thr = (h - 2) * s + h * t
+    bands = []
+    for i in range(h - 1):
+        base = i * (s - t) + h * t  # the class point with m = 0
+        hi = base + h * ((h - i - 2) * x0 + top)
+        if family.domain == DOMAIN_N0:
+            lo = max(base, min(class_fronts(family)[i], thr + (base - thr) % h))
+        else:
+            lo = base + h * ((h - i - 2) * x0 - 1)
+        bands.append((lo, hi))
+    return tuple(bands)
+
+
+def predicted_exceptional(family: Family, window: Window) -> int:
+    """The exceptional points the paper predicts on window, as bits.
+
+    Over N0 that is each class's progression below its front (see
+    class_fronts), one ap_bits per class, without n = h*s, which is In.
+    Over Z no F0 or F1 verdict holds, so there are none.  The prediction
+    leaves out the F0 points past the fronts, which lie in search_band.
+    """
+    if family.domain != DOMAIN_N0:
+        return 0
+    h = family.h
+    bits = 0
+    for front in class_fronts(family):
+        first = window.lo + (front - window.lo) % h
+        bits |= intset.ap_bits(first, h, front - h, window)
+    if window.contains(h * family.s):
+        bits &= ~(1 << (h * family.s - window.lo))
+    return bits
 
 
 @dataclass(frozen=True)
@@ -355,16 +403,29 @@ def oracle_source(family: Family, window: Window) -> Window:
     return Window(-radius, radius)
 
 
-@lru_cache(maxsize=8)
+# The widest fold of h*X built so far per (h, X), for at most 8 (h, X).
+_widest_hx: dict[tuple[int, SetSpec], sumset.SumsetResult] = {}
+
+
 def hx_fold(h: int, xspec: SetSpec, hi: int) -> sumset.SumsetResult:
     """h*X folded on [0, hi] with its partials, for X over N0.
 
     Every N0 family with this h and X builds its oracle on a window ending
     at hi from it by shifts (sumset.hfold_point_union), whatever its s and
-    t, so a sweep of s and t folds once.
+    t.  A fold on [0, hi] is the one on any wider [0, H] cut to [0, hi]
+    (sumset.restrict_fold), so h*X is folded only when hi passes the widest
+    fold kept for (h, X): a sweep of s, t and windows folds once, and
+    classify's prefix oracle below (h-2)s + ht cuts the fold of a catalog
+    on a window reaching that far.
     """
-    hx = intset.materialize(intset.ShiftScale(xspec, 0, h), Window(0, hi))
-    return sumset.hfold_exact_bounded_below(hx, h)
+    key = (h, xspec)
+    wide = _widest_hx.get(key)
+    if wide is None or wide.source.hi < hi:
+        hx = intset.materialize(intset.ShiftScale(xspec, 0, h), Window(0, hi))
+        wide = _widest_hx[key] = sumset.hfold_exact_bounded_below(hx, h)
+        if len(_widest_hx) > 8:
+            del _widest_hx[next(iter(_widest_hx))]
+    return wide if wide.source.hi == hi else sumset.restrict_fold(wide, hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,6 +451,16 @@ class BaseOracle:
 
 
 @lru_cache(maxsize=8)
+def y_prefix(gen: gapset.GapGenerator, top: int) -> tuple[int, ...]:
+    """The elements of Y up to top, ascending: one walk per (Y, top).
+
+    An N0 sweep of s over one window builds one base oracle per family,
+    and each reads the same prefix.
+    """
+    return tuple(itertools.takewhile(lambda y: y <= top, gapset.values(gen)))
+
+
+@lru_cache(maxsize=8)
 def base_oracle(family: Family, window: Window) -> BaseOracle:
     """The oracle shared by the catalog and every adjunction check of a window.
 
@@ -410,8 +481,7 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
         folded = sumset.hfold_truncated(dense, family.h, target=window)
     ys: tuple[int, ...] = ()
     if family.y is not None:
-        top = (src.hi - family.t) // family.h
-        ys = tuple(itertools.takewhile(lambda y: y <= top, gapset.values(family.y)))
+        ys = y_prefix(family.y, (src.hi - family.t) // family.h)
     shifted_ys = tuple(
         (y, n) for y in ys if window.contains(n := family.shifted_y_value(y))
     )
@@ -427,18 +497,20 @@ def complement_catalog(
 ) -> Catalog:
     """Partition of window minus hA into shifted-Y / exceptional / unknown.
 
-    classify runs on the search band and on every point where the base
-    oracle's complement differs from its shifted-Y image, one XOR on the
-    window; each of those points is compared with the oracle.  Outside
-    them, classify's fixed branch gives the shifted-Y image (see
-    search_band), and the oracle agrees with it, so the shifted-Y values
-    there are read off the bits.  A budget below fixed_branch_probes can
-    leave any point Unknown, so then the band is the whole window.
-    classify and the oracle must agree on every point: for N0 families the
-    oracle is exact, and for Z families its source reaches z_summand_bound
-    (see oracle_source), so the truncated oracle holds every classify
-    witness.  A disagreement names the first disagreeing point in window
-    order.
+    The complement the paper predicts is built on the window as bits: the
+    base oracle's shifted-Y values and predicted_exceptional.  Outside the
+    per-class search_band intervals classify's verdict is that prediction,
+    so classify runs only on the intervals and on the points where the
+    base oracle's complement differs from it, one XOR on the window;
+    everywhere else the parts are read off the bits.  A budget below
+    fixed_branch_probes can leave any point Unknown, so then every window
+    point is classified.  classify and the oracle must agree on every
+    classified point: for N0 families the oracle is exact, and for Z
+    families its source reaches z_summand_bound (see oracle_source), so
+    the truncated oracle holds every classify witness.  classify's In and
+    Out points are collected as bits and XORed with the oracle's
+    complement, and the lowest disagreeing bit names the first
+    disagreeing point in window order.
     """
     if not family.is_gapped:
         raise GcdViolation("catalog applies to gapped families only")
@@ -446,41 +518,36 @@ def complement_catalog(
     if n0 and window.lo < 0:
         raise DomainConstraint("N0 catalog window must start at 0 or above")
     oracle = base_oracle(family, window)
-    comp = oracle.folded.dense.complement()
+    comp = oracle.folded.dense.complement().bits
+    exceptional = predicted_exceptional(family, window)
     if budget >= fixed_branch_probes(family.y):
-        lo, hi = search_band(family)
-        lo, hi = max(lo, window.lo), min(hi, window.hi)
+        todo = comp ^ (oracle.shifted.bits | exceptional)
+        for lo, hi in search_band(family):
+            todo |= intset.ap_bits(lo, family.h, hi, window)
     else:
-        lo, hi = window.lo, window.hi
-    band = ((1 << (hi - lo + 1)) - 1) << (lo - window.lo) if lo <= hi else 0
-    to_classify = band | (comp.bits ^ oracle.shifted.bits)
-    shifted = DenseSet(window, oracle.shifted.bits & ~to_classify).members()
-    exceptional: list[int] = []
-    unknown: list[int] = []
-    unknown_members: list[int] = []
+        todo = (1 << window.width) - 1
 
-    for n in DenseSet(window, to_classify).members():
-        v = classify(family, n, budget)
-        if isinstance(v, InSumset):
-            if comp.member(n):
-                raise OracleDisagreement(
-                    f"classify says {n} is a member but the "
-                    f"{'exact' if n0 else 'truncated'} oracle disagrees"
-                )
-        elif not comp.member(n):
-            if not isinstance(v, Unknown):
-                raise OracleDisagreement(
-                    f"oracle contains {n} but classify returned {type(v).__name__}"
-                )
-            unknown_members.append(n)
-        elif isinstance(v, OutShiftedY):
-            shifted.append(n)
-        elif isinstance(v, OutExceptional):
-            exceptional.append(n)
-        else:
-            unknown.append(n)
+    kinds = (InSumset, OutShiftedY, OutExceptional, Unknown)
+    points: dict[type, list[int]] = {kind: [] for kind in kinds}
+    for n in DenseSet(window, todo).members():
+        points[type(classify(family, n, budget))].append(n)
+    got = {kind: intset.dense_from_iter(ns, window).bits for kind, ns in points.items()}
+    bad = got[InSumset] & comp | (got[OutShiftedY] | got[OutExceptional]) & ~comp
+    if bad:
+        low = bad & -bad
+        n = window.lo + low.bit_length() - 1
+        if got[InSumset] & low:
+            raise OracleDisagreement(
+                f"classify says {n} is a member but the "
+                f"{'exact' if n0 else 'truncated'} oracle disagrees"
+            )
+        kind = OutShiftedY if got[OutShiftedY] & low else OutExceptional
+        raise OracleDisagreement(f"oracle contains {n} but classify returned {kind.__name__}")
     return Catalog(
-        tuple(sorted(shifted)), tuple(exceptional), tuple(unknown), tuple(unknown_members)
+        tuple(DenseSet(window, oracle.shifted.bits & ~todo | got[OutShiftedY]).members()),
+        tuple(DenseSet(window, exceptional & ~todo | got[OutExceptional]).members()),
+        tuple(DenseSet(window, got[Unknown] & comp).members()),
+        tuple(DenseSet(window, got[Unknown] & ~comp).members()),
     )
 
 

@@ -478,6 +478,32 @@ def test_point_union_matches_the_fold_of_a(b_and_target, h, s, t):
     assert got.members() == brute_sumset(a.members(), h, target)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 60).flatmap(lambda top: st.tuples(
+        st.just(top), st.sets(st.integers(0, top)), st.integers(0, top)
+    )),
+    st.integers(1, 5),
+)
+def test_restrict_fold_matches_the_fold_on_the_narrower_source(case, h):
+    # a whole-source fold of a nonnegative set cut to [0, hi] equals the
+    # fold of the set on [0, hi], partials and all
+    top, b, hi = case
+    wide = sumset.hfold_exact_bounded_below(dense_from_iter(b, Window(0, top)), h)
+    got = sumset.restrict_fold(wide, hi)
+    want = sumset.hfold_exact_bounded_below(dense_from_iter(b, Window(0, hi)), h)
+    assert got == want and got.partials == want.partials
+    assert sumset.restrict_fold(wide, top) == wide
+
+
+def test_restrict_fold_needs_a_whole_source_fold():
+    b = dense_from_iter([0, 3, 6], Window(0, 20))
+    with pytest.raises(DomainConstraint):
+        sumset.restrict_fold(sumset.hfold_exact_bounded_below(b, 2, Window(0, 10)), 5)
+    with pytest.raises(DomainConstraint):
+        sumset.restrict_fold(sumset.hfold_exact_bounded_below(b, 2), 21)
+
+
 def test_point_union_needs_a_whole_source_fold():
     b = dense_from_iter([0, 3, 6], Window(0, 20))
     fold = sumset.hfold_exact_bounded_below(b, 2)

@@ -258,8 +258,9 @@ def test_catalog_derives_the_family_facts_once(monkeypatch):
         return values(gen)
 
     monkeypatch.setattr(gapset, "values", counting)
-    for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle, verify.hx_fold):
+    for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle):
         memo.cache_clear()
+    verify._widest_hx.clear()
     cat = verify.complement_catalog(fam, Window(0, 2000))
     assert cat.unknown == () and len(cat.exceptional) > 0
     assert len(walks) <= 6
@@ -272,8 +273,9 @@ def test_adjunction_checks_read_the_oracles_y_prefix(monkeypatch):
     # the augment run on the cached oracle does not walk it at all.
     fam = build_gapped(Params(5, 0, 1, "n0"), GEOM2)
     window = Window(0, 3000)
-    for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle, verify.hx_fold):
+    for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle):
         memo.cache_clear()
+    verify._widest_hx.clear()
     verify.pair_bound(fam.y), gapset.least_non_member(fam.y)
     walks = []
     values = gapset.values
@@ -589,7 +591,7 @@ def counting_folds(monkeypatch) -> list[str]:
             sumset, name, lambda *a, real=real, **k: calls.append(real.__name__) or real(*a, **k)
         )
     verify.base_oracle.cache_clear()
-    verify.hx_fold.cache_clear()
+    verify._widest_hx.clear()
     return calls
 
 
@@ -611,6 +613,23 @@ def test_escape_sweep_over_s_and_t_folds_once(monkeypatch):
                 assert checks and all(c.status == "pass" for c in checks)
                 runs += 1
     assert runs > 30
+    assert calls == ["hfold_exact_bounded_below"]
+
+
+def test_a_catalog_and_its_prefix_oracle_fold_once(monkeypatch):
+    # classify reads the band points below (h-2)s + ht = 10 off the oracle
+    # of [0, 9], cut from the catalog's own fold of h*X; a narrower window
+    # afterwards folds nothing either
+    calls = counting_folds(monkeypatch)
+    fam = build_gapped(Params(5, 0, 2, "n0"), GEOM2)
+    classify = verify.classify
+    below = []
+    monkeypatch.setattr(
+        verify, "classify", lambda f, n, budget=None: below.append(n < 10) or classify(f, n, budget)
+    )
+    verify.complement_catalog(fam, Window(0, 3000))
+    assert any(below)
+    verify.complement_catalog(build_gapped(Params(5, 1, 2, "n0"), GEOM2), Window(0, 2000))
     assert calls == ["hfold_exact_bounded_below"]
 
 
@@ -800,6 +819,93 @@ def test_base_oracle_reads_one_y_prefix(fam, lo, width):
     assert oracle.shifted_ys == tuple(fam.shifted_ys(window))
 
 
+def test_an_s_sweep_walks_y_once(monkeypatch):
+    # every N0 oracle of one (h, t, window) reads the same prefix of Y
+    window = Window(0, 3000)
+    fams = [build_gapped(Params(3, s, 1, "n0"), GEOM2) for s in range(40) if s % 3 != 1]
+    verify.base_oracle.cache_clear()
+    verify.y_prefix.cache_clear()
+    verify.hx_fold(3, fams[0].xspec, window.hi)  # the fold of h*X walks Y too
+    walks = []
+    values = gapset.values
+    monkeypatch.setattr(gapset, "values", lambda gen: walks.append(gen) or values(gen))
+    oracles = [verify.base_oracle(fam, window) for fam in fams]
+    assert walks == [GEOM2]
+    assert len(oracles) > 20 and all(o.ys == oracles[0].ys for o in oracles)
+
+
+def replace_folded(oracle, bits):
+    """oracle with hA replaced by bits on its window."""
+    dense = intset.DenseSet(oracle.folded.dense.window, bits)
+    return dataclasses.replace(oracle, folded=dataclasses.replace(oracle.folded, dense=dense))
+
+
+def test_missed_classes_fails_when_the_sumset_meets_every_class(monkeypatch):
+    # d = gcd(4, 2 - 0) = 2: hA meets 2 of the 4 classes mod 4, so the
+    # checks pass; an oracle that holds the whole window meets all 4
+    fam = build_full(Params(4, 2, 0, "n0"))
+    window = Window(0, 400)
+    status = {c.name: c.status for c in report.dichotomy_checks(fam, window)}
+    assert status == {"residue_obstruction": "pass", "missed_classes": "pass"}
+    real = verify.base_oracle
+    monkeypatch.setattr(
+        verify, "base_oracle", lambda f, w: replace_folded(real(f, w), (1 << w.width) - 1)
+    )
+    status = {c.name: c.status for c in report.dichotomy_checks(fam, window)}
+    assert status == {"residue_obstruction": "fail", "missed_classes": "fail"}
+
+
+def test_eq_t_escape_is_inconclusive_when_it_adds_an_unexplained_point(monkeypatch):
+    # b = 2*2 + 1 may add only F points and its own shifted image 5; an
+    # h(A u {b}) that also holds the shifted-Y value 17 = 2*8 + 1 is not
+    # explained by the prediction
+    fam, window, b = fam201(), Window(0, 400), 5
+    assert verify.escape_check(fam, b, window).verdict == "stays_nonbasis"
+    adjoin = sumset.adjoin
+
+    def with_17(fa, b):
+        got = adjoin(fa, b)
+        return intset.DenseSet(got.window, got.bits | 1 << (17 - got.window.lo))
+
+    monkeypatch.setattr(sumset, "adjoin", with_17)
+    rep = verify.escape_check(fam, b, window)
+    assert rep.residue_case == "eq_t"
+    assert rep.verdict == "inconclusive"
+    assert 17 in rep.added
+
+
+def test_truncation_stability_fails_when_the_wider_fold_gains_a_point(monkeypatch):
+    # the refold at twice the source radius must match the oracle on the
+    # window; one that gains the complement point 3 does not
+    fam = build_gapped(Params(2, 0, 1, "z"), GEOM2)
+    window = Window(-200, 200)
+    oracle = verify.base_oracle(fam, window)
+    assert not oracle.folded.dense.member(3)
+    assert report.stability_check(fam, window).status == "pass"
+    fold = sumset.hfold_truncated
+
+    def gaining(dense, h, target):
+        got = fold(dense, h, target=target)
+        bits = got.dense.bits | 1 << (3 - target.lo)
+        return dataclasses.replace(got, dense=intset.DenseSet(target, bits))
+
+    monkeypatch.setattr(sumset, "hfold_truncated", gaining)
+    assert report.stability_check(fam, window).status == "fail"
+
+
+def test_disjoint_partition_fails_on_overlapping_parts(monkeypatch):
+    real = verify.complement_catalog
+
+    def overlapping(fam, window, budget):
+        cat = real(fam, window, budget)
+        return dataclasses.replace(cat, exceptional=cat.exceptional + cat.shifted_y[:1])
+
+    monkeypatch.setattr(verify, "complement_catalog", overlapping)
+    _, checks = report.catalog_checks(fam201(), Window(0, 400))
+    status = {c.name: c.status for c in checks}
+    assert status["disjoint_partition"] == "fail"
+
+
 @pytest.mark.parametrize("domain", ["n0", "z"])
 @pytest.mark.parametrize(
     "gen", ORACLE_GAPS + (gapset.CustomPrefixTail((0, 1, 2, 5, 13), GEOM2),), ids=repr
@@ -940,6 +1046,8 @@ def witness_summands(fam, v):
 
 @settings(max_examples=80, deadline=None)
 @given(z_windows(h_max=8))
+# a climb witness that needs the last term, h*(pair_bound + 1) + |t|
+@example((build_gapped(Params(4, 0, -3, "z"), gapset.Factorial()), Window(0, 8)))
 def test_z_witness_summands_stay_within_the_derived_bound(case):
     fam, window = case
     for n in range(window.lo, window.hi + 1):
@@ -975,19 +1083,23 @@ def test_z_oracle_source_holds_a_witness_past_the_fixed_pad():
 
 
 def test_window_relative_f_fails_on_a_z_exceptional_entry(monkeypatch):
-    # over Z no F0 verdict holds, so one in the catalog fails the check
+    # over Z no F0 verdict holds, so one in the catalog fails the check.
+    # The catalog classifies class h-1 only where the oracle's complement
+    # differs from the shifted-Y values, so the oracle is made to miss the
+    # In point 7 = 2*3 + 1 (3 is not in Y), and classify calls it F0 there
     fam = build_gapped(Params(2, 0, 1, "z"), GEOM2)
     window = Window(-200, 200)
-    lo, hi = verify.search_band(fam)
-    shifted = map(fam.shifted_y_value, gapset.elements_in(GEOM2, window))
-    bad = next(n for n in shifted if lo <= n <= hi and window.contains(n))
+    bad = fam.shifted_y_value(3)
+    assert not fam.y_contains(3) and fam.residue(bad)[0] == fam.h - 1
+    corrupt_oracle(monkeypatch, window, bad)
     real = verify.classify
     monkeypatch.setattr(
         verify,
         "classify",
         lambda f, n, budget=None: OutExceptional("F0") if n == bad else real(f, n, budget),
     )
-    _, checks = report.catalog_checks(fam, window)
+    catalog, checks = report.catalog_checks(fam, window)
+    assert catalog.exceptional == (bad,)
     relative_f = next(c for c in checks if c.name == "window_relative_f")
     assert relative_f.status == "fail"
     assert str(bad) in relative_f.details
@@ -1121,13 +1233,26 @@ def test_catalog_matches_the_per_point_loop(case):
 
 
 def test_search_band_examples():
-    assert verify.search_band(fam201()) == (0, verify.exceptional_bound(fam201()))
-    # Over Z, h = 2: n = 2(t + m) with m in [-1, 2*R(3) + 3], and R(3) = 4
-    assert verify.search_band(build_gapped(Params(2, 0, 1, "z"), GEOM2)) == (0, 24)
-    assert verify.search_band(build_gapped(Params(2, -41, 10, "z"), GEOM2)) == (18, 42)
+    # fam201: x0 = 0 and R(3) = 4, so pair_bound = 12.  Class 0 (n = 2q)
+    # starts at the first point from (h-2)s + ht = 2 on and ends at q - t = 11
+    assert verify.search_band(fam201()) == ((2, 24),)
+    # Over Z, h = 2: n = 2(t + m) with m in [-1, 2*R(3) + 3]
+    assert verify.search_band(build_gapped(Params(2, 0, 1, "z"), GEOM2)) == ((0, 24),)
+    assert verify.search_band(build_gapped(Params(2, -41, 10, "z"), GEOM2)) == ((18, 42),)
+    # Triangular Y: x0 = 2, R(3) = 6, pair_bound = 16.  With h = 3, s = 1001,
+    # t = 1, class 0 (n = 3q) runs from its front q - t = 3*x0 to the pair
+    # target 15 past one x0, q - t = 17; class 1 (n = 1000 + 3q) from 1006,
+    # the first class point from (h-2)s + ht = 1004 on, below its front, to
+    # q - t = 15.  Class 2 (F1 below (h-1)s + t = 2003) has no interval.
+    n0 = build_gapped(Params(3, 1001, 1, "n0"), gapset.Triangular())
+    assert verify.class_fronts(n0) == (21, 1015, 2003)
+    assert verify.search_band(n0) == ((21, 54), (1006, 1048))
+    z = build_gapped(Params(3, 1001, 1, "z"), gapset.Triangular())
+    assert verify.search_band(z) == ((6, 54), (1000, 1048))
 
 
-def test_catalog_classifies_only_the_band_and_the_disagreements(monkeypatch):
+def counting_classify(monkeypatch) -> list[int]:
+    """The points classify is called on from now on."""
     calls = []
     classify = verify.classify
 
@@ -1136,21 +1261,105 @@ def test_catalog_classifies_only_the_band_and_the_disagreements(monkeypatch):
         return classify(fam, n, budget)
 
     monkeypatch.setattr(verify, "classify", counting)
-    fam = build_gapped(Params(5, 0, 1, "n0"), GEOM2)
-    verify.complement_catalog(fam, Window(0, 10**5))
-    assert len(calls) <= verify.exceptional_bound(fam) + 1
+    return calls
+
+
+def band_points(fam, window) -> list[int]:
+    return sorted(
+        n
+        for lo, hi in verify.search_band(fam)
+        for n in range(lo, hi + 1, fam.h)
+        if window.contains(n)
+    )
+
+
+def test_catalog_classifies_only_the_band_and_the_disagreements(monkeypatch):
+    # A correct oracle differs from the predicted complement only inside
+    # the band, so the band is all the catalog classifies; a point made
+    # wrong outside it is classified too, and disagrees
+    calls = counting_classify(monkeypatch)
+    for fam, window, flip in (
+        (build_gapped(Params(5, 0, 1, "n0"), GEOM2), Window(0, 10**5), 5000),
+        (build_gapped(Params(2, 0, 1, "z"), GEOM2), Window(-(10**4), 10**4), -5000),
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            calls.clear()
+            verify.complement_catalog(fam, window)
+            assert sorted(calls) == band_points(fam, window)
+            assert flip not in calls
+
+            calls.clear()
+            corrupt_oracle(mp, window, flip)
+            with pytest.raises(OracleDisagreement):
+                verify.complement_catalog(fam, window)
+            assert sorted(calls) == sorted(band_points(fam, window) + [flip])
+
+
+@pytest.mark.parametrize(
+    "params,gen,window",
+    [
+        (Params(5, 0, 1, "n0"), GEOM2, Window(0, 20000)),
+        (Params(5, 0, 1, "n0"), gapset.Triangular(), Window(0, 20000)),
+        (Params(6, 20000, 1, "n0"), GEOM2, Window(0, 90000)),
+        (Params(3, 100000, 0, "n0"), gapset.Triangular(), Window(0, 250000)),
+        (Params(2, 0, 1, "z"), GEOM2, Window(-(10**4), 10**4)),
+        (Params(5, 100000, 1, "z"), gapset.Triangular(), Window(-3000, 3000)),
+        (Params(3, -100000, 1, "z"), GEOM2, Window(-3000, 3000)),
+    ],
+)
+def test_catalog_classify_calls_stay_within_h_pair_bounds(monkeypatch, params, gen, window):
+    # At most h*(pair_bound + 2) points need a search, whatever s is, plus
+    # one per point where the oracle is made wrong
+    fam = build_gapped(params, gen)
+    cap = fam.h * (verify.pair_bound(gen) + 2)
+    calls = counting_classify(monkeypatch)
+    cat = verify.complement_catalog(fam, window)
+    assert len(calls) <= cap
+    assert not cat.unknown
 
     calls.clear()
-    fam = build_gapped(Params(2, 0, 1, "z"), GEOM2)
-    window = Window(-(10**4), 10**4)
-    oracle = verify.base_oracle(fam, window)
-    disagreements = oracle.folded.dense.complement().bits ^ oracle.shifted.bits
-    lo, hi = verify.search_band(fam)
-    verify.complement_catalog(fam, window)
-    assert len(calls) <= hi - lo + 1 + disagreements.bit_count()
+    flips = (window.lo + window.width // 3, window.hi - 1)
+    corrupt_oracle(monkeypatch, window, *flips)
+    with pytest.raises(OracleDisagreement):
+        verify.complement_catalog(fam, window)
+    assert len(calls) <= cap + len(flips)
 
 
-# fam201 on 0:400 has the search band [0, 29] and the shifted-Y values
+def test_a_moved_class_front_is_classified(monkeypatch):
+    # Class 0 of this family is F0 below its front 21 and has the band
+    # [21, 54].  Moving the front down by h in the predicted bits leaves 18
+    # out of the prediction while the oracle's complement holds it, so the
+    # catalog classifies 18: a classify that follows the moved front and
+    # calls 18 In disagrees with the oracle, and the real one leaves the
+    # catalog as it was.
+    fam = build_gapped(Params(3, 1001, 1, "n0"), gapset.Triangular())
+    window = Window(0, 3000)
+    moved = verify.class_fronts(fam)[0] - fam.h
+    assert moved < verify.search_band(fam)[0][0]
+    before = verify.complement_catalog(fam, window)
+    assert moved in before.exceptional
+    predicted = verify.predicted_exceptional
+    monkeypatch.setattr(
+        verify,
+        "predicted_exceptional",
+        lambda f, w: predicted(f, w) & ~(1 << (moved - w.lo)),
+    )
+    calls = counting_classify(monkeypatch)
+    assert verify.complement_catalog(fam, window) == before
+    assert moved in calls
+
+    classify = verify.classify
+    monkeypatch.setattr(
+        verify,
+        "classify",
+        lambda f, n, budget=None: InSumset(0, ()) if n == moved else classify(f, n, budget),
+    )
+    with pytest.raises(OracleDisagreement) as exc:
+        verify.complement_catalog(fam, window)
+    assert str(exc.value) == "classify says 18 is a member but the exact oracle disagrees"
+
+
+# fam201 on 0:400 has the search band [2, 24] and the shifted-Y values
 # 3, 5, 9, ..., 257; the Z family 2y - 31 has the band [18, 42] and the
 # shifted-Y values -29, -27, -23, -15, 1, 33, 97.
 @pytest.mark.parametrize(
@@ -1181,7 +1390,7 @@ def test_catalog_names_the_first_bulk_disagreement(monkeypatch, fam, window, fli
 
 
 def test_shifted_y_match_rederives_the_values_from_y(monkeypatch):
-    # The oracle is made wrong at 100, above fam201's search band [0, 29],
+    # The oracle is made wrong at 100, above fam201's search band [2, 24],
     # in its complement and in its shifted-Y image alike.  The catalog reads
     # that part of the window off those bits, so only Y itself can tell.
     window = Window(0, 400)
