@@ -48,6 +48,7 @@ from .intset import (
     Union,
     Window,
     materialize,
+    stride,
     union_of,
 )
 from .sumset import (

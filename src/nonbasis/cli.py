@@ -156,15 +156,15 @@ def _cmd_sumset(args) -> int:
         fam_dict = report.family_to_dict(fam)
         bounded_below = fam.domain == DOMAIN_N0
     source = _parse_window(args.source) if args.source else target
-    dense = intset.materialize(spec, source)
+    dense, stride = intset.materialize(spec, source), intset.stride(spec)
     if bounded_below and source.lo == 0:
         # No member of an N0 family lies below 0, so the fold is exact on its
         # safe range 0:source.hi; a target that misses it raises there.
         lo, hi = max(target.lo, 0), min(target.hi, source.hi)
         tgt = Window(lo, hi) if lo <= hi else target
-        result = sumset.hfold_exact_bounded_below(dense, args.h, target=tgt)
+        result = sumset.hfold_exact_bounded_below(dense, args.h, target=tgt, stride=stride)
     else:
-        result = sumset.hfold_truncated(dense, args.h, target=target)
+        result = sumset.hfold_truncated(dense, args.h, target=target, stride=stride)
     members = result.members()
     rep = {
         "family": fam_dict,

@@ -9,6 +9,7 @@ single Python int.  All values are immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import gapset
@@ -131,6 +132,24 @@ def union_of(*parts: SetSpec) -> SetSpec:
     if len(flat) == 1:
         return flat[0]
     return Union(tuple(flat))
+
+
+def stride(spec: SetSpec) -> int:
+    """The chain stride of the described set, read off its tree: m for a
+    residue class mod m, |d| times the inner stride for an affine image, the
+    kept part's for a difference, the gcd over a union's parts that are not
+    single points, and 1 for anything else.  The folds walk a set in runs
+    at this stride; they are exact at any stride, so it need only be good."""
+    if isinstance(spec, (ModClass, ModClassNonneg)):
+        return spec.m
+    if isinstance(spec, ShiftScale):
+        return stride(spec.inner) * abs(spec.d)
+    if isinstance(spec, Diff):
+        return stride(spec.keep)
+    if isinstance(spec, Union):
+        return math.gcd(*(stride(p) for p in spec.parts
+                          if not isinstance(p, (Singleton, Empty)))) or 1
+    return 1
 
 
 _BYTE_OFFSETS = [tuple(i for i in range(8) if (b >> i) & 1) for b in range(256)]

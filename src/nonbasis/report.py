@@ -414,7 +414,8 @@ def stability_check(family: Family, window: Window) -> Check:
     small = oracle.dense.window
     big = Window(small.lo * 2, small.hi * 2)
     dense = intset.materialize(family.spec, big)
-    wide = sumset.hfold_truncated(dense, family.h, target=window).dense
+    stride = intset.stride(family.spec)
+    wide = sumset.hfold_truncated(dense, family.h, target=window, stride=stride).dense
     return check(
         "truncation_stability",
         oracle.folded.dense == wide,

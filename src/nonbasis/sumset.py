@@ -4,8 +4,11 @@ The ground truth the structural theorems are checked against.  hA is
 computed by one loop: kA is (k-1)A + A, the OR of one operand shifted by
 every member of the other.  Members that form a run with a common stride
 are shifted as a group via doubling, which is an algebraic identity on
-OR-over-shifts; a sum of two residue classes with few holes is full in its
-middle, which is set at once, so only its ends are walked run by run.
+OR-over-shifts.  The stride is the caller's, read off the set's description
+(intset.stride: h for a family's A, 1 for N0 minus Y); any stride gives the
+same sums, so none is searched for.  A sum of two residue classes with few
+holes is full in its middle, which is set at once, so only its ends are
+walked run by run.
 Results are bit-identical to the per-element loop (property-tested), and
 keep their k-fold partials: h(A u {b}) is h shifts of them, as bits, a
 witness one bit search per summand, and the fold of {s} u (B + t) over N0
@@ -27,14 +30,6 @@ from .intset import DenseSet, Window, ap_bits, dilate_or
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
-
-# Strides always tried when splitting a set into runs.  The gaps between
-# its lowest _HEAD_MEMBERS members (those within _HEAD_BITS of the
-# smallest) are tried too, so a family of stride h > 8 finds h.
-_SMALL_STRIDES = range(1, 9)
-_HEAD_MEMBERS = 9
-_HEAD_BITS = 4096
-
 
 @dataclass(frozen=True)
 class SumsetResult:
@@ -67,50 +62,21 @@ class SumsetResult:
         return int(format(a.bits, f"0{a.window.width}b")[::-1], 2)
 
 
-def _fewest_runs(bits: int) -> tuple[int, int]:
-    """The candidate stride g with the fewest runs, and the edges of its runs.
-
-    The edges at g are bits ^ (bits << g): each stride-g run has exactly
-    two, its first member b and the point e + g past its last member e.  So
-    the runs at g are counted by one popcount, halved, and the first
-    minimum in ascending g wins.
-    """
-    if not bits:
-        return 1, 0
-    strides = set(_SMALL_STRIDES)
-    # the lowest members, shifted so that the first one is bit 0
-    head = (bits >> ((bits & -bits).bit_length() - 1)) & ((1 << _HEAD_BITS) - 1)
-    prev = 0
-    for _ in range(_HEAD_MEMBERS - 1):
-        head &= head - 1  # drop the member at prev
-        if not head:
-            break
-        at = (head & -head).bit_length() - 1
-        strides.add(at - prev)
-        prev = at
-    best = None
-    for g in sorted(strides):
-        edges = bits ^ (bits << g)
-        runs = edges.bit_count()
-        if best is None or runs < best[0]:
-            best = runs, g, edges
-    return best[1], best[2]
-
-
-def _runs_at(a: DenseSet, g: int, edges: int) -> list[tuple[int, int, int]]:
+def _runs_at(a: DenseSet, g: int) -> list[tuple[int, int, int]]:
     """The stride-g runs of a as (start, g, count), in ascending order, from
     their edges bits ^ (bits << g), decoded once.
 
-    Within one residue class mod g the edges alternate between a run's first
-    member b and the point past its last one, so they pair up in order as
-    (b, stop) with count (stop - b) // g.  A stop past the window is not
-    decoded: it is the one point of its class in [hi + 1, hi + g], where hi
-    is the window's top.
+    Each stride-g run has exactly two edges, its first member b and the
+    point past its last one; within one residue class mod g they alternate,
+    so they pair up in order as (b, stop) with count (stop - b) // g.  A
+    stop past the window is not decoded: it is the one point of its class
+    in [hi + 1, hi + g], where hi is the window's top.
     """
     w = a.window
+    edges = (a.bits ^ (a.bits << g)) & ((1 << w.width) - 1)
     out: list = []  # a run's start until its stop is read, then the run
     open_at: dict[int, int] = {}  # residue mod g -> index in out of its open run
-    for e in DenseSet(w, edges & ((1 << w.width) - 1)).members():
+    for e in DenseSet(w, edges).members():
         r = e % g
         i = open_at.pop(r, None)
         if i is None:
@@ -124,10 +90,13 @@ def _runs_at(a: DenseSet, g: int, edges: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def arith_chains(a: DenseSet) -> list[tuple[int, int, int]]:
-    """The members of a as (start, stride, count) runs, in ascending order,
-    all at the stride g of _fewest_runs."""
-    return _runs_at(a, *_fewest_runs(a.bits))
+def arith_chains(a: DenseSet, g: int) -> list[tuple[int, int, int]]:
+    """The members of a as (start, g, count) runs, in ascending order.
+
+    The stride g comes from the caller, who reads it off the set's
+    description (intset.stride): h for a family's A, 1 for N0 minus Y.
+    Any g >= 1 gives a's members; a good one gives few runs."""
+    return _runs_at(a, g)
 
 
 _Class = namedtuple("_Class", "starts counts lo hi terms holes")
@@ -147,12 +116,10 @@ def _classes(runs: list[tuple[int, int, int]], g: int) -> list[_Class]:
     return out
 
 
-def _class_table(a: DenseSet) -> tuple[int, list[_Class], bool]:
-    """The stride g of a's chains, a's classes mod g, and whether some class
-    splits against a copy of itself."""
-    chains = arith_chains(a)
-    g = chains[0][1] if chains else 1
-    classes = _classes(chains, g)
+def _class_table(a: DenseSet, g: int) -> tuple[int, list[_Class], bool]:
+    """The stride g, a's classes mod g from its stride-g chains, and whether
+    some class splits against a copy of itself."""
+    classes = _classes(arith_chains(a, g), g)
     return g, classes, any(_splits(c, g, c.terms, 2 * c.holes) for c in classes)
 
 
@@ -204,12 +171,12 @@ def pairwise_sum(
     p: DenseSet,
     q: DenseSet,
     target: Window,
-    q_table: tuple[int, list[_Class], bool] | None = None,
+    q_table: tuple[int, list[_Class], bool],
 ) -> DenseSet:
     """(p + q) intersected with target; exact as a set sum of the two sets.
 
     p is split into residue classes mod the stride g of q's chains, from
-    q_table = _class_table(q), when some class of q splits against a copy
+    q_table = _class_table(q, g), when some class of q splits against a copy
     of itself, else it is one class of no terms.  p's classes come from its
     stride-g runs, decoded as q's are, or are q's own when p equals q.  A
     one-point class of p is one shift of q.  A class of q that _splits
@@ -217,13 +184,13 @@ def pairwise_sum(
     two end walks, each over p cut to the hull of the end windows; any
     other class of q is walked whole.  Each bit ORed in is a sum of a
     member of p and one of q, and every such sum is covered."""
-    g, classes, can_split = q_table if q_table is not None else _class_table(q)
+    g, classes, can_split = q_table
     if not can_split:
         p_classes = [_Class((), (), p.window.lo, p.window.hi, 0, 0)]
     elif p == q:
         p_classes = classes
     else:
-        p_classes = _classes(_runs_at(p, g, p.bits ^ (p.bits << g)), g)
+        p_classes = _classes(_runs_at(p, g), g)
     points = sorted((pc.lo, 1) for pc in p_classes if pc.terms == 1)
     acc = _walk(q, q.window.lo, q.window.hi, points, g, target) if points else 0
     p_classes = [pc for pc in p_classes if pc.terms != 1]
@@ -256,12 +223,12 @@ def _clip_window(k: int, h: int, src: Window, target: Window) -> Window | None:
     return Window(lo, hi)
 
 
-def _fold(a: DenseSet, h: int, target: Window) -> tuple[DenseSet | None, ...]:
+def _fold(a: DenseSet, h: int, target: Window, stride: int) -> tuple[DenseSet | None, ...]:
     # kA on its clip window for k = 0..h, each step one pairwise sum with a
-    # through a's class table, built once.  A nonempty clip window has a
-    # nonempty one before it, so the empty windows are a suffix.
+    # through a's class table at stride, built once.  A nonempty clip window
+    # has a nonempty one before it, so the empty windows are a suffix.
     windows = [_clip_window(k, h, a.window, target) for k in range(h + 1)]
-    table = _class_table(a) if h > 1 and windows[2] is not None else None
+    table = _class_table(a, stride) if h > 1 and windows[2] is not None else None
     out: list[DenseSet | None] = []
     for k, wk in enumerate(windows):
         if wk is None:
@@ -275,8 +242,8 @@ def _fold(a: DenseSet, h: int, target: Window) -> tuple[DenseSet | None, ...]:
     return tuple(out)
 
 
-def _folded(a: DenseSet, h: int, target: Window, exactness: str) -> SumsetResult:
-    partials = _fold(a, h, target)
+def _folded(a: DenseSet, h: int, target: Window, stride: int, exactness: str) -> SumsetResult:
+    partials = _fold(a, h, target, stride)
     top = partials[h]
     dense = DenseSet(target, 0) if top is None else top.restrict(target)
     return SumsetResult(h, a.window, target, dense, exactness, partials)
@@ -286,13 +253,17 @@ def hfold_exact_bounded_below(
     a: DenseSet,
     h: int,
     target: Window | None = None,
+    *,
+    stride: int,
 ) -> SumsetResult:
     """Exact h-fold sumset of a set bounded below by its window.
 
     The caller asserts the underlying set has no elements below
     a.window.lo.  Then for targets up to a.window.hi + (h-1)*a.window.lo
     every representation of a target element uses only summands inside the
-    window, so the windowed computation is exact there.
+    window, so the windowed computation is exact there.  The fold walks a
+    in runs of the given stride, which the caller reads off a's description
+    (intset.stride); the result is the same at any stride.
     """
     if h < 1:
         raise DomainConstraint(f"h must be >= 1, got {h}")
@@ -304,18 +275,19 @@ def hfold_exact_bounded_below(
         raise TargetExceedsSafeRange(
             f"target {target.lo}:{target.hi} outside safe range {safe.lo}:{safe.hi}"
         )
-    return _folded(a, h, target, EXACT)
+    return _folded(a, h, target, stride, EXACT)
 
 
-def hfold_truncated(a: DenseSet, h: int, target: Window) -> SumsetResult:
+def hfold_truncated(a: DenseSet, h: int, target: Window, *, stride: int) -> SumsetResult:
     """Exact h-fold sumset of the truncated set a, clipped to target.
 
     Sound lower bound for the sumset of any superset of a: every reported
-    member is a real sum of h window elements.
+    member is a real sum of h window elements.  stride is as for
+    hfold_exact_bounded_below.
     """
     if h < 1:
         raise DomainConstraint(f"h must be >= 1, got {h}")
-    return _folded(a, h, target, LOWER_BOUND)
+    return _folded(a, h, target, stride, LOWER_BOUND)
 
 
 def _shift_union(terms, target: Window) -> DenseSet:

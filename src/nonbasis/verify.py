@@ -239,7 +239,8 @@ def verify_certificate(family: Family, n: int, verdict: Verdict) -> bool:
             and (n - (t - s)) % h != 0
             and 0 <= n <= exceptional_bound(family)
             and not sumset.hfold_exact_bounded_below(
-                intset.materialize(family.spec, Window(0, n)), h, target=Window(n, n)
+                intset.materialize(family.spec, Window(0, n)), h, target=Window(n, n),
+                stride=intset.stride(family.spec),
             ).member(n)
         )
     return isinstance(verdict, Unknown)
@@ -421,8 +422,9 @@ def hx_fold(h: int, xspec: SetSpec, hi: int) -> sumset.SumsetResult:
     key = (h, xspec)
     wide = _widest_hx.get(key)
     if wide is None or wide.source.hi < hi:
-        hx = intset.materialize(intset.ShiftScale(xspec, 0, h), Window(0, hi))
-        wide = _widest_hx[key] = sumset.hfold_exact_bounded_below(hx, h)
+        spec = intset.ShiftScale(xspec, 0, h)
+        hx = intset.materialize(spec, Window(0, hi))
+        wide = _widest_hx[key] = sumset.hfold_exact_bounded_below(hx, h, stride=intset.stride(spec))
         if len(_widest_hx) > 8:
             del _widest_hx[next(iter(_widest_hx))]
     return wide if wide.source.hi == hi else sumset.restrict_fold(wide, hi)
@@ -478,7 +480,9 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
         dense = folded.partials[1]
     else:
         dense = intset.materialize(family.spec, src)
-        folded = sumset.hfold_truncated(dense, family.h, target=window)
+        folded = sumset.hfold_truncated(
+            dense, family.h, target=window, stride=intset.stride(family.spec)
+        )
     ys: tuple[int, ...] = ()
     if family.y is not None:
         ys = y_prefix(family.y, (src.hi - family.t) // family.h)
@@ -719,16 +723,18 @@ def augment_check(
             dropped_shifted.append(family.shifted_y_value(y))
     dropped = intset.dense_from_iter(dropped_shifted, window)
 
+    # stride h: each fold input is h*(X u Y'), or {s} u (h*(X u Y') + t)
     if family.domain == DOMAIN_N0:
         # A u B = {s} u (h*(X u Y') + t): fold h*(X u Y') and shift, as the
         # oracle does; a y' past the prefix has h*y' + t above the window
         hx = hx_fold(h, family.xspec, src.hi).partials[1].bits
         hb = hx | intset.dense_from_iter((h * y for y in selected), src).bits
-        fold = sumset.hfold_exact_bounded_below(DenseSet(src, hb), h)
+        fold = sumset.hfold_exact_bounded_below(DenseSet(src, hb), h, stride=h)
         folded = sumset.hfold_point_union(fold, family.s, t, window)
     else:
         b = intset.dense_from_iter((h * y + t for y in selected), src)
-        folded = sumset.hfold_truncated(DenseSet(src, oracle.dense.bits | b.bits), h, target=window)
+        ab = DenseSet(src, oracle.dense.bits | b.bits)
+        folded = sumset.hfold_truncated(ab, h, target=window, stride=h)
     comp_ab = folded.dense.complement()
     beyond_f = comp_ab.bits & ~oracle.f_window.bits
     missing = DenseSet(window, beyond_f & dropped.bits).members()
@@ -792,7 +798,7 @@ def lemma_basis_check(
     xspec = Diff(ModClassNonneg(1, 0), GapTail(gen))
     src = Window(0, window.hi)
     dense = intset.materialize(xspec, src)
-    folded = sumset.hfold_exact_bounded_below(dense, h, target=window)
+    folded = sumset.hfold_exact_bounded_below(dense, h, target=window, stride=intset.stride(xspec))
     comp = folded.dense.complement().members()
     covered = all(c < threshold for c in comp)
 

@@ -31,7 +31,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (name, file, old, new): each switches off a check or loosens a bound
 MUTANTS = (
     ("stability_check compares the oracle with itself", "src/nonbasis/report.py",
-     "wide = sumset.hfold_truncated(dense, family.h, target=window).dense",
+     "wide = sumset.hfold_truncated(dense, family.h, target=window, stride=stride).dense",
      "wide = oracle.folded.dense"),
     ("missed_classes always passes", "src/nonbasis/report.py",
      "len(missed) >= need,",
@@ -57,6 +57,9 @@ MUTANTS = (
     ("not_st threshold + 1", "src/nonbasis/verify.py",
      "threshold = b + (h - 3) * s + (h - 1) * t",
      "threshold = b + (h - 3) * s + (h - 1) * t + 1"),
+    ("lemma threshold + 50", "src/nonbasis/verify.py",
+     "threshold = thr2 + (h - 2) * x0",
+     "threshold = thr2 + (h - 2) * x0 + 50"),
 )
 
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")

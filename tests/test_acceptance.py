@@ -155,7 +155,7 @@ def test_criterion_5_z_soundness_and_stability():
     for radius in (10**3, 10**4):
         src = Window(-radius, radius)
         dense = materialize(fam.spec, src)
-        folded = sumset.hfold_truncated(dense, 2, window)
+        folded = sumset.hfold_truncated(dense, 2, window, stride=2)
         for n in range(window.lo, window.hi + 1):
             v = verify.classify(fam, n)
             if folded.member(n) and not isinstance(v, verify.InSumset):
@@ -172,7 +172,7 @@ def test_criterion_5_z_soundness_and_stability():
         pair = []
         for radius in (10**3, 10**4):
             dense = materialize(fam.spec, Window(-radius, radius))
-            pair.append(sumset.hfold_truncated(dense, 2, sub).dense.bits)
+            pair.append(sumset.hfold_truncated(dense, 2, sub, stride=2).dense.bits)
         stable = stable and pair[0] == pair[1]
     announce(
         5,
@@ -257,12 +257,10 @@ def test_criterion_8_kernel_properties():
         # associativity on the exact safe range (shift to a nonneg window)
         off = -min(0, w.lo)
         a_pos = dense_from_iter([v + off for v in vals], Window(w.lo + off, w.hi + off))
-        whole = sumset.hfold_exact_bounded_below(a_pos, h)
-        part = sumset.pairwise_sum(
-            sumset.hfold_exact_bounded_below(a_pos, h1).dense,
-            sumset.hfold_exact_bounded_below(a_pos, h2).dense,
-            whole.target,
-        )
+        whole = sumset.hfold_exact_bounded_below(a_pos, h, stride=1)
+        p = sumset.hfold_exact_bounded_below(a_pos, h1, stride=1).dense
+        q = sumset.hfold_exact_bounded_below(a_pos, h2, stride=1).dense
+        part = sumset.pairwise_sum(p, q, whole.target, sumset._class_table(q, 1))
         if part.bits != whole.dense.bits:
             failures += 1
 
@@ -271,8 +269,8 @@ def test_criterion_8_kernel_properties():
         wider = Window(w.lo - 4, w.hi + 4)
         bigger = dense_from_iter(set(vals) | extra, wider)
         target = Window(h * wider.lo, h * wider.hi)
-        small_bits = sumset.hfold_truncated(a, h, target).dense.bits
-        large_bits = sumset.hfold_truncated(bigger, h, target).dense.bits
+        small_bits = sumset.hfold_truncated(a, h, target, stride=1).dense.bits
+        large_bits = sumset.hfold_truncated(bigger, h, target, stride=1).dense.bits
         if small_bits & ~large_bits:
             failures += 1
         trials += 1

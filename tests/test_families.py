@@ -95,10 +95,10 @@ def test_sumset_residues_confined(h, s, t, dom):
     fam = build_full(params)
     if dom == "n0":
         a = materialize(fam.spec, Window(0, 300))
-        r = sumset.hfold_exact_bounded_below(a, h, target=Window(0, 300))
+        r = sumset.hfold_exact_bounded_below(a, h, target=Window(0, 300), stride=h)
     else:
         a = materialize(fam.spec, Window(-300, 300))
-        r = sumset.hfold_truncated(a, h, Window(-150, 150))
+        r = sumset.hfold_truncated(a, h, Window(-150, 150), stride=h)
     allowed = {(i * (s - t) + h * t) % h for i in range(h)}
     assert all(n % h in allowed for n in r.members())
     d = gcd_case(h, s, t)

@@ -123,6 +123,28 @@ def test_shiftscale_negative_dilation():
     assert member(spec, 3) and member(spec, -5) and not member(spec, 5)
 
 
+@pytest.mark.parametrize(
+    "spec,stride",
+    [
+        (Empty(), 1),
+        (Singleton(5), 1),
+        (ModClass(6, 1), 6),
+        (ModClassNonneg(4, 9), 4),
+        (GapTail(GEOM2), 1),
+        (ShiftScale(ModClass(3, 0), 2, -5), 15),  # |d| times the inner stride
+        (ShiftScale(GapTail(GEOM2), 1, 4), 4),
+        (Diff(ModClassNonneg(6, 0), ModClass(4, 0)), 6),  # the kept part's
+        (intset.Union((ModClass(6, 0), ModClassNonneg(4, 1))), 2),  # the gcd of the parts'
+        (intset.Union((Singleton(0), Empty(), ModClassNonneg(9, 3))), 9),  # points skipped
+        (intset.Union((Singleton(0), Singleton(5))), 1),  # nothing left
+        (a_x0_spec(), 2),  # a family's A: h
+        (Diff(ModClassNonneg(1, 0), GapTail(GEOM2)), 1),  # the lemma's X
+    ],
+)
+def test_stride_of_each_spec_node(spec, stride):
+    assert intset.stride(spec) == stride
+
+
 def test_window_validation():
     with pytest.raises(MalformedSpec):
         Window(3, 2)

@@ -1,7 +1,11 @@
 import collections
 import functools
 import itertools
+import json
 import operator
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -21,6 +25,8 @@ from nonbasis.intset import (
     materialize,
 )
 
+from test_intset import SPECS
+
 
 def brute_sumset(values, h, target):
     """Independent oracle: enumerate all h-tuples."""
@@ -35,6 +41,41 @@ def brute_sumset_of(ps, qs, target):
     return sorted({x + y for x in ps for y in qs if target.contains(x + y)})
 
 
+# The reference stride search: strides 1-8, plus the gaps among the lowest
+# _HEAD_MEMBERS members (those within _HEAD_BITS of the smallest), the first
+# with the fewest runs.  The folds take their stride from their callers;
+# this search is what those strides are measured against, and the stride
+# the property tests give sets that have no description.
+_SMALL_STRIDES = range(1, 9)
+_HEAD_MEMBERS = 9
+_HEAD_BITS = 4096
+
+
+def two_decode_stride(a):
+    """The stride search of the two-decode walk: run starts counted per
+    candidate stride, the first minimum in ascending order."""
+    x = a.bits
+    if not x:
+        return 1
+    strides = set(_SMALL_STRIDES)
+    head = (x >> ((x & -x).bit_length() - 1)) & ((1 << _HEAD_BITS) - 1)
+    prev = 0
+    for _ in range(_HEAD_MEMBERS - 1):
+        head &= head - 1
+        if not head:
+            break
+        at = (head & -head).bit_length() - 1
+        strides.add(at - prev)
+        prev = at
+    runs = {g: run_count(a, g) for g in sorted(strides)}
+    return min(runs, key=runs.get)
+
+
+def run_count(a, g):
+    """The number of stride-g runs of a: members with no g-predecessor."""
+    return (a.bits & ~(a.bits << g)).bit_count()
+
+
 def representation_counts(a, h):
     """Number of multisets of h elements of a, by their sum."""
     return collections.Counter(map(sum, itertools.combinations_with_replacement(a.members(), h)))
@@ -42,7 +83,7 @@ def representation_counts(a, h):
 
 def test_exact_small_example():
     a = dense_from_iter([0, 1, 3], Window(0, 6))
-    r = sumset.hfold_exact_bounded_below(a, 2)
+    r = sumset.hfold_exact_bounded_below(a, 2, stride=1)
     assert r.members() == [0, 1, 2, 3, 4, 6]
     assert r.exactness == sumset.EXACT
     assert r.members() == brute_sumset([0, 1, 3], 2, r.target)
@@ -50,13 +91,13 @@ def test_exact_small_example():
 
 def test_exact_singleton():
     a = dense_from_iter([0], Window(0, 4))
-    assert sumset.hfold_exact_bounded_below(a, 5, target=Window(0, 4)).members() == [0]
+    assert sumset.hfold_exact_bounded_below(a, 5, target=Window(0, 4), stride=1).members() == [0]
 
 
 def test_exact_gapped_family_complement():
     fam = build_gapped(Params(2, 0, 1, "n0"), gapset.Geometric(2, 1))
     a = materialize(fam.spec, Window(0, 40))
-    r = sumset.hfold_exact_bounded_below(a, 2, target=Window(0, 20))
+    r = sumset.hfold_exact_bounded_below(a, 2, target=Window(0, 20), stride=intset.stride(fam.spec))
     comp = r.dense.complement().members()
     assert comp == [3, 4, 5, 6, 9, 10, 17]
     assert comp == [
@@ -67,26 +108,26 @@ def test_exact_gapped_family_complement():
 def test_truncated_full_family_covers_window():
     fam = build_full(Params(2, 0, 1, "z"))
     a = materialize(fam.spec, Window(-9, 9))
-    r = sumset.hfold_truncated(a, 2, Window(-4, 4))
+    r = sumset.hfold_truncated(a, 2, Window(-4, 4), stride=intset.stride(fam.spec))
     assert r.members() == list(range(-4, 5))
     assert r.exactness == sumset.LOWER_BOUND
 
 
 def test_truncated_empty_and_tiny():
     empty = dense_from_iter([], Window(-5, 5))
-    assert sumset.hfold_truncated(empty, 3, Window(-9, 9)).members() == []
+    assert sumset.hfold_truncated(empty, 3, Window(-9, 9), stride=1).members() == []
     pm1 = dense_from_iter([-1, 1], Window(-1, 1))
-    assert sumset.hfold_truncated(pm1, 2, Window(-2, 2)).members() == [-2, 0, 2]
+    assert sumset.hfold_truncated(pm1, 2, Window(-2, 2), stride=2).members() == [-2, 0, 2]
 
 
 def test_safe_range_enforced():
     a = dense_from_iter([0, 1, 3], Window(0, 3))
     with pytest.raises(TargetExceedsSafeRange):
-        sumset.hfold_exact_bounded_below(a, 2, target=Window(0, 6))
+        sumset.hfold_exact_bounded_below(a, 2, target=Window(0, 6), stride=1)
     with pytest.raises(DomainConstraint):
-        sumset.hfold_exact_bounded_below(a, 0)
+        sumset.hfold_exact_bounded_below(a, 0, stride=1)
     with pytest.raises(DomainConstraint):
-        sumset.hfold_truncated(a, 0, Window(0, 3))
+        sumset.hfold_truncated(a, 0, Window(0, 3), stride=1)
 
 
 def test_representation_counts():
@@ -98,11 +139,11 @@ def test_representation_counts():
 
 
 def test_witness_examples():
-    a = sumset.hfold_exact_bounded_below(dense_from_iter([0, 1, 3], Window(0, 6)), 2)
+    a = sumset.hfold_exact_bounded_below(dense_from_iter([0, 1, 3], Window(0, 6)), 2, stride=1)
     assert sumset.witness(a, 4) == (1, 3)
     assert sumset.witness(a, 5) is None
     assert sumset.witness(a, 99) is None  # outside the target
-    two = sumset.hfold_exact_bounded_below(dense_from_iter([2], Window(2, 2)), 2)
+    two = sumset.hfold_exact_bounded_below(dense_from_iter([2], Window(2, 2)), 2, stride=1)
     assert sumset.witness(two, 4) == (2, 2)
 
 
@@ -116,21 +157,22 @@ SMALL_SETS = st.integers(-8, 6).flatmap(
 
 
 @settings(max_examples=250, deadline=None)
-@given(SMALL_SETS, st.integers(1, 5))
-def test_kernel_matches_brute_force(a, h):
+@given(SMALL_SETS, st.integers(1, 5), st.integers(1, 9))
+def test_kernel_matches_brute_force(a, h, stride):
+    # the fold is exact at any stride
     target = Window(h * a.window.lo, h * a.window.hi)
-    got = sumset.hfold_truncated(a, h, target)
+    got = sumset.hfold_truncated(a, h, target, stride=stride)
     vals = a.members()
     want = brute_sumset(vals, h, target) if vals else []
     assert got.members() == want
 
 
 @settings(max_examples=150, deadline=None)
-@given(SMALL_SETS, st.integers(1, 4))
-def test_fold_matches_per_element_loop(a, h):
+@given(SMALL_SETS, st.integers(1, 4), st.integers(1, 9))
+def test_fold_matches_per_element_loop(a, h, stride):
     target = Window(h * a.window.lo, h * a.window.hi)
     want = dense_from_iter(per_element_kfold(a.members(), h), target)
-    assert sumset.hfold_truncated(a, h, target).dense.bits == want.bits
+    assert sumset.hfold_truncated(a, h, target, stride=stride).dense.bits == want.bits
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,14 +181,14 @@ def test_truncation_monotone(a, extra, h):
     wider = Window(a.window.lo - 4, a.window.hi + 4)
     bigger = dense_from_iter(set(a.members()) | extra, wider)
     target = Window(h * wider.lo, h * wider.hi)
-    small = sumset.hfold_truncated(a, h, target)
-    large = sumset.hfold_truncated(bigger, h, target)
+    small = sumset.hfold_truncated(a, h, target, stride=two_decode_stride(a))
+    large = sumset.hfold_truncated(bigger, h, target, stride=two_decode_stride(bigger))
     assert small.dense.bits & ~large.dense.bits == 0
 
 
 def test_one_fold_is_identity():
     a = dense_from_iter([2, 5, 9], Window(0, 10))
-    r = sumset.hfold_exact_bounded_below(a, 1)
+    r = sumset.hfold_exact_bounded_below(a, 1, stride=1)
     assert r.members() == [2, 5, 9]
 
 
@@ -160,10 +202,11 @@ def test_associativity(vals, h1, h2):
     w = Window(0, 14)
     a = dense_from_iter(vals, w)
     h = h1 + h2
-    whole = sumset.hfold_exact_bounded_below(a, h)
-    p = sumset.hfold_exact_bounded_below(a, h1)
-    q = sumset.hfold_exact_bounded_below(a, h2)
-    combined = sumset.pairwise_sum(p.dense, q.dense, whole.target)
+    g = two_decode_stride(a)
+    whole = sumset.hfold_exact_bounded_below(a, h, stride=g)
+    p = sumset.hfold_exact_bounded_below(a, h1, stride=g)
+    q = sumset.hfold_exact_bounded_below(a, h2, stride=g)
+    combined = sumset.pairwise_sum(p.dense, q.dense, whole.target, sumset._class_table(q.dense, g))
     assert combined.bits == whole.dense.bits
 
 
@@ -171,7 +214,7 @@ def test_associativity(vals, h1, h2):
 @given(SMALL_SETS, st.integers(1, 4), st.integers(-40, 60))
 def test_count_and_witness_consistent(a, h, n):
     count = representation_counts(a, h)[n]
-    wit = sumset.witness(sumset.hfold_truncated(a, h, Window(n, n)), n)
+    wit = sumset.witness(sumset.hfold_truncated(a, h, Window(n, n), stride=two_decode_stride(a)), n)
     assert (count >= 1) == (wit is not None)
     if wit is not None:
         assert len(wit) == h
@@ -194,19 +237,21 @@ def test_witness_is_the_least_multiset(a, h, data):
         default=None,
     )
     safe_hi = a.window.hi + (h - 1) * a.window.lo
+    g = two_decode_stride(a)
     for target in (Window(n, n), hull, Window(lo, hi)):
-        got = sumset.witness(sumset.hfold_truncated(a, h, target), n)
+        got = sumset.witness(sumset.hfold_truncated(a, h, target, stride=g), n)
         assert got == want, target
         if n <= safe_hi:
             cut = Window(target.lo, min(target.hi, safe_hi))
-            assert sumset.witness(sumset.hfold_exact_bounded_below(a, h, cut), n) == want, cut
+            got = sumset.witness(sumset.hfold_exact_bounded_below(a, h, cut, stride=g), n)
+            assert got == want, cut
 
 
 @settings(max_examples=150, deadline=None)
 @given(SMALL_SETS, st.integers(1, 4))
 def test_multiplicity_pair_matches_counts(a, h):
     target = Window(h * a.window.lo, h * a.window.hi)
-    ge1, ge2 = sumset.multiplicity_pair(sumset.arith_chains(a), h, target)
+    ge1, ge2 = sumset.multiplicity_pair(sumset.arith_chains(a, two_decode_stride(a)), h, target)
     assert ge1.window == ge2.window == target
     counts = representation_counts(a, h)
     for n in range(target.lo, target.hi + 1):
@@ -269,7 +314,7 @@ def test_multiplicity_pair_matches_the_per_copy_dp(a, h, data):
     lo, hi = h * a.window.lo, h * a.window.hi
     target = Window(data.draw(st.integers(lo - 40, hi)), data.draw(st.integers(hi, hi + 40)))
     target = Window(target.lo, data.draw(st.integers(target.lo, target.hi)))
-    ge1, ge2 = sumset.multiplicity_pair(sumset.arith_chains(a), h, target)
+    ge1, ge2 = sumset.multiplicity_pair(sumset.arith_chains(a, two_decode_stride(a)), h, target)
     if target.hi < lo:
         assert ge1 == ge2 == DenseSet(target, 0)
         return
@@ -302,7 +347,7 @@ def test_multiplicity_pair_on_uniqueness_inputs(monkeypatch):
         assert len(chains) == 2 and chains == sorted(chains)
         members = [a0 + i * g for a0, g, cnt in chains for i in range(cnt)]
         a = dense_from_iter(members, Window(min(members), max(members)))
-        assert sumset.arith_chains(a) == chains
+        assert sumset.arith_chains(a, chains[0][1]) == chains
         rows = Window(h * a.window.lo, target.hi)
         want1, want2 = per_copy_multiplicity_pair(a, h, target.hi)
         assert real(chains, h, target) == (
@@ -318,9 +363,9 @@ def test_multiplicity_pair_on_one_chain(length, stride, h):
     # c copies of a chain of length 3 reach c*a0 + g*j twice only in the
     # middle band 2 <= j <= 2c - 2, a single point at c = 2.
     a = dense_from_iter(range(4, 4 + stride * length, stride), Window(-2, 20))
-    assert [(a0, n) for a0, _, n in sumset.arith_chains(a)] == [(4, length)]
+    assert [(a0, n) for a0, _, n in sumset.arith_chains(a, stride)] == [(4, length)]
     target = Window(-2 * h, 20 * h)
-    ge1, ge2 = sumset.multiplicity_pair(sumset.arith_chains(a), h, target)
+    ge1, ge2 = sumset.multiplicity_pair(sumset.arith_chains(a, stride), h, target)
     counts = representation_counts(a, h)
     for n in range(target.lo, target.hi + 1):
         c = counts[n]
@@ -367,39 +412,40 @@ def test_dilate_pair_matches_one_shift_at_a_time(x1, sub, gap, count, maxbits):
 def test_multiplicity_pair_targets(target, at_least_one, at_least_two):
     # 2 * {5, 6, 7, 8}: 12, 13 and 14 have two representations each
     a = dense_from_iter(range(5, 9), Window(5, 8))
-    ge1, ge2 = sumset.multiplicity_pair(sumset.arith_chains(a), 2, target)
+    ge1, ge2 = sumset.multiplicity_pair(sumset.arith_chains(a, 1), 2, target)
     assert ge1.window == ge2.window == target
     assert (ge1.members(), ge2.members()) == (at_least_one, at_least_two)
 
 
 def test_arith_chains():
-    def chains(vals, window=Window(0, 20)):
-        return sumset.arith_chains(dense_from_iter(vals, window))
+    def chains(vals, g, window=Window(0, 20)):
+        return sumset.arith_chains(dense_from_iter(vals, window), g)
 
-    assert chains([]) == []
-    assert chains([5]) == [(5, 1, 1)]
-    assert chains([1, 3, 5, 7]) == [(1, 2, 4)]
-    # one stride for every run: the one with the fewest runs
-    assert chains([0, 1, 3, 6, 7, 8]) == [(0, 1, 2), (3, 1, 1), (6, 1, 3)]
+    assert chains([], 1) == []
+    assert chains([5], 1) == [(5, 1, 1)]
+    assert chains([1, 3, 5, 7], 2) == [(1, 2, 4)]
+    # every run at the caller's stride, good or not
+    assert chains([1, 3, 5, 7], 1) == [(1, 1, 1), (3, 1, 1), (5, 1, 1), (7, 1, 1)]
+    assert chains([0, 1, 3, 6, 7, 8], 1) == [(0, 1, 2), (3, 1, 1), (6, 1, 3)]
     # runs of different residue classes interleave
-    assert chains([10, 11, 12, 13, 14, 16, 18], Window(8, 20)) == [(10, 2, 5), (11, 2, 2)]
-    # a stride above the small ones is found from the gaps of the lowest members
-    assert chains([3, 13, 23, 33, 43], Window(-5, 50)) == [(3, 10, 5)]
-    # a stride among the small ones is tried even when no gap between the
-    # lowest members shows it: two points far apart below a long class mod 7
+    assert chains([10, 11, 12, 13, 14, 16, 18], 2, Window(8, 20)) == [(10, 2, 5), (11, 2, 2)]
+    assert chains([3, 13, 23, 33, 43], 10, Window(-5, 50)) == [(3, 10, 5)]
+    # the stride of a description: two points far apart below a long class
+    # mod 7, where no gap between the lowest members shows 7
     spec = grammar.parse_spec("union(single:0,single:5000,classnn(7,10000))")
-    assert sumset.arith_chains(intset.materialize(spec, Window(0, 200000))) == [
+    a = intset.materialize(spec, Window(0, 200000))
+    assert sumset.arith_chains(a, intset.stride(spec)) == [
         (0, 7, 1), (5000, 7, 1), (10000, 7, 27143)
     ]
 
 
 @settings(max_examples=200, deadline=None)
-@given(SMALL_SETS)
-def test_arith_chains_partition_members_in_order(a):
-    chains = sumset.arith_chains(a)
+@given(SMALL_SETS, st.integers(1, 9))
+def test_arith_chains_partition_members_in_order(a, stride):
+    chains = sumset.arith_chains(a, stride)
     starts = [c[0] for c in chains]
     assert starts == sorted(set(starts))
-    assert len({g for _, g, _ in chains}) <= 1
+    assert {g for _, g, _ in chains} <= {stride}
     covered = [b + i * g for b, g, cnt in chains for i in range(cnt)]
     assert all(cnt >= 1 for _, _, cnt in chains)
     assert sorted(covered) == a.members()
@@ -426,7 +472,7 @@ TARGETS = st.integers(-30, 30).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(SMALL_SETS, st.integers(1, 4), TARGETS)
 def test_partials_are_clipped_kfolds(a, h, target):
-    r = sumset.hfold_truncated(a, h, target)
+    r = sumset.hfold_truncated(a, h, target, stride=two_decode_stride(a))
     vals = a.members()
     assert len(r.partials) == h + 1
     folds = [per_element_kfold(vals, k) for k in range(h + 1)]
@@ -448,10 +494,11 @@ def test_partials_are_clipped_kfolds(a, h, target):
 @settings(max_examples=200, deadline=None)
 @given(SMALL_SETS, st.integers(1, 4), TARGETS, st.integers(-20, 30))
 def test_adjoin_matches_direct_fold(a, h, target, b):
-    base = sumset.hfold_truncated(a, h, target)
+    base = sumset.hfold_truncated(a, h, target, stride=two_decode_stride(a))
     got = sumset.adjoin(base, b)
     bits = a.bits | (1 << (b - a.window.lo) if a.window.contains(b) else 0)
-    direct = sumset.hfold_truncated(DenseSet(a.window, bits), h, target)
+    ab = DenseSet(a.window, bits)
+    direct = sumset.hfold_truncated(ab, h, target, stride=two_decode_stride(ab))
     assert got == direct.dense
 
 
@@ -470,10 +517,11 @@ def test_point_union_matches_the_fold_of_a(b_and_target, h, s, t):
     hi, b, lo, top = b_and_target
     target = Window(min(lo, top), max(lo, top))
     src = Window(0, hi)
-    fold = sumset.hfold_exact_bounded_below(dense_from_iter(b, src), h)
+    b = dense_from_iter(b, src)
+    fold = sumset.hfold_exact_bounded_below(b, h, stride=two_decode_stride(b))
     got = sumset.hfold_point_union(fold, s, t, target)
-    a = dense_from_iter({s} | {v + t for v in b}, src)
-    want = sumset.hfold_exact_bounded_below(a, h, target)
+    a = dense_from_iter({s} | {v + t for v in b.members()}, src)
+    want = sumset.hfold_exact_bounded_below(a, h, target, stride=two_decode_stride(a))
     assert got == want and got.partials == want.partials
     assert got.members() == brute_sumset(a.members(), h, target)
 
@@ -489,9 +537,10 @@ def test_restrict_fold_matches_the_fold_on_the_narrower_source(case, h):
     # a whole-source fold of a nonnegative set cut to [0, hi] equals the
     # fold of the set on [0, hi], partials and all
     top, b, hi = case
-    wide = sumset.hfold_exact_bounded_below(dense_from_iter(b, Window(0, top)), h)
+    b_wide, b_narrow = dense_from_iter(b, Window(0, top)), dense_from_iter(b, Window(0, hi))
+    wide = sumset.hfold_exact_bounded_below(b_wide, h, stride=two_decode_stride(b_wide))
     got = sumset.restrict_fold(wide, hi)
-    want = sumset.hfold_exact_bounded_below(dense_from_iter(b, Window(0, hi)), h)
+    want = sumset.hfold_exact_bounded_below(b_narrow, h, stride=two_decode_stride(b_narrow))
     assert got == want and got.partials == want.partials
     assert sumset.restrict_fold(wide, top) == wide
 
@@ -499,16 +548,17 @@ def test_restrict_fold_matches_the_fold_on_the_narrower_source(case, h):
 def test_restrict_fold_needs_a_whole_source_fold():
     b = dense_from_iter([0, 3, 6], Window(0, 20))
     with pytest.raises(DomainConstraint):
-        sumset.restrict_fold(sumset.hfold_exact_bounded_below(b, 2, Window(0, 10)), 5)
+        sumset.restrict_fold(sumset.hfold_exact_bounded_below(b, 2, Window(0, 10), stride=3), 5)
     with pytest.raises(DomainConstraint):
-        sumset.restrict_fold(sumset.hfold_exact_bounded_below(b, 2), 21)
+        sumset.restrict_fold(sumset.hfold_exact_bounded_below(b, 2, stride=3), 21)
 
 
 def test_point_union_needs_a_whole_source_fold():
     b = dense_from_iter([0, 3, 6], Window(0, 20))
-    fold = sumset.hfold_exact_bounded_below(b, 2)
+    fold = sumset.hfold_exact_bounded_below(b, 2, stride=3)
+    part = sumset.hfold_exact_bounded_below(b, 2, Window(0, 10), stride=3)
     with pytest.raises(DomainConstraint):
-        sumset.hfold_point_union(sumset.hfold_exact_bounded_below(b, 2, Window(0, 10)), 1, 0, Window(0, 5))
+        sumset.hfold_point_union(part, 1, 0, Window(0, 5))
     with pytest.raises(DomainConstraint):
         sumset.hfold_point_union(fold, -1, 0, Window(0, 5))
     with pytest.raises(TargetExceedsSafeRange):
@@ -517,32 +567,97 @@ def test_point_union_needs_a_whole_source_fold():
 
 @pytest.mark.parametrize("h", [2, 3, 5, 11])
 def test_stride_h_family_matches_reference_loop(h):
-    # every member is its own stride-1 run, while stride h has one run per
-    # gap of Y; h = 11 is found only from the gaps of the lowest members
+    # every member is its own stride-1 run, while the spec's stride h has
+    # one run per gap of Y.  The reference search picks h too; it tries
+    # strides 1-8, so it finds h = 11 only from the gaps of the lowest members
     fam = build_gapped(Params(h, 0, 1, "n0"), gapset.Geometric(2, 1))
     a = materialize(fam.spec, Window(0, 40 * h))
-    chains = sumset.arith_chains(a)
-    assert {g for _, g, _ in chains} == {h}
+    assert intset.stride(fam.spec) == two_decode_stride(a) == h
+    chains = sumset.arith_chains(a, h)
     assert 4 * len(chains) < a.popcount()
-    r = sumset.hfold_exact_bounded_below(a, h)
+    r = sumset.hfold_exact_bounded_below(a, h, stride=h)
     assert r.dense == dense_from_iter(per_element_kfold(a.members(), h), r.target)
 
 
-def test_fold_walks_the_partial_with_fewer_runs():
+def test_n0_minus_y_fold_matches_reference_loop():
     # N0 minus the triangular numbers has a stride-1 run per gap of Y; 2A
     # is nearly one interval, so every step fills the middle of the sum and
     # walks A's runs only near its ends, where the low holes of Y sit
-    a = materialize(Diff(ModClassNonneg(1, 0), GapTail(gapset.Triangular())), Window(0, 400))
-    r = sumset.hfold_exact_bounded_below(a, 4)
-    assert len(sumset.arith_chains(r.partials[2])) < len(sumset.arith_chains(a))
+    xspec = Diff(ModClassNonneg(1, 0), GapTail(gapset.Triangular()))
+    a = materialize(xspec, Window(0, 400))
+    r = sumset.hfold_exact_bounded_below(a, 4, stride=intset.stride(xspec))
+    assert len(sumset.arith_chains(r.partials[2], 1)) < len(sumset.arith_chains(a, 1))
     assert r.dense == dense_from_iter(per_element_kfold(a.members(), 4), r.target)
 
 
-def chain_walk(p, q, target):
-    """The reference for pairwise_sum: p dilated by every arithmetic chain of
+@settings(max_examples=200, deadline=None)
+@given(SPECS, st.integers(-20, 20), st.integers(0, 40), st.integers(1, 4))
+def test_fold_at_the_spec_stride_matches_per_element_loop(spec, lo, width, h):
+    # both entry points, each walking the set at the stride of its spec
+    a = materialize(spec, Window(lo, lo + width))
+    g = intset.stride(spec)
+    want = per_element_kfold(a.members(), h)
+    hull = Window(h * a.window.lo, h * a.window.hi)
+    assert sumset.hfold_truncated(a, h, hull, stride=g).dense == dense_from_iter(want, hull)
+    exact = sumset.hfold_exact_bounded_below(a, h, stride=g)
+    assert exact.dense == dense_from_iter(want, exact.target)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Run in a child process: the workloads patch verify for the whole process.
+# Prints every fold's input, as (window lo, width, bits in hex), and the
+# stride its caller gave.
+FOLD_STRIDES = """
+import json, sys
+from pathlib import Path
+
+perfbench = Path(sys.argv[1])
+sys.path[:0] = [str(perfbench.parent / "src"), str(perfbench)]
+from nonbasis import sumset
+import workloads
+
+folds = []
+fold = sumset._fold
+
+
+def recording(a, h, target, stride):
+    folds.append((a.window.lo, a.window.width, hex(a.bits), stride))
+    return fold(a, h, target, stride)
+
+
+sumset._fold = recording
+for seed in (1, 7):
+    for workload in workloads.WORKLOADS.values():
+        workloads.solve(workload.build(seed, "tiny"))
+print(json.dumps(folds))
+"""
+
+
+def test_workload_folds_take_a_stride_about_as_good_as_the_search():
+    # Every fold of the four workloads at tiny size: the stride its caller
+    # reads off the set's description gives at most one run more than the
+    # reference search's pick.  The search saves that run on a small
+    # geometric Y, with 2h (2 for the lemma's X); a caller that passed 1
+    # for a family's A would give about h times the runs.
+    proc = subprocess.run(
+        [sys.executable, "-c", FOLD_STRIDES, str(PERFBENCH)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    folds = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(folds) > 50 and max(g for *_, g in folds) > 1
+    for lo, width, bits, g in folds:
+        a = DenseSet(Window(lo, lo + width - 1), int(bits, 16))
+        best = two_decode_stride(a)
+        assert run_count(a, g) <= run_count(a, best) + 1, (lo, width, g, best)
+
+
+def chain_walk(p, q, g, target):
+    """The reference for pairwise_sum: p dilated by every stride-g chain of
     q over the full width, the kernel before the class split."""
     acc = 0
-    for a0, g, cnt in sumset.arith_chains(q):
+    for a0, _, cnt in sumset.arith_chains(q, g):
         frame_lo = p.window.lo + a0
         if frame_lo > target.hi:
             continue
@@ -588,8 +703,8 @@ def test_pairwise_sum_matches_brute_force_and_the_chain_walk(data):
     g = data.draw(st.integers(1, 16))
     p, q = data.draw(holed_classes(g)), data.draw(holed_classes(g))
     target = end_cutting_target(data, p.window.lo + q.window.lo, p.window.hi + q.window.hi)
-    got = sumset.pairwise_sum(p, q, target)
-    assert got == chain_walk(p, q, target)
+    got = sumset.pairwise_sum(p, q, target, sumset._class_table(q, g))
+    assert got == chain_walk(p, q, g, target)
     assert got.members() == brute_sumset_of(p.members(), q.members(), target)
 
 
@@ -597,12 +712,13 @@ def test_pairwise_sum_matches_brute_force_and_the_chain_walk(data):
 @given(st.integers(1, 16).flatmap(holed_classes), st.integers(2, 4), st.data())
 def test_fold_partials_match_the_chain_walk(a, h, data):
     target = end_cutting_target(data, h * a.window.lo, h * a.window.hi)
-    r = sumset.hfold_truncated(a, h, target)
+    g = two_decode_stride(a)
+    r = sumset.hfold_truncated(a, h, target, stride=g)
     for k in range(2, h + 1):
         part = r.partials[k]
         if part is None:
             break
-        assert part == chain_walk(r.partials[k - 1], a, part.window)
+        assert part == chain_walk(r.partials[k - 1], a, g, part.window)
     assert r.members() == sorted(v for v in per_element_kfold(a.members(), h) if target.contains(v))
 
 
@@ -618,7 +734,7 @@ def test_fill_spans_the_pigeonhole_middle(monkeypatch):
         sumset, "ap_bits", lambda *args: fills.append((args[0], args[2])) or real(*args)
     )
     target = Window(0, 2400)
-    got = sumset.pairwise_sum(a, a, target)
+    got = sumset.pairwise_sum(a, a, target, sumset._class_table(a, 3))
     m, lo, hi = 6, 2 * 1, 2 * (3 * 399 + 1)
     assert fills == [(lo + 3 * m, hi - 3 * m)]
     assert got.members() == brute_sumset_of(a.members(), a.members(), target)
@@ -641,26 +757,7 @@ def test_lemma_fold_makes_few_wide_dilations(monkeypatch):
     assert len(wide) <= h - 1
 
 
-def two_decode_stride(x):
-    """The stride search of the two-decode walk: run starts counted per
-    candidate stride, the first minimum in ascending order."""
-    if not x:
-        return 1
-    strides = set(sumset._SMALL_STRIDES)
-    head = (x >> ((x & -x).bit_length() - 1)) & ((1 << sumset._HEAD_BITS) - 1)
-    prev = 0
-    for _ in range(sumset._HEAD_MEMBERS - 1):
-        head &= head - 1
-        if not head:
-            break
-        at = (head & -head).bit_length() - 1
-        strides.add(at - prev)
-        prev = at
-    runs = {g: (x & ~(x << g)).bit_count() for g in sorted(strides)}
-    return min(runs, key=runs.get)
-
-
-def two_decode_chains(a):
+def two_decode_chains(a, g):
     """The reference for arith_chains: run starts (no g-predecessor) and run
     ends (no g-successor) decoded bit by bit, each end paired with the next
     start of its residue class."""
@@ -669,7 +766,6 @@ def two_decode_chains(a):
         return [a.window.lo + i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
 
     x = a.bits
-    g = two_decode_stride(x)
     ends_of = {}
     for e in decode(x & ~(x >> g)):
         ends_of.setdefault(e % g, []).append(e)
@@ -678,8 +774,7 @@ def two_decode_chains(a):
 
 
 def has_tied_fewest_runs(a):
-    x = a.bits
-    counts = sorted((x & ~(x << g)).bit_count() for g in sumset._SMALL_STRIDES)
+    counts = sorted(run_count(a, g) for g in _SMALL_STRIDES)
     return a.popcount() >= 2 and counts[0] == counts[1]
 
 
@@ -705,13 +800,16 @@ CHAIN_SETS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(CHAIN_SETS, st.integers(-(10**6), 10**6))
-@example(dense_from_iter([0, 2, 5], Window(0, 5)), -3)  # strides 2, 3 and 5 tie
-@example(dense_from_iter([*range(0, 30, 3), *range(100, 150, 5)], Window(-4, 160)), -10**5)
-@example(dense_from_iter([], Window(0, 9)), -20)
-def test_arith_chains_match_the_two_decode_walk(a, shift):
+@given(CHAIN_SETS, st.integers(-(10**6), 10**6), st.integers(1, 16))
+@example(dense_from_iter([0, 2, 5], Window(0, 5)), -3, 1)  # strides 2, 3 and 5 tie
+@example(dense_from_iter([*range(0, 30, 3), *range(100, 150, 5)], Window(-4, 160)), -10**5, 5)
+@example(dense_from_iter([], Window(0, 9)), -20, 7)
+def test_arith_chains_match_the_two_decode_walk(a, shift, g):
+    # at the reference pick, which breaks ties by the lower stride, and at
+    # any other stride
     a = DenseSet(Window(a.window.lo + shift, a.window.hi + shift), a.bits)
-    assert sumset.arith_chains(a) == two_decode_chains(a)
+    for stride in (two_decode_stride(a), g):
+        assert sumset.arith_chains(a, stride) == two_decode_chains(a, stride)
 
 
 def test_one_decode_per_chain_split_and_one_class_table_per_fold(monkeypatch):
@@ -726,24 +824,24 @@ def test_one_decode_per_chain_split_and_one_class_table_per_fold(monkeypatch):
     ]
     for a in sets:
         decodes.clear()
-        sumset.arith_chains(a)
+        sumset.arith_chains(a, two_decode_stride(a))
         assert len(decodes) == 1
     # N0 minus the triangular numbers: every fold step splits its partial
     # into classes.  A's are decoded once, with its class table; the exact
     # fold's first partial is A itself and reads them, and every other
     # partial is decoded once
     real_table = sumset._class_table
-    monkeypatch.setattr(sumset, "_class_table", lambda a: tables.append(a) or real_table(a))
+    monkeypatch.setattr(sumset, "_class_table", lambda a, g: tables.append(a) or real_table(a, g))
     a = sets[-1]
     for h in range(2, 9):
         decodes.clear()
         tables.clear()
-        sumset.hfold_exact_bounded_below(a, h)
+        sumset.hfold_exact_bounded_below(a, h, stride=1)
         assert len(tables) == 1, h
         assert len(decodes) <= h - 1, h
         decodes.clear()
         tables.clear()
-        sumset.hfold_truncated(a, h, Window(h * 10**4 - 500, h * 10**4))
+        sumset.hfold_truncated(a, h, Window(h * 10**4 - 500, h * 10**4), stride=1)
         assert len(tables) == 1, h
         assert len(decodes) <= h, h
 
@@ -773,8 +871,7 @@ def test_partial_classes_match_a_per_residue_reference(p, g):
     # q is one stride-g progression far from p, with its table set to
     # split: so p is split into its classes mod g, each decoded from p's runs
     q = dense_from_iter(range(5000, 5000 + 3 * g, g), Window(4990, 5000 + 3 * g))
-    q_g, classes, _ = sumset._class_table(q)
-    assert q_g == g
+    _, classes, _ = sumset._class_table(q, g)
     read = []
     real = sumset._classes
     target = Window(p.window.lo + q.window.lo, p.window.hi + q.window.hi)
@@ -789,7 +886,7 @@ def test_witnesses_reverse_the_source_once_and_probe_only_the_target(monkeypatch
     # no decode of A, one reversal of A per result, and one member test per
     # witness: its entry test of n
     a = dense_from_iter([0, 1, 3, 7, 8, 40, 41, 60], Window(0, 60))
-    r = sumset.hfold_exact_bounded_below(a, 3)
+    r = sumset.hfold_exact_bounded_below(a, 3, stride=1)
     reversals, decodes, probes = [], [], []
     real_reversal = sumset.SumsetResult.reversed_source.func
     counting = functools.cached_property(lambda res: reversals.append(res) or real_reversal(res))
@@ -832,9 +929,10 @@ def wide_sparse_folds(draw):
     cut_lo = draw(st.integers(hull.lo, hull.hi))
     cut = Window(cut_lo, draw(st.integers(cut_lo, hull.hi)))
     safe_hi = w.hi + (h - 1) * w.lo
+    g = two_decode_stride(a)
     if w.lo >= 0 and cut.lo <= safe_hi and draw(st.booleans()):
-        return sumset.hfold_exact_bounded_below(a, h, Window(cut.lo, min(cut.hi, safe_hi)))
-    return sumset.hfold_truncated(a, h, cut)
+        return sumset.hfold_exact_bounded_below(a, h, Window(cut.lo, min(cut.hi, safe_hi)), stride=g)
+    return sumset.hfold_truncated(a, h, cut, stride=g)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -216,7 +217,7 @@ def test_classify_agrees_with_oracle(h, s, t, gen):
     fam = build_gapped(Params(h, s, t, "n0"), gen)
     hi = 400
     a = materialize(fam.spec, Window(0, hi))
-    folded = sumset.hfold_exact_bounded_below(a, h, target=Window(0, hi))
+    folded = sumset.hfold_exact_bounded_below(a, h, target=Window(0, hi), stride=h)
     for n in range(hi + 1):
         v = verify.classify(fam, n)
         assert not isinstance(v, Unknown)
@@ -227,7 +228,7 @@ def test_classify_agrees_with_oracle(h, s, t, gen):
 def test_classify_z_soundness():
     fam = build_gapped(Params(2, 0, 1, "z"), GEOM2)
     a = materialize(fam.spec, Window(-300, 300))
-    folded = sumset.hfold_truncated(a, 2, Window(-100, 100))
+    folded = sumset.hfold_truncated(a, 2, Window(-100, 100), stride=2)
     for n in range(-100, 101):
         v = verify.classify(fam, n)
         if folded.member(n):
@@ -308,7 +309,7 @@ def test_catalog_small_window_all_covered():
 def test_full_family_has_empty_complement():
     fam = build_full(Params(2, 0, 1, "n0"))
     a = materialize(fam.spec, Window(0, 50))
-    r = sumset.hfold_exact_bounded_below(a, 2, target=Window(0, 50))
+    r = sumset.hfold_exact_bounded_below(a, 2, target=Window(0, 50), stride=2)
     assert r.dense.complement().members() == []
 
 
@@ -410,6 +411,23 @@ def test_lemma_geom2_h3():
     rep = verify.lemma_basis_check(GEOM2, 3, Window(0, 200))
     assert set(rep.complement) <= {1, 2, 4}
     assert rep.covered_above_threshold
+
+
+@pytest.mark.parametrize(
+    "gen", [GEOM2, gapset.Triangular(), gapset.CustomPrefixTail((0, 1, 2, 5, 13), GEOM2)]
+)
+@pytest.mark.parametrize("h", [2, 3, 4, 5])
+def test_lemma_threshold_matches_a_brute_force_derivation(gen, h):
+    # Y as a plain set, far past its last close pair: a bad u has two of
+    # u - 1, u, u + 1, u + 2 in Y, 2 * (max bad u + 1) bounds the misses of
+    # 2X, and each of h - 2 more summands adds at least the least x in X
+    top = 10**4
+    ys = set(gapset.elements_in(gen, Window(0, top)))
+    bad = [u for u in range(top - 2) if len({u - 1, u, u + 1, u + 2} & ys) >= 2]
+    x0 = next(x for x in itertools.count() if x not in ys)
+    rep = verify.lemma_basis_check(gen, h, Window(0, 200))
+    assert rep.bad_u == tuple(bad)
+    assert rep.threshold == 2 * (max(bad) + 1) + (h - 2) * x0
 
 
 def test_verdict_certificates_resum():
@@ -571,8 +589,8 @@ def test_escape_check_matches_direct_fold(case):
     fold = (
         sumset.hfold_exact_bounded_below if fam.domain == "n0" else sumset.hfold_truncated
     )
-    fa = fold(a, h, target=window)
-    fab = fold(intset.DenseSet(src, bits), h, target=window)
+    fa = fold(a, h, target=window, stride=h)
+    fab = fold(intset.DenseSet(src, bits), h, target=window, stride=h)
     rep = verify.escape_check(fam, b, window)
     assert rep.leftover == tuple(fab.dense.complement().members())
     if rep.residue_case == "eq_t":
@@ -661,7 +679,7 @@ def test_n0_oracles_by_shifts_match_the_fold_of_a(h):
                 for window in windows:
                     oracle = verify.base_oracle(fam, window)
                     dense = materialize(fam.spec, verify.oracle_source(fam, window))
-                    want = sumset.hfold_exact_bounded_below(dense, h, target=window)
+                    want = sumset.hfold_exact_bounded_below(dense, h, target=window, stride=h)
                     assert oracle.dense == dense
                     assert oracle.folded == want and oracle.folded.partials == want.partials
                     seen += 1
@@ -884,8 +902,8 @@ def test_truncation_stability_fails_when_the_wider_fold_gains_a_point(monkeypatc
     assert report.stability_check(fam, window).status == "pass"
     fold = sumset.hfold_truncated
 
-    def gaining(dense, h, target):
-        got = fold(dense, h, target=target)
+    def gaining(dense, h, target, stride):
+        got = fold(dense, h, target=target, stride=stride)
         bits = got.dense.bits | 1 << (3 - target.lo)
         return dataclasses.replace(got, dense=intset.DenseSet(target, bits))
 
