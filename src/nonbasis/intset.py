@@ -215,6 +215,8 @@ class DenseSet:
 
         Points of window outside this set's window are not members.
         """
+        if window == self.window:
+            return self
         lo = max(self.window.lo, window.lo)
         hi = min(self.window.hi, window.hi)
         if lo > hi:

@@ -372,7 +372,7 @@ def catalog_checks(
     checks.append(
         check(
             "disjoint_partition",
-            not (set(catalog.shifted_y) & set(catalog.exceptional)),
+            set(catalog.shifted_y).isdisjoint(catalog.exceptional),
             "shifted-Y and exceptional parts are disjoint",
         )
     )
@@ -409,9 +409,12 @@ def catalog_checks(
 
 
 def stability_check(family: Family, window: Window) -> Check:
-    """Z-case: the windowed complement must not move when the truncation grows."""
+    """Z-case: the windowed complement must not move when the truncation grows.
+
+    The refold at twice the source radius folds A itself, not h*X as the
+    oracle does (verify.base_oracle), so it also checks the oracle's route."""
     oracle = verify.base_oracle(family, window)
-    small = oracle.dense.window
+    small = oracle.folded.source
     big = Window(small.lo * 2, small.hi * 2)
     dense = intset.materialize(family.spec, big)
     stride = intset.stride(family.spec)

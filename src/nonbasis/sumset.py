@@ -11,8 +11,8 @@ holes is full in its middle, which is set at once, so only its ends are
 walked run by run.
 Results are bit-identical to the per-element loop (property-tested), and
 keep their k-fold partials: h(A u {b}) is h shifts of them, as bits, a
-witness one bit search per summand, and the fold of {s} u (B + t) over N0
-two shifts per partial of the fold of B.  Representation multiplicities,
+witness one bit search per summand, and the fold of {s} u (B + t) two
+shifts per partial of a fold of B.  Representation multiplicities,
 saturated at two, are added run by run too: the sums of c copies from one
 run are a saturating dilation by an AP.
 """
@@ -242,11 +242,11 @@ def _fold(a: DenseSet, h: int, target: Window, stride: int) -> tuple[DenseSet | 
     return tuple(out)
 
 
-def _folded(a: DenseSet, h: int, target: Window, stride: int, exactness: str) -> SumsetResult:
-    partials = _fold(a, h, target, stride)
-    top = partials[h]
+def _result(partials, source: Window, target: Window, exactness: str) -> SumsetResult:
+    # the fold result whose partials are kA for k = 0..h; hA is the last
+    top = partials[-1]
     dense = DenseSet(target, 0) if top is None else top.restrict(target)
-    return SumsetResult(h, a.window, target, dense, exactness, partials)
+    return SumsetResult(len(partials) - 1, source, target, dense, exactness, tuple(partials))
 
 
 def hfold_exact_bounded_below(
@@ -275,7 +275,7 @@ def hfold_exact_bounded_below(
         raise TargetExceedsSafeRange(
             f"target {target.lo}:{target.hi} outside safe range {safe.lo}:{safe.hi}"
         )
-    return _folded(a, h, target, stride, EXACT)
+    return _result(_fold(a, h, target, stride), a.window, target, EXACT)
 
 
 def hfold_truncated(a: DenseSet, h: int, target: Window, *, stride: int) -> SumsetResult:
@@ -287,7 +287,7 @@ def hfold_truncated(a: DenseSet, h: int, target: Window, *, stride: int) -> Sums
     """
     if h < 1:
         raise DomainConstraint(f"h must be >= 1, got {h}")
-    return _folded(a, h, target, stride, LOWER_BOUND)
+    return _result(_fold(a, h, target, stride), a.window, target, LOWER_BOUND)
 
 
 def _shift_union(terms, target: Window) -> DenseSet:
@@ -301,47 +301,36 @@ def _shift_union(terms, target: Window) -> DenseSet:
     return DenseSet(target, bits & ((1 << target.width) - 1))
 
 
-def restrict_fold(fold: SumsetResult, hi: int) -> SumsetResult:
-    """fold cut to [0, hi]: equal, partials too, to the fold on [0, hi].
+def hfold_point_union(
+    fold: SumsetResult, s: int, t: int, source: Window, target: Window
+) -> SumsetResult:
+    """hA on target for A = {s} u (B + t) on source, by shifts of the
+    partials of a fold of B; equal, partials and exactness too, to the fold
+    of A.
 
-    fold is hB folded on its whole source [0, H] (no target), for a set B
-    of nonnegative integers, and hi <= H.  Every summand and subtotal of a
-    sum up to hi lies in [0, hi], so kB on [0, hi] is read off B there, and
-    every partial's clip window is [0, hi] (k >= 1) or [0, 0].
+    A k-element sum with no copy of s is k*t plus one of kB, and one with a
+    copy is s plus a (k-1)-element sum: kA = (k*t + kB) u (s + (k-1)A) on
+    A's k-th clip window C, two shifts per k (one for s outside source).
+    That holds for B cut to source - t while fold's partial k is kB on
+    C - k*t.  The truncated fold of B on source - t with target
+    target - h*t has exactly those windows; over N0 (t >= 0, A on [0, hi])
+    so does the fold of B >= 0 on any whole source [0, H], H >= hi, since a
+    sum of B up to hi - k*t has no summand past hi - t.  A partial that
+    misses a point of C - k*t that k elements of fold's source can sum to
+    raises DomainConstraint.
     """
-    src = fold.source
-    if src.lo != 0 or fold.target != src or not 0 <= hi <= src.hi:
-        raise DomainConstraint(f"cannot cut a fold on {src.lo}:{src.hi} to 0:{hi}")
-    w = Window(0, hi)
-    partials = fold.partials[:1] + tuple(p.restrict(w) for p in fold.partials[1:])
-    return SumsetResult(fold.h, w, w, partials[-1], fold.exactness, partials)
-
-
-def hfold_point_union(fold: SumsetResult, s: int, t: int, target: Window) -> SumsetResult:
-    """Exact h-fold of A = {s} u (B + t) on target, by shifts of the
-    partials of hB; equal, partials too, to hfold_exact_bounded_below of A
-    on fold's source.
-
-    fold is hB folded on its whole source [0, hi] (no target), s and t are
-    >= 0, and target lies in [0, hi].  Then every summand of a sum of A up
-    to hi lies in [0, hi], and so does every subtotal.  A k-element sum
-    with no copy of s is k*t plus one of kB, and one with a copy is s plus
-    a (k-1)-element sum: kA = (k*t + kB) u (s + (k-1)A), two shifts per k.
-    """
-    h, src = fold.h, fold.source
-    if src.lo != 0 or fold.target != src:
-        raise DomainConstraint("hfold_point_union needs hB folded on its whole source [0, hi]")
-    if s < 0 or t < 0:
-        raise DomainConstraint(f"s and t must be >= 0, got s={s} t={t}")
-    if target.lo < 0 or target.hi > src.hi:
-        raise TargetExceedsSafeRange(
-            f"target {target.lo}:{target.hi} outside safe range 0:{src.hi}"
-        )
-    partials = [fold.partials[0]]
-    for k in range(1, h + 1):
-        terms = ((fold.partials[k], k * t), (partials[-1], s))
-        partials.append(_shift_union(terms, _clip_window(k, h, src, target)))
-    return SumsetResult(h, src, target, partials[h], EXACT, tuple(partials))
+    h, fs, with_s = fold.h, fold.source, source.contains(s)
+    partials: list[DenseSet | None] = []
+    for k, part in enumerate(fold.partials):
+        clip = _clip_window(k, h, source, target)
+        if clip is not None:
+            lo, hi = max(clip.lo - k * t, k * fs.lo), min(clip.hi - k * t, k * fs.hi)
+            if lo <= hi and (part is None or lo < part.window.lo or hi > part.window.hi):
+                raise DomainConstraint(f"fold partial {k} does not cover {lo}:{hi}")
+            terms = ((part, k * t), (partials[-1] if k and with_s else None, s))
+            clip = _shift_union(terms, clip)  # kA on its clip window
+        partials.append(clip)
+    return _result(partials, source, target, fold.exactness)
 
 
 def adjoin(result: SumsetResult, b: int) -> DenseSet:

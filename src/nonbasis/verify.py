@@ -409,15 +409,16 @@ _widest_hx: dict[tuple[int, SetSpec], sumset.SumsetResult] = {}
 
 
 def hx_fold(h: int, xspec: SetSpec, hi: int) -> sumset.SumsetResult:
-    """h*X folded on [0, hi] with its partials, for X over N0.
+    """h*X folded on its whole source [0, H] with its partials, for X over
+    N0 and the widest H >= hi kept so far.
 
     Every N0 family with this h and X builds its oracle on a window ending
     at hi from it by shifts (sumset.hfold_point_union), whatever its s and
-    t.  A fold on [0, hi] is the one on any wider [0, H] cut to [0, hi]
-    (sumset.restrict_fold), so h*X is folded only when hi passes the widest
-    fold kept for (h, X): a sweep of s, t and windows folds once, and
-    classify's prefix oracle below (h-2)s + ht cuts the fold of a catalog
-    on a window reaching that far.
+    t.  The fold on [0, H] holds every sum up to hi that the fold on
+    [0, hi] holds, so h*X is folded only when hi passes the widest fold
+    kept for (h, X): a sweep of s, t and windows folds once, and classify's
+    prefix oracle below (h-2)s + ht reads the fold of a catalog on a
+    window reaching that far.
     """
     key = (h, xspec)
     wide = _widest_hx.get(key)
@@ -427,16 +428,30 @@ def hx_fold(h: int, xspec: SetSpec, hi: int) -> sumset.SumsetResult:
         wide = _widest_hx[key] = sumset.hfold_exact_bounded_below(hx, h, stride=intset.stride(spec))
         if len(_widest_hx) > 8:
             del _widest_hx[next(iter(_widest_hx))]
-    return wide if wide.source.hi == hi else sumset.restrict_fold(wide, hi)
+    return wide
+
+
+def fold_by_shifts(family: Family, bt: DenseSet, window: Window) -> sumset.SumsetResult:
+    """hA on window for A = {s} u (B + t), given B + t on A's source.
+
+    B, one residue class mod h, is folded as a truncated set on the source
+    moved down by t, with target window - h*t, so its k-th partial is kB
+    on A's k-th clip window moved down by k*t; s and t are added by shifts
+    (sumset.hfold_point_union).
+    """
+    h, t, src = family.h, family.t, bt.window
+    b = DenseSet(Window(src.lo - t, src.hi - t), bt.bits)
+    fold = sumset.hfold_truncated(b, h, Window(window.lo - h * t, window.hi - h * t), stride=h)
+    return sumset.hfold_point_union(fold, family.s, t, src, window)
 
 
 @dataclass(frozen=True, eq=False)
 class BaseOracle:
     """hA of one family on one window, and the sets read off it.
 
-    dense is A on its oracle_source; folded is hA on the window with its
-    k-fold partials.  ys lists Y from its first element up to
-    (source.hi - t) // h, the y whose h*y + t can lie in the source; the
+    folded is hA on the window with its k-fold partials, for A on its
+    oracle_source (folded.source).  ys lists Y from its first element up
+    to (source.hi - t) // h, the y whose h*y + t can lie in the source; the
     window lies inside the source, so ys holds every y with a shifted-Y
     value (h-1)s + h*y + t in the window.  shifted_ys lists those as
     Family.shifted_ys pairs (y, value), and shifted and f_window are
@@ -444,7 +459,6 @@ class BaseOracle:
     f_window the points outside hA that are not shifted-Y values.
     """
 
-    dense: DenseSet
     folded: sumset.SumsetResult
     ys: tuple[int, ...]
     shifted_ys: tuple[tuple[int, int], ...]
@@ -467,22 +481,19 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
     """The oracle shared by the catalog and every adjunction check of a window.
 
     classify also reads N0 points below the structural threshold off the
-    oracle of [0, threshold - 1].  Over N0, A = {s} u (h*X + t) and hA are
-    built by shifts from hx_fold, exact on the window (see
-    sumset.hfold_point_union); A on the source is hA's first partial, whose
-    clip window is the whole source since h >= 2.  Over Z, A is
-    materialized and folded, since the truncated source depends on s and t.
+    oracle of [0, threshold - 1].  A = {s} u (h*X + t) and hA are built by
+    shifts from a fold of h*X (sumset.hfold_point_union), so every fold
+    step sums one residue class mod h.  Over N0 that is hx_fold, one fold
+    per (h, X) for every s and t.  Over Z the source depends on s and t, so
+    h*X + t is materialized on it (fold_by_shifts).
     """
     src = oracle_source(family, window)
     if family.domain == DOMAIN_N0:
         hx = hx_fold(family.h, family.xspec, src.hi)
-        folded = sumset.hfold_point_union(hx, family.s, family.t, window)
-        dense = folded.partials[1]
+        folded = sumset.hfold_point_union(hx, family.s, family.t, src, window)
     else:
-        dense = intset.materialize(family.spec, src)
-        folded = sumset.hfold_truncated(
-            dense, family.h, target=window, stride=intset.stride(family.spec)
-        )
+        bt = intset.materialize(intset.ShiftScale(family.xspec, family.t, family.h), src)
+        folded = fold_by_shifts(family, bt, window)
     ys: tuple[int, ...] = ()
     if family.y is not None:
         ys = y_prefix(family.y, (src.hi - family.t) // family.h)
@@ -491,7 +502,7 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
     )
     shifted = intset.dense_from_iter((n for _, n in shifted_ys), window)
     f_window = DenseSet(window, folded.dense.complement().bits & ~shifted.bits)
-    return BaseOracle(dense, folded, ys, shifted_ys, shifted, f_window)
+    return BaseOracle(folded, ys, shifted_ys, shifted, f_window)
 
 
 def complement_catalog(
@@ -709,9 +720,7 @@ def augment_check(
     """
     if not family.is_gapped:
         raise GcdViolation("augment check applies to gapped families only")
-    h, t = family.h, family.t
     oracle = base_oracle(family, window)
-    src = oracle.dense.window
     # Over Z, adjoined elements above the window can still reach it with
     # negative partners, so B is collected across the whole oracle source.
     selected: list[int] = []  # the y' of Y' in the oracle's prefix of Y
@@ -723,18 +732,15 @@ def augment_check(
             dropped_shifted.append(family.shifted_y_value(y))
     dropped = intset.dense_from_iter(dropped_shifted, window)
 
-    # stride h: each fold input is h*(X u Y'), or {s} u (h*(X u Y') + t)
-    if family.domain == DOMAIN_N0:
-        # A u B = {s} u (h*(X u Y') + t): fold h*(X u Y') and shift, as the
-        # oracle does; a y' past the prefix has h*y' + t above the window
-        hx = hx_fold(h, family.xspec, src.hi).partials[1].bits
-        hb = hx | intset.dense_from_iter((h * y for y in selected), src).bits
-        fold = sumset.hfold_exact_bounded_below(DenseSet(src, hb), h, stride=h)
-        folded = sumset.hfold_point_union(fold, family.s, t, window)
-    else:
-        b = intset.dense_from_iter((h * y + t for y in selected), src)
-        ab = DenseSet(src, oracle.dense.bits | b.bits)
-        folded = sumset.hfold_truncated(ab, h, target=window, stride=h)
+    # A u B = {s} u (h*(X u Y') + t), folded by shifts.  A's first partial
+    # holds every summand that a sum in the window can use, and s is not
+    # h*x + t since gcd(h, s - t) = 1, so (A u B) - {s} is h*(X u Y') + t
+    # there; a y' past the prefix has h*y' + t past the source.
+    src = oracle.folded.source
+    hy = intset.dense_from_iter((family.h * y + family.t for y in selected), src)
+    ab = oracle.folded.partials[1].restrict(src).bits | hy.bits
+    bt = DenseSet(src, ab & ~intset.dense_from_iter([family.s], src).bits)
+    folded = fold_by_shifts(family, bt, window)
     comp_ab = folded.dense.complement()
     beyond_f = comp_ab.bits & ~oracle.f_window.bits
     missing = DenseSet(window, beyond_f & dropped.bits).members()

@@ -28,7 +28,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (name, file, old, new): each switches off a check or loosens a bound
+# (name, file, old, new): each switches off a check, loosens a bound or
+# breaks the oracle route
 MUTANTS = (
     ("stability_check compares the oracle with itself", "src/nonbasis/report.py",
      "wide = sumset.hfold_truncated(dense, family.h, target=window, stride=stride).dense",
@@ -40,7 +41,7 @@ MUTANTS = (
      "cover = 1 << (v - window.lo) if window.contains(v) else 0",
      "cover = -1"),
     ("disjoint_partition always passes", "src/nonbasis/report.py",
-     "not (set(catalog.shifted_y) & set(catalog.exceptional)),",
+     "set(catalog.shifted_y).isdisjoint(catalog.exceptional),",
      "True,"),
     ("pair_bound - 2", "src/nonbasis/verify.py",
      "return 2 * gapset.gap_radius(gen, 3) + 4",
@@ -60,6 +61,12 @@ MUTANTS = (
     ("lemma threshold + 50", "src/nonbasis/verify.py",
      "threshold = thr2 + (h - 2) * x0",
      "threshold = thr2 + (h - 2) * x0 + 50"),
+    ("B-fold target moved by h", "src/nonbasis/verify.py",
+     "Window(window.lo - h * t, window.hi - h * t)",
+     "Window(window.lo - h * t + h, window.hi - h * t + h)"),
+    ("point union drops the s term", "src/nonbasis/sumset.py",
+     "terms = ((part, k * t), (partials[-1] if k and with_s else None, s))",
+     "terms = ((part, k * t),)"),
 )
 
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")

@@ -504,65 +504,70 @@ def test_adjoin_matches_direct_fold(a, h, target, b):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(0, 60).flatmap(lambda hi: st.tuples(
-        st.just(hi), st.sets(st.integers(0, hi)), st.integers(0, hi), st.integers(0, hi)
-    )),
+    st.integers(0, 60).flatmap(lambda top: st.integers(0, top).flatmap(lambda hi: st.tuples(
+        st.just(top), st.just(hi), st.sets(st.integers(0, top)),
+        st.integers(0, hi), st.integers(0, hi),
+    ))),
     st.integers(1, 5),
     st.integers(0, 70),
     st.integers(0, 70),
+    SMALL_SETS,
+    TARGETS,
+    st.integers(-30, 30),
+    st.integers(-30, 30),
 )
-def test_point_union_matches_the_fold_of_a(b_and_target, h, s, t):
-    # {s} u (B + t) on [0, hi], folded by shifts of hB's partials, equals
-    # its direct fold, partials and all, and the brute-force sumset
-    hi, b, lo, top = b_and_target
-    target = Window(min(lo, top), max(lo, top))
+def test_point_union_matches_the_fold_of_a(b_and_target, h, s, t, zb, z_target, zs, zt):
+    # {s} u (B + t) on [0, hi], folded by shifts of the partials of hB on
+    # its whole source [0, top], top >= hi, equals its direct fold, partials
+    # and all, and the brute-force sumset
+    top, hi, b, lo, up = b_and_target
+    target = Window(min(lo, up), max(lo, up))
     src = Window(0, hi)
-    b = dense_from_iter(b, src)
+    b = dense_from_iter(b, Window(0, top))
     fold = sumset.hfold_exact_bounded_below(b, h, stride=two_decode_stride(b))
-    got = sumset.hfold_point_union(fold, s, t, target)
+    got = sumset.hfold_point_union(fold, s, t, src, target)
     a = dense_from_iter({s} | {v + t for v in b.members()}, src)
     want = sumset.hfold_exact_bounded_below(a, h, target, stride=two_decode_stride(a))
     assert got == want and got.partials == want.partials
+    assert got.exactness == sumset.EXACT
     assert got.members() == brute_sumset(a.members(), h, target)
 
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 60).flatmap(lambda top: st.tuples(
-        st.just(top), st.sets(st.integers(0, top)), st.integers(0, top)
-    )),
-    st.integers(1, 5),
-)
-def test_restrict_fold_matches_the_fold_on_the_narrower_source(case, h):
-    # a whole-source fold of a nonnegative set cut to [0, hi] equals the
-    # fold of the set on [0, hi], partials and all
-    top, b, hi = case
-    b_wide, b_narrow = dense_from_iter(b, Window(0, top)), dense_from_iter(b, Window(0, hi))
-    wide = sumset.hfold_exact_bounded_below(b_wide, h, stride=two_decode_stride(b_wide))
-    got = sumset.restrict_fold(wide, hi)
-    want = sumset.hfold_exact_bounded_below(b_narrow, h, stride=two_decode_stride(b_narrow))
+    # over Z: B on source - t, folded as a truncated set with target moved
+    # down by h*t; s and t may be negative, and s may lie outside the source
+    zsrc = Window(zb.window.lo + zt, zb.window.hi + zt)
+    zfold = sumset.hfold_truncated(
+        zb, h, Window(z_target.lo - h * zt, z_target.hi - h * zt), stride=two_decode_stride(zb)
+    )
+    got = sumset.hfold_point_union(zfold, zs, zt, zsrc, z_target)
+    za = dense_from_iter({zs} | {v + zt for v in zb.members()}, zsrc)
+    want = sumset.hfold_truncated(za, h, z_target, stride=two_decode_stride(za))
     assert got == want and got.partials == want.partials
-    assert sumset.restrict_fold(wide, top) == wide
+    assert got.exactness == sumset.LOWER_BOUND
+    assert got.members() == brute_sumset(za.members(), h, z_target)
 
 
-def test_restrict_fold_needs_a_whole_source_fold():
-    b = dense_from_iter([0, 3, 6], Window(0, 20))
-    with pytest.raises(DomainConstraint):
-        sumset.restrict_fold(sumset.hfold_exact_bounded_below(b, 2, Window(0, 10), stride=3), 5)
-    with pytest.raises(DomainConstraint):
-        sumset.restrict_fold(sumset.hfold_exact_bounded_below(b, 2, stride=3), 21)
-
-
-def test_point_union_needs_a_whole_source_fold():
+def test_point_union_needs_partials_that_cover_its_clip_windows():
     b = dense_from_iter([0, 3, 6], Window(0, 20))
     fold = sumset.hfold_exact_bounded_below(b, 2, stride=3)
     part = sumset.hfold_exact_bounded_below(b, 2, Window(0, 10), stride=3)
+    src = Window(0, 20)
+    # a fold with target 0:10 holds 2B on 0:10, enough for A's target 0:5
+    # but not 0:15; the whole-source fold holds 2B on 0:20, not 0:21
+    assert sumset.hfold_point_union(part, 1, 0, src, Window(0, 5)).members() == [0, 1, 2, 3, 4]
     with pytest.raises(DomainConstraint):
-        sumset.hfold_point_union(part, 1, 0, Window(0, 5))
+        sumset.hfold_point_union(part, 1, 0, src, Window(0, 15))
     with pytest.raises(DomainConstraint):
-        sumset.hfold_point_union(fold, -1, 0, Window(0, 5))
-    with pytest.raises(TargetExceedsSafeRange):
-        sumset.hfold_point_union(fold, 1, 0, Window(0, 21))
+        sumset.hfold_point_union(fold, 1, 0, src, Window(0, 21))
+    # over Z the fold of B on source - t must take the target moved down
+    # by h*t; moved by h less, its partials miss the low end of A's
+    zb = dense_from_iter([-9, -6, 0, 3, 9], Window(-10, 10))
+    zsrc, target = Window(-14, 6), Window(-7, 5)
+    ok = sumset.hfold_truncated(zb, 2, Window(1, 13), stride=3)
+    assert sumset.hfold_point_union(ok, -1, -4, zsrc, target).exactness == sumset.LOWER_BOUND
+    with pytest.raises(DomainConstraint):
+        sumset.hfold_point_union(
+            sumset.hfold_truncated(zb, 2, Window(3, 15), stride=3), -1, -4, zsrc, target
+        )
 
 
 @pytest.mark.parametrize("h", [2, 3, 5, 11])

@@ -575,9 +575,8 @@ def test_exceptional_bound_covers_the_oracle_complement(fam):
 def test_escape_check_matches_direct_fold(case):
     fam, window, b = case
     oracle = verify.base_oracle(fam, window)
-    src, h = oracle.dense.window, fam.h
+    src, h = oracle.folded.source, fam.h
     a = materialize(fam.spec, src)
-    assert oracle.dense == a
     folds = [{0}]
     for _ in range(h):  # per-element reference loop
         folds.append({x + v for x in folds[-1] for v in a.members()})
@@ -597,6 +596,26 @@ def test_escape_check_matches_direct_fold(case):
         assert rep.added == tuple(
             intset.DenseSet(window, fab.dense.bits & ~fa.dense.bits).members()
         )
+
+
+@settings(max_examples=80, deadline=None)
+@given(escape_cases(), st.booleans())
+def test_augment_check_matches_direct_fold(case, even):
+    # the augment folds h*(X u Y') read off the oracle's first partial and
+    # adds s and t by shifts; its complement is that of A u (h*Y' + t)
+    # materialized on the oracle source and folded directly
+    fam, window, _ = case
+    oracle = verify.base_oracle(fam, window)
+    src, ys = oracle.folded.source, oracle.ys
+    yprime = YPrimeFilter("even_indices") if even else YPrimeFilter("drop_values", ys[:1])
+    b = [fam.h * y + fam.t for i, y in enumerate(ys) if yprime.selects(i, y)]
+    ab = intset.DenseSet(src, materialize(fam.spec, src).bits | intset.dense_from_iter(b, src).bits)
+    fold = (
+        sumset.hfold_exact_bounded_below if fam.domain == "n0" else sumset.hfold_truncated
+    )
+    want = fold(ab, fam.h, target=window, stride=fam.h)
+    rep = verify.augment_check(fam, yprime, window)
+    assert rep.leftover == tuple(want.dense.complement().members())
 
 
 def counting_folds(monkeypatch) -> list[str]:
@@ -680,10 +699,67 @@ def test_n0_oracles_by_shifts_match_the_fold_of_a(h):
                     oracle = verify.base_oracle(fam, window)
                     dense = materialize(fam.spec, verify.oracle_source(fam, window))
                     want = sumset.hfold_exact_bounded_below(dense, h, target=window, stride=h)
-                    assert oracle.dense == dense
+                    assert oracle.folded.partials[1] == dense
                     assert oracle.folded == want and oracle.folded.partials == want.partials
                     seen += 1
     assert seen > 500  # 500 full-family oracles and the gapped ones
+
+
+@st.composite
+def z_oracle_cases(draw):
+    """A full or gapped Z family with s and t in [-30, 30], and a window
+    that need not be symmetric about 0."""
+    h = draw(st.integers(2, 7))
+    s, t = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+    params = Params(h, s, t, "z")
+    if math.gcd(h, abs(s - t)) == 1 and draw(st.booleans()):
+        fam = build_gapped(params, draw(GAP_GENERATORS))
+    else:
+        fam = build_full(params)
+    lo = draw(st.integers(-80, 60))
+    return fam, Window(lo, lo + draw(st.integers(0, 90)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(z_oracle_cases())
+def test_z_oracles_by_shifts_match_the_fold_of_a(case):
+    # over Z, base_oracle folds h*X on its source moved down by t and adds
+    # s and t by shifts; hA equals A materialized on the source and folded,
+    # partials and all
+    fam, window = case
+    oracle = verify.base_oracle(fam, window)
+    src = verify.oracle_source(fam, window)
+    want = sumset.hfold_truncated(materialize(fam.spec, src), fam.h, window, stride=fam.h)
+    assert oracle.folded == want and oracle.folded.partials == want.partials
+    assert oracle.folded.exactness == sumset.LOWER_BOUND
+
+
+def test_z_oracle_and_augment_folds_each_sum_one_residue_class(monkeypatch):
+    # A is two residue classes mod h, so a fold of A pays a fill per class
+    # of each partial; the Z oracle and every augment fold h*X (with h*Y')
+    # instead, one class
+    inputs = []
+    fold = sumset._fold
+    monkeypatch.setattr(
+        sumset, "_fold", lambda a, h, *rest: inputs.append((a, h)) or fold(a, h, *rest)
+    )
+    verify.base_oracle.cache_clear()
+    verify._widest_hx.clear()
+    cases = [
+        (build_full(Params(3, -5, 4, "z")), Window(-40, 90)),
+        (build_gapped(Params(2, 0, 1, "z"), GEOM2), Window(-200, 200)),
+        (build_gapped(Params(4, -7, -2, "z"), gapset.Triangular()), Window(-30, 150)),
+        (build_gapped(Params(3, 2, 6, "n0"), GEOM2), Window(0, 300)),
+    ]
+    for fam, window in cases:
+        verify.base_oracle(fam, window)
+        if fam.is_gapped:
+            first = verify.base_oracle(fam, window).ys[:1]
+            verify.augment_check(fam, YPrimeFilter("even_indices"), window)
+            verify.augment_check(fam, YPrimeFilter("drop_values", first), window)
+    assert len(inputs) == 10  # 3 Z oracles, 1 fold of h*X, 6 augments
+    for a, h in inputs:
+        assert len({m % h for m in a.members()}) == 1, (h, a.window)
 
 
 def test_escape_samples_below_t_take_no_eq_t_b():
@@ -1097,7 +1173,7 @@ def test_z_oracle_source_holds_a_witness_past_the_fixed_pad():
     window = Window(-200, 200)
     v = verify.classify(fam, -200)
     assert min(witness_summands(fam, v)) == -295
-    assert verify.base_oracle(fam, window).dense.window.contains(-295)
+    assert verify.base_oracle(fam, window).folded.source.contains(-295)
 
 
 def test_window_relative_f_fails_on_a_z_exceptional_entry(monkeypatch):
