@@ -9,6 +9,7 @@ all pairs at distance <= C live below a computable radius.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -139,20 +140,25 @@ def least_non_member(gen: GapGenerator) -> int:
     raise AssertionError("unreachable: certified sequences have unbounded gaps")
 
 
+@functools.cache
+def _walk(gen: GapGenerator) -> tuple[list[int], Iterator[int]]:
+    # The elements of gen walked so far, and the values iterator that
+    # continues them; elements_in extends the list in place.
+    it = values(gen)
+    return [next(it)], it
+
+
 def elements_in(gen: GapGenerator, window) -> list[int]:
-    """Sequence elements inside [window.lo, window.hi], ascending."""
-    return [v for _, v in indexed_elements_in(gen, window)]
+    """Sequence elements inside [window.lo, window.hi], ascending.
 
-
-def indexed_elements_in(gen: GapGenerator, window) -> list[tuple[int, int]]:
-    """(index, value) pairs for the elements inside the window."""
-    out = []
-    for i, v in enumerate(values(gen)):
-        if v > window.hi:
-            break
-        if v >= window.lo:
-            out.append((i, v))
-    return out
+    Each generator is walked once (memoized, like least_non_member): the
+    walk grows only past the largest window.hi asked for, and each window
+    is a bisect slice of it.
+    """
+    ys, rest = _walk(gen)
+    while ys[-1] <= window.hi:
+        ys.append(next(rest))
+    return ys[bisect.bisect_left(ys, window.lo) : bisect.bisect_right(ys, window.hi)]
 
 
 def _monotone_gap_radius(gen: GapGenerator, c: int) -> int:

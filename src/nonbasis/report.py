@@ -264,10 +264,9 @@ def sample_escape_bs(family: Family, per_case: int, window: Window) -> dict[str,
             if cand >= 0 or not n0:
                 out["eq_s"].append(cand)
         u += 1
-    for y in verify.base_oracle(family, window).ys:
-        if len(out["eq_t"]) >= per_case or h * y + t > hi:
-            break
-        out["eq_t"].append(h * y + t)
+    if hi >= t:
+        ys = gapset.elements_in(family.y, Window(0, (hi - t) // h))
+        out["eq_t"] = [h * y + t for y in ys[:per_case]]
     if h >= 3:
         # not_st is residue j >= 2 of b - t, which needs h >= 3
         b = 0

@@ -11,7 +11,6 @@ running out of probes yields a first-class Unknown, never a guess.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -467,16 +466,6 @@ class BaseOracle:
 
 
 @lru_cache(maxsize=8)
-def y_prefix(gen: gapset.GapGenerator, top: int) -> tuple[int, ...]:
-    """The elements of Y up to top, ascending: one walk per (Y, top).
-
-    An N0 sweep of s over one window builds one base oracle per family,
-    and each reads the same prefix.
-    """
-    return tuple(itertools.takewhile(lambda y: y <= top, gapset.values(gen)))
-
-
-@lru_cache(maxsize=8)
 def base_oracle(family: Family, window: Window) -> BaseOracle:
     """The oracle shared by the catalog and every adjunction check of a window.
 
@@ -495,8 +484,9 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
         bt = intset.materialize(intset.ShiftScale(family.xspec, family.t, family.h), src)
         folded = fold_by_shifts(family, bt, window)
     ys: tuple[int, ...] = ()
-    if family.y is not None:
-        ys = y_prefix(family.y, (src.hi - family.t) // family.h)
+    top = (src.hi - family.t) // family.h
+    if family.y is not None and top >= 0:
+        ys = tuple(gapset.elements_in(family.y, Window(0, top)))
     shifted_ys = tuple(
         (y, n) for y in ys if window.contains(n := family.shifted_y_value(y))
     )

@@ -29,7 +29,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (name, file, old, new): each switches off a check, loosens a bound or
-# breaks the oracle route
+# breaks the oracle route or the walk of Y
 MUTANTS = (
     ("stability_check compares the oracle with itself", "src/nonbasis/report.py",
      "wide = sumset.hfold_truncated(dense, family.h, target=window, stride=stride).dense",
@@ -67,6 +67,12 @@ MUTANTS = (
     ("point union drops the s term", "src/nonbasis/sumset.py",
      "terms = ((part, k * t), (partials[-1] if k and with_s else None, s))",
      "terms = ((part, k * t),)"),
+    ("walk of Y stops at hi", "src/nonbasis/gapset.py",
+     "while ys[-1] <= window.hi:",
+     "while ys[-1] < window.hi:"),
+    ("walk slice drops an element at lo", "src/nonbasis/gapset.py",
+     "bisect.bisect_left(ys, window.lo)",
+     "bisect.bisect_right(ys, window.lo)"),
 )
 
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")

@@ -224,7 +224,7 @@ def test_criterion_7_augmentation():
     even = verify.augment_check(fam, YPrimeFilter("even_indices"), window)
     odd_shifted = [
         2 * y + 1
-        for i, y in gapset.indexed_elements_in(GEOM2, Window(0, (10**5 - 1) // 2))
+        for i, y in enumerate(gapset.elements_in(GEOM2, Window(0, (10**5 - 1) // 2)))
         if i % 2 == 1
     ]
     ok_even = even.verdict == "stays_nonbasis" and list(even.missing_shifted) == odd_shifted

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonbasis import gapset
@@ -117,8 +119,64 @@ def test_least_non_member(gen):
 
 
 def test_indexed_elements():
-    got = gapset.indexed_elements_in(gapset.Geometric(2, 1), Window(0, 20))
+    got = list(enumerate(gapset.elements_in(gapset.Geometric(2, 1), Window(0, 20))))
     assert got == [(0, 1), (1, 2), (2, 4), (3, 8), (4, 16)]
+
+
+@st.composite
+def generators(draw):
+    """A closed-form generator, or one behind a custom prefix."""
+    closed = draw(
+        st.one_of(
+            st.builds(gapset.Geometric, st.integers(2, 4), st.integers(1, 5)),
+            st.just(gapset.Triangular()),
+            st.just(gapset.Factorial()),
+        )
+    )
+    if not draw(st.booleans()):
+        return closed
+    prefix = draw(st.lists(st.integers(0, 60), min_size=1, max_size=5, unique=True))
+    return gapset.CustomPrefixTail(tuple(sorted(prefix)), closed)
+
+
+def fresh_walk(gen, lo, hi):
+    """The elements of gen in [lo, hi], from a new walk."""
+    return [v for v in itertools.takewhile(lambda v: v <= hi, gapset.values(gen)) if v >= lo]
+
+
+WINDOWS = st.builds(lambda hi, width: Window(hi - width, hi), st.integers(-30, 400), st.integers(0, 200))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generators(), st.lists(WINDOWS, min_size=1, max_size=8))
+@example(
+    gapset.CustomPrefixTail((4, 7), gapset.Triangular()),
+    # grows to 91, an element; shrinks; ends below the first element; below 0
+    [Window(0, 10), Window(5, 91), Window(7, 30), Window(0, 3), Window(-9, -1)],
+)
+def test_elements_in_grows_one_walk_past_the_largest_hi(gen, windows):
+    # every window reads the same walk of gen, which stops at the first
+    # element past the largest hi asked for (a custom prefix's walk calls
+    # values again for its tail, which is not counted)
+    expected = [fresh_walk(gen, w.lo, w.hi) for w in windows]
+    top = max(w.hi for w in windows)
+    walked = fresh_walk(gen, 0, top) + [next(v for v in gapset.values(gen) if v > top)]
+    drawn = []
+    values = gapset.values
+
+    def counting(g):
+        for v in values(g):
+            if g is gen:
+                drawn.append(v)
+            yield v
+
+    gapset._walk.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gapset, "values", counting)
+        got = [gapset.elements_in(gen, w) for w in windows]
+    gapset._walk.cache_clear()
+    assert got == expected
+    assert drawn == walked
 
 
 def test_custom_prefix_merges_with_tail():

@@ -713,6 +713,25 @@ def test_pairwise_sum_matches_brute_force_and_the_chain_walk(data):
     assert got.members() == brute_sumset_of(p.members(), q.members(), target)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pairwise_sum_stays_exact_when_hole_counts_over_count(data):
+    # _splits' claim: a hole count that is only an upper bound fills a
+    # narrower middle and walks wider ends, so the sum stays exact
+    g = data.draw(st.integers(1, 16))
+    p, q = data.draw(holed_classes(g)), data.draw(holed_classes(g))
+    target = end_cutting_target(data, p.window.lo + q.window.lo, p.window.hi + q.window.hi)
+    classes = sumset._classes
+
+    def over_counted(runs, g):
+        return [c._replace(holes=c.holes + data.draw(st.integers(0, 3))) for c in classes(runs, g)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sumset, "_classes", over_counted)
+        got = sumset.pairwise_sum(p, q, target, sumset._class_table(q, g))
+    assert got.members() == brute_sumset_of(p.members(), q.members(), target)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 16).flatmap(holed_classes), st.integers(2, 4), st.data())
 def test_fold_partials_match_the_chain_walk(a, h, data):

@@ -259,7 +259,7 @@ def test_catalog_derives_the_family_facts_once(monkeypatch):
         return values(gen)
 
     monkeypatch.setattr(gapset, "values", counting)
-    for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle):
+    for memo in (gapset.gap_radius, gapset.least_non_member, gapset._walk, verify.base_oracle):
         memo.cache_clear()
     verify._widest_hx.clear()
     cat = verify.complement_catalog(fam, Window(0, 2000))
@@ -268,13 +268,12 @@ def test_catalog_derives_the_family_facts_once(monkeypatch):
 
 
 def test_adjunction_checks_read_the_oracles_y_prefix(monkeypatch):
-    # The oracle walks Y once for its shifted-Y bits, its pairs, the eq_s
-    # lookups, the eq_t samples and the augmentation.  With R(3) and x0
-    # memoized, the escape run walks Y for A and for the oracle's prefix;
-    # the augment run on the cached oracle does not walk it at all.
+    # The escape samples, X for the fold of h*X and the oracle's Y prefix
+    # read one walk of Y.  With R(3) and x0 memoized, the escape run walks
+    # Y once; the augment run on the cached oracle does not walk it at all.
     fam = build_gapped(Params(5, 0, 1, "n0"), GEOM2)
     window = Window(0, 3000)
-    for memo in (gapset.gap_radius, gapset.least_non_member, verify.base_oracle):
+    for memo in (gapset.gap_radius, gapset.least_non_member, gapset._walk, verify.base_oracle):
         memo.cache_clear()
     verify._widest_hx.clear()
     verify.pair_bound(fam.y), gapset.least_non_member(fam.y)
@@ -288,10 +287,50 @@ def test_adjunction_checks_read_the_oracles_y_prefix(monkeypatch):
     monkeypatch.setattr(gapset, "values", counting)
     escapes = report.escape_checks(fam, window)
     assert {c.name.split("_b")[0] for c in escapes} >= {"escape_eq_s", "escape_not_st"}
-    assert len(walks) <= 2
+    assert walks == [fam.y]
     walks.clear()
     report.augment_checks(fam, window)
-    assert len(walks) == 0
+    assert walks == []
+
+
+@pytest.mark.parametrize("domain, window", [("n0", Window(0, 3000)), ("z", Window(-1500, 1500))])
+def test_a_familys_checks_walk_y_once(monkeypatch, domain, window):
+    # the catalog, the escapes, the augments and, over Z, the stability
+    # refold read Y through one walk; x0 and R(3) have their own memos
+    fam = build_gapped(Params(3, 0, 1, domain), gapset.Triangular())
+    for memo in (gapset._walk, verify.base_oracle):
+        memo.cache_clear()
+    verify._widest_hx.clear()
+    verify.pair_bound(fam.y), gapset.least_non_member(fam.y)
+    walks = []
+    values = gapset.values
+    monkeypatch.setattr(gapset, "values", lambda gen: walks.append(gen) or values(gen))
+    checks = report.catalog_checks(fam, window)[1]
+    if domain == "z":
+        checks.append(report.stability_check(fam, window))
+    checks += report.escape_checks(fam, window) + report.augment_checks(fam, window)
+    assert all(c.status == report.PASS for c in checks), checks
+    assert walks == [fam.y]
+
+
+def test_escape_samples_fold_nothing(monkeypatch):
+    # the eq_t samples read Y itself, so a family's first escape_check is
+    # the one that builds its oracle
+    fam = build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_escape_bs folded")
+
+    for mod, name in [
+        (verify, "base_oracle"),
+        (verify, "hx_fold"),
+        (sumset, "hfold_exact_bounded_below"),
+        (sumset, "hfold_truncated"),
+        (sumset, "hfold_point_union"),
+    ]:
+        monkeypatch.setattr(mod, name, refuse)
+    samples = report.sample_escape_bs(fam, 3, Window(0, 3000))
+    assert samples["eq_t"] == [1, 4, 10]
 
 
 def test_catalog_example():
@@ -918,8 +957,8 @@ def test_an_s_sweep_walks_y_once(monkeypatch):
     window = Window(0, 3000)
     fams = [build_gapped(Params(3, s, 1, "n0"), GEOM2) for s in range(40) if s % 3 != 1]
     verify.base_oracle.cache_clear()
-    verify.y_prefix.cache_clear()
     verify.hx_fold(3, fams[0].xspec, window.hi)  # the fold of h*X walks Y too
+    gapset._walk.cache_clear()
     walks = []
     values = gapset.values
     monkeypatch.setattr(gapset, "values", lambda gen: walks.append(gen) or values(gen))
