@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from . import gapset, grammar, intset, sumset, verify
-from .errors import DomainConstraint, OracleDisagreement
+from .errors import DomainConstraint, OracleDisagreement, WindowTooLarge
 from .families import DOMAIN_N0, Family, gcd_case
 from .intset import Window
 
@@ -410,14 +410,18 @@ def catalog_checks(
 def stability_check(family: Family, window: Window) -> Check:
     """Z-case: the windowed complement must not move when the truncation grows.
 
-    The refold at twice the source radius folds A itself, not h*X as the
-    oracle does (verify.base_oracle), so it also checks the oracle's route."""
+    The refold at twice the source radius takes the oracle's route
+    (verify.fold_by_shifts), which complement_catalog checks: it compares
+    every window point of the oracle with a prediction built without it.
+    A doubled source wider than intset.WINDOW_CAP leaves the check unknown."""
     oracle = verify.base_oracle(family, window)
     small = oracle.folded.source
-    big = Window(small.lo * 2, small.hi * 2)
-    dense = intset.materialize(family.spec, big)
-    stride = intset.stride(family.spec)
-    wide = sumset.hfold_truncated(dense, family.h, target=window, stride=stride).dense
+    try:
+        big = Window(small.lo * 2, small.hi * 2)
+        bt = intset.materialize(intset.ShiftScale(family.xspec, family.t, family.h), big)
+        wide = verify.fold_by_shifts(family, bt, window).dense
+    except WindowTooLarge as exc:
+        return Check("truncation_stability", UNKNOWN, f"source radius {small.hi * 2}: {exc}")
     return check(
         "truncation_stability",
         oracle.folded.dense == wide,

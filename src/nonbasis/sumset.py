@@ -6,9 +6,9 @@ every member of the other.  Members that form a run with a common stride
 are shifted as a group via doubling, which is an algebraic identity on
 OR-over-shifts.  The stride is the caller's, read off the set's description
 (intset.stride: h for a family's A, 1 for N0 minus Y); any stride gives the
-same sums, so none is searched for.  A sum of two residue classes with few
-holes is full in its middle, which is set at once, so only its ends are
-walked run by run.
+same sums, so none is searched for.  Two residue classes with more points
+each than holes together sum to a progression full in its middle, which is
+set at once, so only its ends are walked run by run, however many runs.
 Results are bit-identical to the per-element loop (property-tested), and
 keep their k-fold partials: h(A u {b}) is h shifts of them, as bits, a
 witness one bit search per summand, and the fold of {s} u (B + t) two
@@ -118,9 +118,10 @@ def _classes(runs: list[tuple[int, int, int]], g: int) -> list[_Class]:
 
 def _class_table(a: DenseSet, g: int) -> tuple[int, list[_Class], bool]:
     """The stride g, a's classes mod g from its stride-g chains, and whether
-    some class splits against a copy of itself."""
+    some class splits against a copy of itself: has more points than twice
+    its holes."""
     classes = _classes(arith_chains(a, g), g)
-    return g, classes, any(_splits(c, g, c.terms, 2 * c.holes) for c in classes)
+    return g, classes, any(_splits(c, c.terms, 2 * c.holes) for c in classes)
 
 
 def _cut(c: _Class, g: int, x0: int, x1: int) -> Iterator[tuple[int, int]]:
@@ -133,21 +134,15 @@ def _cut(c: _Class, g: int, x0: int, x1: int) -> Iterator[tuple[int, int]]:
             yield a0 + k0 * g, k1 - k0 + 1
 
 
-def _splits(c: _Class, g: int, terms: int, m: int) -> bool:
+def _splits(c: _Class, terms: int, m: int) -> bool:
     """Whether c plus a class of `terms` points, m holes between the two,
     is filled in its middle and walked only at its ends.
 
     A sum point j steps above the low end of the hull, m <= j <= c.terms +
     terms - 2 - m, has over m representations in the hulls and a hole
     spoils one each, so the middle is full when both classes have over m
-    points.  Walking c's chains within (m - 1) * g of its ends pays only
-    while they are at most half of c's chains, so c needs four or more."""
-    if min(c.terms, terms) - 1 < m:
-        return False
-    n = len(c.starts)
-    w = (m - 1) * g  # chains starting in the low end, plus those meeting the high end
-    ends = bisect.bisect_right(c.starts, c.lo + w) + n + 1 - bisect.bisect_right(c.starts, c.hi - w)
-    return 2 * ends <= n
+    points."""
+    return min(c.terms, terms) - 1 >= m
 
 
 def _walk(p: DenseSet, lo: int, hi: int, chains, g: int, target: Window) -> int:
@@ -180,10 +175,11 @@ def pairwise_sum(
     of itself, else it is one class of no terms.  p's classes come from its
     stride-g runs, decoded as q's are, or are q's own when p equals q.  A
     one-point class of p is one shift of q.  A class of q that _splits
-    against each other class of p is one filled progression per pair plus
-    two end walks, each over p cut to the hull of the end windows; any
-    other class of q is walked whole.  Each bit ORed in is a sum of a
-    member of p and one of q, and every such sum is covered."""
+    against each class of p (both have more points than holes together) is
+    one filled progression per pair plus two end walks, each over p cut to
+    the hull of the end windows; any other class of q is walked whole.  Each
+    bit ORed in is a sum of a member of p and one of q, and every such sum
+    is covered."""
     g, classes, can_split = q_table
     if not can_split:
         p_classes = [_Class((), (), p.window.lo, p.window.hi, 0, 0)]
@@ -199,7 +195,7 @@ def pairwise_sum(
     p_lo, p_hi = min(pc.lo for pc in p_classes), max(pc.hi for pc in p_classes)
     for c in classes:
         split = [(pc.lo, pc.hi, c.holes + pc.holes) for pc in p_classes
-                 if _splits(c, g, pc.terms, c.holes + pc.holes)]
+                 if _splits(c, pc.terms, c.holes + pc.holes)]
         if len(split) < len(p_classes):  # walking all of c over p covers every pair
             acc |= _walk(p, p_lo, p_hi, zip(c.starts, c.counts), g, target)
             continue

@@ -32,7 +32,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # breaks the oracle route or the walk of Y
 MUTANTS = (
     ("stability_check compares the oracle with itself", "src/nonbasis/report.py",
-     "wide = sumset.hfold_truncated(dense, family.h, target=window, stride=stride).dense",
+     "wide = verify.fold_by_shifts(family, bt, window).dense",
      "wide = oracle.folded.dense"),
     ("missed_classes always passes", "src/nonbasis/report.py",
      "len(missed) >= need,",
@@ -67,6 +67,9 @@ MUTANTS = (
     ("point union drops the s term", "src/nonbasis/sumset.py",
      "terms = ((part, k * t), (partials[-1] if k and with_s else None, s))",
      "terms = ((part, k * t),)"),
+    ("split bound admits as many holes as points", "src/nonbasis/sumset.py",
+     "return min(c.terms, terms) - 1 >= m",
+     "return min(c.terms, terms) >= m"),
     ("walk of Y stops at hi", "src/nonbasis/gapset.py",
      "while ys[-1] <= window.hi:",
      "while ys[-1] < window.hi:"),

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nonbasis import cli, grammar
+from nonbasis import cli, grammar, intset, sumset, verify
 from nonbasis.families import Params, build_full, build_gapped
 from nonbasis import gapset
 from nonbasis.errors import DomainConstraint
@@ -461,3 +461,50 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, ["construct", *FAM_ARGS, "--output", str(tmp_path)])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+TRIANGULAR = ["--h", "3", "--s", "0", "--t", "1", "--gap", "triangular"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", *FAM_ARGS, "--window", "0:400"],
+        ["verify", "thm1", "--h", "3", "--s", "-5", "--t", "4", "--window=-300:300"],
+        ["verify", "thm2", *TRIANGULAR, "--window=-200:400"],
+        ["verify", "thm3", "--h", "3", "--s", "2", "--t", "6", "--window", "0:500"],
+        ["verify", "thm4", *TRIANGULAR, "--window", "0:1500"],
+        ["verify", "lemma", "--h", "4", "--gap", "triangular", "--window", "0:1500"],
+    ],
+)
+def test_no_family_check_folds_a(capsys, monkeypatch, argv):
+    # A = {s} u (h*X + t) is two residue classes mod h; every check folds
+    # h*X, h*(X u Y') or the lemma's X instead, one class mod its stride
+    inputs = []
+    fold = sumset._fold
+    monkeypatch.setattr(
+        sumset, "_fold", lambda a, h, target, stride: inputs.append((a, stride))
+        or fold(a, h, target, stride)
+    )
+    verify.base_oracle.cache_clear()
+    verify._widest_hx.clear()
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert inputs
+    for a, stride in inputs:
+        assert len({m % stride for m in a.members()}) <= 1, (argv, stride, a.window)
+
+
+def test_thm2_stability_past_the_window_cap_is_unknown(capsys, monkeypatch):
+    # the oracle's source on -1000:1000 fits 3000 bits, its double does not:
+    # the stability check alone is unknown and every other check runs
+    monkeypatch.setattr(intset, "WINDOW_CAP", 3000)
+    verify.base_oracle.cache_clear()
+    argv = ["verify", "thm2", "--h", "2", "--s", "0", "--t", "1", "--gap", "geometric,2,1"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (3, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    stability = checks.pop("truncation_stability")
+    assert stability["status"] == "unknown"
+    assert "exceeds cap 3000" in stability["details"]
+    assert all(c["status"] == "pass" for c in checks.values()), checks

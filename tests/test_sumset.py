@@ -676,8 +676,8 @@ def chain_walk(p, q, g, target):
 @st.composite
 def holed_classes(draw, g):
     """A set on a window of up to 400 points: one, two or three long
-    stride-g progressions, each minus a few holes, or one such progression
-    beside a single point, or random members at one density."""
+    stride-g progressions, each minus a few holes or none, or one such
+    progression beside a single point, or random members at one density."""
     lo = draw(st.integers(-30, 30))
     w = Window(lo, lo + draw(st.integers(0, 400)))
     rng = draw(st.randoms(use_true_random=False))
@@ -689,7 +689,10 @@ def holed_classes(draw, g):
     for _ in range(draw(st.integers(1, 3)) if kind == "classes" else 1):
         first = rng.randint(w.lo, (3 * w.lo + w.hi) // 4)
         ap = range(first, rng.randint((w.lo + 3 * w.hi) // 4, w.hi) + 1, g)
-        holes = rng.randint(0, min(2, len(ap))) if len(ap) < 30 else rng.randint(3, len(ap) // 10)
+        if len(ap) < 30:
+            holes = rng.randint(0, min(2, len(ap)))
+        else:  # a long progression with no holes is one chain, and splits
+            holes = rng.choice((0, rng.randint(3, len(ap) // 10)))
         vals |= set(ap) - set(rng.sample(ap, holes))
     if kind == "point and class":
         vals.add(rng.randint(w.lo, w.hi))
