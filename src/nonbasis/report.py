@@ -323,7 +323,9 @@ def augment_checks(family: Family, window: Window) -> list[Check]:
                 f"window {window.lo}:{window.hi}, too small to tell",
             )
         )
-    first = verify.base_oracle(family, window).ys[:1]
+    # Y' is Y without its least element, which is at or below R(3), since
+    # gap_radius walks Y from it; one past the oracle's prefix drops nothing.
+    first = gapset.elements_in(family.y, Window(0, gapset.gap_radius(family.y, 3)))[:1]
     drop = verify.augment_check(family, verify.YPrimeFilter("drop_values", first), window)
     checks.append(
         check(

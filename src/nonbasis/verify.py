@@ -10,7 +10,6 @@ running out of probes yields a first-class Unknown, never a guess.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -265,7 +264,6 @@ def exceptional_bound(family: Family) -> int:
     return max(f0_high, f0_low, f1)
 
 
-@lru_cache(maxsize=64)
 def class_fronts(family: Family) -> tuple[int, ...]:
     """Per residue class i, the least point of the class that hA can reach over N0.
 
@@ -283,7 +281,6 @@ def class_fronts(family: Family) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=64)
 def search_band(family: Family) -> tuple[tuple[int, int], ...]:
     """Per residue class i < h-1, the class points [lo, hi] that may need a search.
 
@@ -299,11 +296,11 @@ def search_band(family: Family) -> tuple[tuple[int, int], ...]:
     decide_kX spends probes, but not below m = 0.  Over Z the pair
     decision searches only in its climb branch, and only when the first
     climb probe m' + 1 may lie in Y (a negative one lies in X), so the
-    interval is the pair target m' in [-1, pair_bound - 1].  The bounds
-    are derived once per family.
+    interval is the pair target m' in [-1, pair_bound - 1].
     """
     h, s, t = family.h, family.s, family.t
     x0 = gapset.least_non_member(family.y)
+    fronts = class_fronts(family)
     top = pair_bound(family.y) - 1
     thr = (h - 2) * s + h * t
     bands = []
@@ -311,7 +308,7 @@ def search_band(family: Family) -> tuple[tuple[int, int], ...]:
         base = i * (s - t) + h * t  # the class point with m = 0
         hi = base + h * ((h - i - 2) * x0 + top)
         if family.domain == DOMAIN_N0:
-            lo = max(base, min(class_fronts(family)[i], thr + (base - thr) % h))
+            lo = max(base, min(fronts[i], thr + (base - thr) % h))
         else:
             lo = base + h * ((h - i - 2) * x0 - 1)
         bands.append((lo, hi))
@@ -449,17 +446,14 @@ class BaseOracle:
     """hA of one family on one window, and the sets read off it.
 
     folded is hA on the window with its k-fold partials, for A on its
-    oracle_source (folded.source).  ys lists Y from its first element up
-    to (source.hi - t) // h, the y whose h*y + t can lie in the source; the
-    window lies inside the source, so ys holds every y with a shifted-Y
-    value (h-1)s + h*y + t in the window.  shifted_ys lists those as
-    Family.shifted_ys pairs (y, value), and shifted and f_window are
-    bitsets on the window: shifted holds the shifted-Y values, and
-    f_window the points outside hA that are not shifted-Y values.
+    oracle_source (folded.source).  shifted_ys holds the Family.shifted_ys
+    pairs (y, (h-1)s + h*y + t) with the value in the window, and shifted
+    and f_window are bitsets on the window: shifted holds the shifted-Y
+    values, and f_window the points outside hA that are not shifted-Y
+    values.  Y itself is read through gapset, which walks it once.
     """
 
     folded: sumset.SumsetResult
-    ys: tuple[int, ...]
     shifted_ys: tuple[tuple[int, int], ...]
     shifted: DenseSet
     f_window: DenseSet
@@ -474,7 +468,8 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
     shifts from a fold of h*X (sumset.hfold_point_union), so every fold
     step sums one residue class mod h.  Over N0 that is hx_fold, one fold
     per (h, X) for every s and t.  Over Z the source depends on s and t, so
-    h*X + t is materialized on it (fold_by_shifts).
+    h*X + t is materialized on it (fold_by_shifts).  The shifted-Y pairs
+    are Family.shifted_ys on the window, read off gapset's one walk of Y.
     """
     src = oracle_source(family, window)
     if family.domain == DOMAIN_N0:
@@ -483,16 +478,10 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
     else:
         bt = intset.materialize(intset.ShiftScale(family.xspec, family.t, family.h), src)
         folded = fold_by_shifts(family, bt, window)
-    ys: tuple[int, ...] = ()
-    top = (src.hi - family.t) // family.h
-    if family.y is not None and top >= 0:
-        ys = tuple(gapset.elements_in(family.y, Window(0, top)))
-    shifted_ys = tuple(
-        (y, n) for y in ys if window.contains(n := family.shifted_y_value(y))
-    )
+    shifted_ys = tuple(family.shifted_ys(window))
     shifted = intset.dense_from_iter((n for _, n in shifted_ys), window)
     f_window = DenseSet(window, folded.dense.complement().bits & ~shifted.bits)
-    return BaseOracle(folded, ys, shifted_ys, shifted, f_window)
+    return BaseOracle(folded, shifted_ys, shifted, f_window)
 
 
 def complement_catalog(
@@ -623,17 +612,10 @@ def escape_check(
     threshold = window.lo
     if case == "eq_s":
         # b = s + h*q; n predicts an exception when w_val lies in Y, or below
-        # 0 over N0; w_val passes the end of oracle.ys only if b < s
-        ys = oracle.ys
+        # 0 over N0
         for y, n in oracle.shifted_ys:
             w_val = y - (h - 1) * q
-            if w_val < 0:
-                hit = n0
-            elif w_val <= ys[-1]:
-                hit = ys[bisect.bisect_left(ys, w_val)] == w_val
-            else:
-                hit = family.y_contains(w_val)
-            if hit:
+            if (n0 and w_val < 0) or family.y_contains(w_val):
                 predicted.append(n)
     else:
         # n = b + (h-1-j)*s + (j summands h*x + t), the x summing to y - q
@@ -712,10 +694,13 @@ def augment_check(
         raise GcdViolation("augment check applies to gapped families only")
     oracle = base_oracle(family, window)
     # Over Z, adjoined elements above the window can still reach it with
-    # negative partners, so B is collected across the whole oracle source.
-    selected: list[int] = []  # the y' of Y' in the oracle's prefix of Y
+    # negative partners, so B is collected across the whole oracle source:
+    # Y's prefix up to top holds every y whose h*y + t can lie in it.
+    src = oracle.folded.source
+    top = (src.hi - family.t) // family.h
+    selected: list[int] = []  # the y' of Y' in that prefix
     dropped_shifted: list[int] = []
-    for idx, y in enumerate(oracle.ys):
+    for idx, y in enumerate(gapset.elements_in(family.y, Window(0, top)) if top >= 0 else ()):
         if yprime.selects(idx, y):
             selected.append(y)
         else:
@@ -726,7 +711,6 @@ def augment_check(
     # holds every summand that a sum in the window can use, and s is not
     # h*x + t since gcd(h, s - t) = 1, so (A u B) - {s} is h*(X u Y') + t
     # there; a y' past the prefix has h*y' + t past the source.
-    src = oracle.folded.source
     hy = intset.dense_from_iter((family.h * y + family.t for y in selected), src)
     ab = oracle.folded.partials[1].restrict(src).bits | hy.bits
     bt = DenseSet(src, ab & ~intset.dense_from_iter([family.s], src).bits)

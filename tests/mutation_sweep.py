@@ -70,6 +70,12 @@ MUTANTS = (
     ("split bound admits as many holes as points", "src/nonbasis/sumset.py",
      "return min(c.terms, terms) - 1 >= m",
      "return min(c.terms, terms) >= m"),
+    ("eq_s escape drops the N0 negative rule", "src/nonbasis/verify.py",
+     "if (n0 and w_val < 0) or family.y_contains(w_val):",
+     "if family.y_contains(w_val):"),
+    ("augment prefix top one short", "src/nonbasis/verify.py",
+     "top = (src.hi - family.t) // family.h",
+     "top = (src.hi - family.t) // family.h - 1"),
     ("walk of Y stops at hi", "src/nonbasis/gapset.py",
      "while ys[-1] <= window.hi:",
      "while ys[-1] < window.hi:"),

@@ -393,6 +393,22 @@ def test_verify_window_too_small_for_augmentation_is_unknown(capsys):
     assert "fail" not in statuses.values()
 
 
+def test_augment_on_a_window_ending_below_t_reads_no_y(capsys):
+    # the source 0:2 ends below t = 5, so no y has h*y + t in it and the
+    # augments adjoin nothing: Y' is empty whatever the filter
+    argv = ["verify", "thm4", "--h", "3", "--s", "0", "--t", "5", "--gap", "triangular"]
+    code, out, _ = run(capsys, [*argv, "--window", "0:2"])
+    assert code == 3
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["augment_even_indices"]["status"] == "unknown"
+    assert checks["augment_cofinite"] == {
+        "name": "augment_cofinite",
+        "status": "pass",
+        "details": "verdict becomes_basis_on_window; leftover 1-2",
+    }
+    assert "fail" not in {c["status"] for c in checks.values()}
+
+
 def test_parser_is_built_once(capsys, monkeypatch):
     built = []
     original = cli.build_parser

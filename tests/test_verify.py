@@ -639,13 +639,15 @@ def test_escape_check_matches_direct_fold(case):
 
 @settings(max_examples=80, deadline=None)
 @given(escape_cases(), st.booleans())
+# y = 1 is the last y whose h*y + t lies in the source 0:3
+@example((build_gapped(Params(2, 0, 1, "n0"), gapset.Triangular()), Window(0, 3), 1), False)
 def test_augment_check_matches_direct_fold(case, even):
     # the augment folds h*(X u Y') read off the oracle's first partial and
     # adds s and t by shifts; its complement is that of A u (h*Y' + t)
     # materialized on the oracle source and folded directly
     fam, window, _ = case
-    oracle = verify.base_oracle(fam, window)
-    src, ys = oracle.folded.source, oracle.ys
+    src = verify.oracle_source(fam, window)
+    ys = y_prefix(fam, src)
     yprime = YPrimeFilter("even_indices") if even else YPrimeFilter("drop_values", ys[:1])
     b = [fam.h * y + fam.t for i, y in enumerate(ys) if yprime.selects(i, y)]
     ab = intset.DenseSet(src, materialize(fam.spec, src).bits | intset.dense_from_iter(b, src).bits)
@@ -655,6 +657,12 @@ def test_augment_check_matches_direct_fold(case, even):
     want = fold(ab, fam.h, target=window, stride=fam.h)
     rep = verify.augment_check(fam, yprime, window)
     assert rep.leftover == tuple(want.dense.complement().members())
+
+
+def y_prefix(fam, src):
+    """Y up to (src.hi - t) // h: every y whose h*y + t can lie in src."""
+    top = (src.hi - fam.t) // fam.h
+    return gapset.elements_in(fam.y, Window(0, top)) if top >= 0 else []
 
 
 def counting_folds(monkeypatch) -> list[str]:
@@ -793,7 +801,7 @@ def test_z_oracle_and_augment_folds_each_sum_one_residue_class(monkeypatch):
     for fam, window in cases:
         verify.base_oracle(fam, window)
         if fam.is_gapped:
-            first = verify.base_oracle(fam, window).ys[:1]
+            first = y_prefix(fam, verify.oracle_source(fam, window))[:1]
             verify.augment_check(fam, YPrimeFilter("even_indices"), window)
             verify.augment_check(fam, YPrimeFilter("drop_values", first), window)
     assert len(inputs) == 10  # 3 Z oracles, 1 fold of h*X, 6 augments
@@ -939,21 +947,27 @@ def test_eq_s_predictions_reach_past_the_oracles_y_set(params, window, b, predic
 @example(build_gapped(Params(3, 2, 1, "n0"), GEOM2), 40, 60)
 def test_base_oracle_reads_one_y_prefix(fam, lo, width):
     # N0 windows may start above (h-1)s + t, where the shifted-Y values
-    # begin past the first elements of oracle.ys
+    # begin past the first elements of Y; the augment reads Y's prefix up
+    # to the last y whose h*y + t can lie in the oracle source
     if fam.domain == "n0":
         lo = abs(lo)
     window = Window(lo, lo + width)
     oracle = verify.base_oracle(fam, window)
     top = (verify.oracle_source(fam, window).hi - fam.t) // fam.h
-    expected = gapset.elements_in(fam.y, Window(0, top)) if top >= 0 else []
-    assert oracle.ys == tuple(expected)
+    reads = []
+    real = gapset.elements_in
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gapset, "elements_in", lambda gen, w: reads.append(w) or real(gen, w))
+        verify.augment_check(fam, YPrimeFilter("even_indices"), window)
+    assert reads == ([Window(0, top)] if top >= 0 else [])
     image = intset.ShiftScale(intset.GapTail(fam.y), (fam.h - 1) * fam.s + fam.t, fam.h)
     assert oracle.shifted == materialize(image, window)
     assert oracle.shifted_ys == tuple(fam.shifted_ys(window))
 
 
 def test_an_s_sweep_walks_y_once(monkeypatch):
-    # every N0 oracle of one (h, t, window) reads the same prefix of Y
+    # every N0 oracle of one (h, t, window) reads its shifted-Y pairs off
+    # one prefix of Y
     window = Window(0, 3000)
     fams = [build_gapped(Params(3, s, 1, "n0"), GEOM2) for s in range(40) if s % 3 != 1]
     verify.base_oracle.cache_clear()
@@ -964,7 +978,11 @@ def test_an_s_sweep_walks_y_once(monkeypatch):
     monkeypatch.setattr(gapset, "values", lambda gen: walks.append(gen) or values(gen))
     oracles = [verify.base_oracle(fam, window) for fam in fams]
     assert walks == [GEOM2]
-    assert len(oracles) > 20 and all(o.ys == oracles[0].ys for o in oracles)
+    ys = y_prefix(fams[0], verify.oracle_source(fams[0], window))
+    assert len(oracles) > 20
+    for fam, oracle in zip(fams, oracles):
+        pairs = ((y, fam.shifted_y_value(y)) for y in ys)
+        assert oracle.shifted_ys == tuple((y, n) for y, n in pairs if window.contains(n))
 
 
 def replace_folded(oracle, bits):
