@@ -1,15 +1,16 @@
-"""Constructors and validation for the {s} u {h*x + t : x in X} families.
+"""The {s} u {h*x + t : x in X} families and their validation.
 
-Four shapes: the full families over Z and N0 (X is the whole carrier) and
-the gapped families where X is the carrier minus an infinite set Y with
-certified gaps.  Gapped families require gcd(h, s - t) = 1; with that, s
-never lands in {h*x + t}, so the defining union is disjoint.
+A Family is (h, s, t, domain, Y): X is the carrier, Z or N0, minus Y when
+Y is given, and X's spec and A's follow from those values when it is
+built.  That gives four shapes, full or gapped over Z or N0.  The Family
+itself enforces gcd(h, s - t) = 1 for gapped families; with that, s never
+lands in {h*x + t}, so the defining union is disjoint.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gapset, intset
 from .errors import DomainConstraint, GcdViolation
@@ -45,43 +46,40 @@ def gcd_case(h: int, s: int, t: int) -> int:
 
 
 @dataclass(frozen=True)
-class Family:
-    """A realized family: parameters, optional gap set Y, the set spec and X."""
+class Family(Params):
+    """A = {s} u {h*x + t : x in X}, fixed by (h, s, t, domain, y).
 
-    params: Params
+    X is the carrier (Z or N0), minus the gap set Y when y is set.
+    Construction derives X's spec (`xspec`) and A's (`spec`) from the
+    fields once, and raises GcdViolation for a gapped family whose
+    gcd(h, s - t) is not 1.
+    """
+
     y: gapset.GapGenerator | None
-    spec: intset.SetSpec
-    # X itself: the carrier, or the carrier minus Y.  It is a function of
-    # params and y, so it takes no part in equality or hashing.
-    xspec: intset.SetSpec = field(compare=False, repr=False)
 
     def __post_init__(self):
-        # Caches keyed by a family hash it on every lookup; a frozen value
-        # walks its params and spec tree for that once.
-        object.__setattr__(self, "_hash", hash((self.params, self.y, self.spec)))
+        super().__post_init__()
+        h, s, t = self.h, self.s, self.t
+        d = gcd_case(h, s, t)
+        z = self.domain == DOMAIN_Z
+        xspec = intset.ModClass(1, 0) if z else intset.ModClassNonneg(1, 0)
+        if self.y is None:
+            tail = intset.ModClass(h, t) if z else intset.ModClassNonneg(h, t)
+        elif d != 1:
+            raise GcdViolation(f"gcd({h}, {s}-{t}) = {d}; gapped families need 1")
+        else:
+            xspec = intset.Diff(xspec, intset.GapTail(self.y))
+            tail = intset.ShiftScale(xspec, t, h)
+        derive = object.__setattr__  # frozen: the derived values are set once, here
+        derive(self, "xspec", xspec)
+        derive(self, "spec", intset.union_of(intset.Singleton(s), tail))
         # residue's (s - t)^-1 mod h; None when gcd(h, s - t) != 1
-        h, s, t = self.params.h, self.params.s, self.params.t
-        inv = pow(s - t, -1, h) if gcd_case(h, s, t) == 1 else None
-        object.__setattr__(self, "_st_inv", inv)
+        derive(self, "_st_inv", pow(s - t, -1, h) if d == 1 else None)
+        # Caches keyed by a family hash it on every lookup; y is walked once, here.
+        derive(self, "_hash", hash((h, s, t, self.domain, self.y)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def h(self) -> int:
-        return self.params.h
-
-    @property
-    def s(self) -> int:
-        return self.params.s
-
-    @property
-    def t(self) -> int:
-        return self.params.t
-
-    @property
-    def domain(self) -> str:
-        return self.params.domain
 
     @property
     def is_gapped(self) -> bool:
@@ -133,30 +131,11 @@ class Family:
         return [(y, n) for y in ys if window.contains(n := self.h * y + off)]
 
 
-def _carrier(params: Params) -> intset.SetSpec:
-    if params.domain == DOMAIN_Z:
-        return intset.ModClass(1, 0)
-    return intset.ModClassNonneg(1, 0)
-
-
 def build_full(params: Params) -> Family:
     """A = {s} u {h*z + t : z in carrier}."""
-    if params.domain == DOMAIN_Z:
-        tail: intset.SetSpec = intset.ModClass(params.h, params.t)
-    else:
-        tail = intset.ModClassNonneg(params.h, params.t)
-    spec = intset.union_of(intset.Singleton(params.s), tail)
-    return Family(params, None, spec, _carrier(params))
+    return Family(params.h, params.s, params.t, params.domain, None)
 
 
 def build_gapped(params: Params, y: gapset.GapGenerator) -> Family:
     """A = {s} u {h*x + t : x in carrier minus Y}; needs gcd(h, s - t) = 1."""
-    d = gcd_case(params.h, params.s, params.t)
-    if d != 1:
-        raise GcdViolation(f"gcd({params.h}, {params.s}-{params.t}) = {d}; gapped families need 1")
-    xspec = intset.Diff(_carrier(params), intset.GapTail(y))
-    spec = intset.union_of(
-        intset.Singleton(params.s),
-        intset.ShiftScale(xspec, params.t, params.h),
-    )
-    return Family(params, y, spec, xspec)
+    return Family(params.h, params.s, params.t, params.domain, y)

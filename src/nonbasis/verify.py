@@ -170,9 +170,8 @@ def classify(family: Family, n: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Theorem-backed membership verdict for n against the h-fold sumset."""
     if not family.is_gapped:
         raise GcdViolation("classification applies to gapped families only")
-    p = family.params
-    h, s, t = p.h, p.s, p.t
-    n0 = p.domain == DOMAIN_N0
+    h, s, t = family.h, family.s, family.t
+    n0 = family.domain == DOMAIN_N0
     if n0 and n < 0:
         raise DomainConstraint(f"{n} is outside N0")
 

@@ -7,10 +7,13 @@ Each mutant replaces one exact snippet of one source file in a temporary
 copy of the tree, then runs the tier-1 suite there with `pytest -x`, leaving
 out the golden digests (tests/test_golden_reports.py): they pin printed
 numbers, and a check that only they can tell from a constant pass is still
-a blind spot.  A mutant that passes every test survives.  The script prints
-one line per mutant, then the survivors, and exits 1 if there are any.  A
-snippet that no longer occurs exactly once is reported as stale, and counts
-as a survivor, so the list cannot rot silently.
+a blind spot.  It leaves out tests/test_mutation_sweep.py too: in a mutated
+copy the mutant's snippet is gone from its file, so that test would fail,
+kill every mutant and stop `-x` before the later test files.  A mutant that
+passes every test survives.  The script prints one line per mutant, then
+the survivors, and exits 1 if there are any.  A snippet that no longer
+occurs exactly once is reported as stale, and counts as a survivor, so the
+list cannot rot silently.
 
 It uses only the standard library and the test dependencies, and pytest
 does not collect it (the name does not start with test_).  One mutant runs
@@ -29,7 +32,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (name, file, old, new): each switches off a check, loosens a bound or
-# breaks the oracle route or the walk of Y
+# breaks the oracle route, the walk of Y or a family's own spec
 MUTANTS = (
     ("stability_check compares the oracle with itself", "src/nonbasis/report.py",
      "wide = verify.fold_by_shifts(family, bt, window).dense",
@@ -82,6 +85,12 @@ MUTANTS = (
     ("walk slice drops an element at lo", "src/nonbasis/gapset.py",
      "bisect.bisect_left(ys, window.lo)",
      "bisect.bisect_right(ys, window.lo)"),
+    ("gapped family skips the gcd check", "src/nonbasis/families.py",
+     "elif d != 1:",
+     "elif False:"),
+    ("N0 full tail starts a class step late", "src/nonbasis/families.py",
+     "intset.ModClassNonneg(h, t)",
+     "intset.ModClassNonneg(h, t + h)"),
 )
 
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")
@@ -101,7 +110,7 @@ def run_mutant(file: str, old: str, new: str) -> str:
         env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--ignore=tests/test_golden_reports.py"],
+             "--ignore=tests/test_golden_reports.py", "--ignore=tests/test_mutation_sweep.py"],
             cwd=tree, env=env, capture_output=True, text=True,
         )
     # pytest exits 1 when a test fails; any other nonzero code is a broken run

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from nonbasis.families import (
     build_gapped,
     gcd_case,
 )
+from nonbasis.grammar import format_spec
 from nonbasis.intset import GapTail, ShiftScale, Window, materialize
 
 from test_intset import member
@@ -197,10 +199,47 @@ def test_family_hash_is_computed_once(monkeypatch):
     assert verify.base_oracle(a, window) is verify.base_oracle(b, window)
     info = verify.base_oracle.cache_info()
     assert (info.hits, info.misses) == (1, 1)
-    # later hashes read the cached value: neither params nor the spec is walked
+    # later hashes read the cached value: neither the fields, y among them,
+    # nor the spec is walked
     walked = []
-    for cls in (Params, ShiftScale):
+    for cls in (Params, ShiftScale, type(a.y)):
         real = cls.__hash__
         monkeypatch.setattr(cls, "__hash__", lambda self, real=real: walked.append(1) or real(self))
     assert hash(a) == hash(a) == hash(b)
     assert walked == []
+
+
+def test_a_family_is_built_from_its_fields():
+    with pytest.raises(GcdViolation, match=r"gcd\(3, 0-0\) = 3; gapped families need 1"):
+        Family(3, 0, 0, "n0", gapset.Triangular())
+    with pytest.raises(DomainConstraint):
+        Family(3, -1, 0, "n0", None)
+    assert Family(3, 0, 0, "n0", None).spec == build_full(Params(3, 0, 0, "n0")).spec
+    assert [f.name for f in dataclasses.fields(Family)] == ["h", "s", "t", "domain", "y"]
+    for params, y in ((Params(4, 1, 0, "z"), None), (Params(3, 2, 1, "n0"), GEOM2)):
+        built = build_full(params) if y is None else build_gapped(params, y)
+        direct = Family(params.h, params.s, params.t, params.domain, y)
+        assert built == direct and hash(built) == hash(direct)
+    assert Family(3, 2, 1, "n0", None) != Family(3, 2, 1, "n0", GEOM2)
+    assert Family(3, 2, 1, "n0", None) != Family(3, 2, 1, "z", None)
+
+
+@pytest.mark.parametrize(
+    "fam,spec,xspec",
+    [
+        (build_full(Params(3, 2, 1, "z")), "union(single:2,class(3,1))", "ints"),
+        (build_full(Params(3, 2, 1, "n0")), "union(single:2,classnn(3,1))", "nonneg"),
+        (
+            build_gapped(Params(3, 2, 1, "z"), gapset.Triangular()),
+            "union(single:2,affine(3,1,diff(ints,gap(triangular))))",
+            "diff(ints,gap(triangular))",
+        ),
+        (
+            build_gapped(Params(3, 2, 1, "n0"), GEOM2),
+            "union(single:2,affine(3,1,diff(nonneg,gap(geometric,2,1))))",
+            "diff(nonneg,gap(geometric,2,1))",
+        ),
+    ],
+)
+def test_derived_specs_print_as_before(fam, spec, xspec):
+    assert (format_spec(fam.spec), format_spec(fam.x_spec())) == (spec, xspec)
