@@ -129,8 +129,11 @@ def dichotomy_checks(family: Family, window: Window) -> list[Check]:
     checks = []
     if d >= 2:
         allowed = {(i * (s - t) + h * t) % h for i in range(h)}
-        classes = [intset.materialize(intset.ModClass(h, c), window).bits for c in range(h)]
-        hits = [oracle.dense.bits & bits != 0 for bits in classes]
+        # class c meets hA when hA, shifted down to c's first window point,
+        # meets the comb of every h-th bit
+        comb = intset.ap_bits(window.lo, h, window.hi, window)
+        bits = oracle.dense.bits
+        hits = [(bits >> ((c - window.lo) % h)) & comb != 0 for c in range(h)]
         ok_bad = not any(hits[c] for c in range(h) if c not in allowed)
         missed = [c for c in range(h) if not hits[c]]
         need = h * (d - 1) // d

@@ -26,6 +26,10 @@ from .families import DOMAIN_N0, DOMAIN_Z, Family
 from .intset import DenseSet, Diff, GapTail, ModClass, ModClassNonneg, SetSpec, Window
 
 DEFAULT_BUDGET = 1_000_000
+# decide_kX's memo size.  One pass of the benchmark's catalog workload asks
+# 93 distinct decisions and one adjoin pass 171, so a sweep keeps all of its
+# own; past the bound the least recently used decision goes.
+DECISIONS_KEPT = 1024
 
 
 class _BudgetExhausted(Exception):
@@ -93,6 +97,7 @@ def fixed_branch_probes(gen: gapset.GapGenerator) -> int:
     return gapset.least_non_member(gen) + 3
 
 
+@lru_cache(maxsize=DECISIONS_KEPT)
 def decide_kX(
     xspec: SetSpec, k: int, m: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, ...] | None | Unknown:
@@ -107,7 +112,9 @@ def decide_kX(
     Unknown("probe budget exhausted").  Finding x0 is charged x0 + 1
     probes, one per integer its scan rules out or accepts, also when the
     memoized scan does not rerun, so a verdict never depends on what ran
-    before it.
+    before it.  Decisions are memoized per (xspec, k, m, budget), so the
+    families and points that share them search once; decide_kX.cache_info()
+    counts the hits and misses.
     """
     if k < 2:
         raise DomainConstraint(f"decide_kX needs k >= 2, got {k}")

@@ -91,6 +91,19 @@ MUTANTS = (
     ("N0 full tail starts a class step late", "src/nonbasis/families.py",
      "intset.ModClassNonneg(h, t)",
      "intset.ModClassNonneg(h, t + h)"),
+    ("k-fold decisions shared across budgets", "src/nonbasis/verify.py",
+     "@lru_cache(maxsize=DECISIONS_KEPT)\ndef decide_kX(",
+     "def _keyed_without_budget(search):\n"
+     "    last = [DEFAULT_BUDGET]\n"
+     "    keyed = lru_cache(maxsize=DECISIONS_KEPT)(\n"
+     "        lambda xspec, k, m: search(xspec, k, m, last[0]))\n"
+     "    def call(xspec, k, m, budget=DEFAULT_BUDGET):\n"
+     "        last[0] = budget\n"
+     "        return keyed(xspec, k, m)\n"
+     "    call.cache_info, call.cache_clear = keyed.cache_info, keyed.cache_clear\n"
+     "    call.__wrapped__ = search\n"
+     "    return call\n\n\n"
+     "@_keyed_without_budget\ndef decide_kX("),
 )
 
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")

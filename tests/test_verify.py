@@ -259,7 +259,10 @@ def test_catalog_derives_the_family_facts_once(monkeypatch):
         return values(gen)
 
     monkeypatch.setattr(gapset, "values", counting)
-    for memo in (gapset.gap_radius, gapset.least_non_member, gapset._walk, verify.base_oracle):
+    for memo in (
+        gapset.gap_radius, gapset.least_non_member, gapset._walk, verify.base_oracle,
+        verify.decide_kX,
+    ):
         memo.cache_clear()
     verify._widest_hx.clear()
     cat = verify.complement_catalog(fam, Window(0, 2000))
@@ -273,7 +276,10 @@ def test_adjunction_checks_read_the_oracles_y_prefix(monkeypatch):
     # Y once; the augment run on the cached oracle does not walk it at all.
     fam = build_gapped(Params(5, 0, 1, "n0"), GEOM2)
     window = Window(0, 3000)
-    for memo in (gapset.gap_radius, gapset.least_non_member, gapset._walk, verify.base_oracle):
+    for memo in (
+        gapset.gap_radius, gapset.least_non_member, gapset._walk, verify.base_oracle,
+        verify.decide_kX,
+    ):
         memo.cache_clear()
     verify._widest_hx.clear()
     verify.pair_bound(fam.y), gapset.least_non_member(fam.y)
@@ -298,7 +304,7 @@ def test_a_familys_checks_walk_y_once(monkeypatch, domain, window):
     # the catalog, the escapes, the augments and, over Z, the stability
     # refold read Y through one walk; x0 and R(3) have their own memos
     fam = build_gapped(Params(3, 0, 1, domain), gapset.Triangular())
-    for memo in (gapset._walk, verify.base_oracle):
+    for memo in (gapset._walk, verify.base_oracle, verify.decide_kX):
         memo.cache_clear()
     verify._widest_hx.clear()
     verify.pair_bound(fam.y), gapset.least_non_member(fam.y)
@@ -1076,6 +1082,75 @@ def test_decide_kx_is_in_from_the_pair_bound_on(domain, gen):
             assert sum(got) == m and all(fam.x_contains(x) for x in got)
 
 
+DECISION_BUDGETS = st.one_of(
+    st.integers(0, 40), st.integers(0, verify.DEFAULT_BUDGET), st.just(verify.DEFAULT_BUDGET)
+)
+
+
+@st.composite
+def decision_calls(draw):
+    """X over N0 or Z minus any gap kind, a k in 2..6, and (m, budget) calls
+    with targets around the pair bound, two budgets per target, shuffled."""
+    gen = draw(GAP_GENERATORS)
+    xspec = build_gapped(Params(2, 0, 1, draw(st.sampled_from(["n0", "z"]))), gen).x_spec()
+    k = draw(st.integers(2, 6))
+    top = verify.pair_bound(gen) + (k - 2) * gapset.least_non_member(gen)
+    ms = draw(st.lists(st.integers(-3, top + 8), min_size=1, max_size=5))
+    calls = [(m, draw(DECISION_BUDGETS)) for m in ms for _ in range(2)]
+    return xspec, k, draw(st.permutations(calls))
+
+
+@settings(max_examples=80, deadline=None)
+@given(decision_calls())
+# the same target with enough probes and with none: In, then Unknown
+@example((fam201().x_spec(), 2, [(8, verify.DEFAULT_BUDGET), (8, 0)]))
+# k = 3: finding x0 = 0 takes the one probe, and the pair search runs out
+@example((fam301().x_spec(), 3, [(40, 40), (40, 1)]))
+def test_memoized_decisions_equal_the_search(case):
+    # the memo keys on the budget too: a decision made under one budget is
+    # never returned under another, in either order
+    xspec, k, calls = case
+    search = verify.decide_kX.__wrapped__
+    for order in (calls, calls[::-1]):
+        verify.decide_kX.cache_clear()
+        for m, budget in order:
+            assert verify.decide_kX(xspec, k, m, budget) == search(xspec, k, m, budget), (m, budget)
+
+
+def recording_decisions(monkeypatch):
+    """decide_kX's memo, emptied, and the list of (xspec, k, m, budget) that
+    each later call through verify.decide_kX asks it."""
+    memo = verify.decide_kX
+    memo.cache_clear()
+    calls = []
+    monkeypatch.setattr(verify, "decide_kX", lambda *args: calls.append(args) or memo(*args))
+    return memo, calls
+
+
+def test_a_catalog_sweep_over_one_y_searches_each_decision_once(monkeypatch):
+    # the h = 5 geometric(2) catalogs of the benchmark's catalog workload:
+    # X = N0 minus Y for all eight, so they share their k-fold decisions
+    memo, calls = recording_decisions(monkeypatch)
+    for s, t in [(0, 1), (1, 0), (2, 1), (0, 3), (4, 2), (3, 1), (1, 2), (0, 4)]:
+        fam = build_gapped(Params(5, s, t, "n0"), GEOM2)
+        checks = report.catalog_checks(fam, Window(0, 2500))[1]
+        assert all(c.status == report.PASS for c in checks), checks
+    info = memo.cache_info()
+    assert info.misses == len(set(calls)) < len(calls) == info.misses + info.hits
+
+
+def test_an_escape_sweep_over_h_searches_each_decision_once(monkeypatch):
+    # X does not depend on h, s or t, so escape checks of every h share it
+    memo, calls = recording_decisions(monkeypatch)
+    for h in range(3, 7):
+        for s, t in [(0, 1), (1, 0), (2, 1)]:
+            fam = build_gapped(Params(h, s, t, "n0"), GEOM2)
+            checks = report.escape_checks(fam, Window(0, 1000))
+            assert all(c.status == report.PASS for c in checks), checks
+    info = memo.cache_info()
+    assert info.misses == len(set(calls)) < len(calls) == info.misses + info.hits
+
+
 def test_not_st_escape_decides_only_inside_the_band(monkeypatch):
     # exactly the shifted-Y values from the threshold up whose pair target
     # m - (k-2)*x0 lies below 2*R(3) + 4 get a k-fold decision
@@ -1257,7 +1332,17 @@ def test_window_relative_f_fails_on_a_z_exceptional_entry(monkeypatch):
     assert str(bad) in relative_f.details
 
 
-def test_bad_u_finite_catches_a_short_radius(monkeypatch):
+@pytest.fixture
+def fresh_decisions():
+    """decide_kX's memo, empty before the test and after it: a test that
+    patches what decide_kX reads neither sees an earlier decision nor
+    leaves one made under its patch."""
+    verify.decide_kX.cache_clear()
+    yield
+    verify.decide_kX.cache_clear()
+
+
+def test_bad_u_finite_catches_a_short_radius(monkeypatch, fresh_decisions):
     # geometric,2,1 has bad u 0..3 (2 and 4 in Y make 3 bad); a radius of
     # 0 scans only u <= 2
     monkeypatch.setattr(gapset, "gap_radius", lambda gen, c: 0)
@@ -1267,7 +1352,7 @@ def test_bad_u_finite_catches_a_short_radius(monkeypatch):
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3])
-def test_bad_u_scan_reaches_past_a_slightly_short_radius(monkeypatch, radius):
+def test_bad_u_scan_reaches_past_a_slightly_short_radius(monkeypatch, radius, fresh_decisions):
     # the scan runs to R(3) + 2, so radii 1..3 still find u = 3
     monkeypatch.setattr(gapset, "gap_radius", lambda gen, c: radius)
     assert verify.lemma_basis_check(GEOM2, 2, Window(0, 200)).bad_u == (0, 1, 2, 3)
