@@ -199,6 +199,10 @@ def _verdict_dict(v: verify.Verdict) -> dict:
 def _cmd_classify(args) -> int:
     fam = _family_from_args(args)
     verdict = verify.classify(fam, args.n, _budget(args))
+    if not verify.verify_certificate(fam, args.n, verdict):
+        kind = _verdict_dict(verdict)["kind"]
+        print(f"error: the {kind} verdict for n={args.n} fails its replay", file=sys.stderr)
+        return 1
     rep = {
         "family": report.family_to_dict(fam),
         "n": args.n,

@@ -6,9 +6,11 @@ every member of the other.  Members that form a run with a common stride
 are shifted as a group via doubling, which is an algebraic identity on
 OR-over-shifts.  The stride is the caller's, read off the set's description
 (intset.stride: h for a family's A, 1 for N0 minus Y); any stride gives the
-same sums, so none is searched for.  Two residue classes with more points
-each than holes together sum to a progression full in its middle, which is
-set at once, so only its ends are walked run by run, however many runs.
+same sums, so none is searched for.  A fold step sums the two operands'
+residue classes mod the stride pair by pair, by one rule: two classes with
+more points each than holes together sum to a progression full in its
+middle, which is set at once, so only its ends are walked run by run,
+however many runs; any other pair is walked whole.
 Results are bit-identical to the per-element loop (property-tested), and
 keep their k-fold partials: h(A u {b}) is h shifts of them, as bits, a
 witness one bit search per summand, and the fold of {s} u (B + t) two
@@ -62,16 +64,18 @@ class SumsetResult:
         return int(format(a.bits, f"0{a.window.width}b")[::-1], 2)
 
 
-def _runs_at(a: DenseSet, g: int) -> list[tuple[int, int, int]]:
-    """The stride-g runs of a as (start, g, count), in ascending order, from
-    their edges bits ^ (bits << g), decoded once.
+def arith_chains(a: DenseSet, g: int) -> list[tuple[int, int, int]]:
+    """The members of a as (start, g, count) runs, in ascending order.
 
-    Each stride-g run has exactly two edges, its first member b and the
-    point past its last one; within one residue class mod g they alternate,
-    so they pair up in order as (b, stop) with count (stop - b) // g.  A
-    stop past the window is not decoded: it is the one point of its class
-    in [hi + 1, hi + g], where hi is the window's top.
-    """
+    The stride g comes from the caller, who reads it off the set's
+    description (intset.stride): h for a family's A, 1 for N0 minus Y.
+    Any g >= 1 gives a's members; a good one gives few runs.  The runs
+    come from their edges bits ^ (bits << g), decoded once: each run has
+    exactly two edges, its first member b and the point past its last one;
+    within one residue class mod g they alternate, so they pair up in
+    order as (b, stop) with count (stop - b) // g.  A stop past the window
+    is not decoded: it is the one point of its class in [hi + 1, hi + g],
+    where hi is the window's top."""
     w = a.window
     edges = (a.bits ^ (a.bits << g)) & ((1 << w.width) - 1)
     out: list = []  # a run's start until its stop is read, then the run
@@ -88,15 +92,6 @@ def _runs_at(a: DenseSet, g: int) -> list[tuple[int, int, int]]:
     for r, i in open_at.items():
         out[i] = (out[i], g, (past + (r - past) % g - out[i]) // g)
     return out
-
-
-def arith_chains(a: DenseSet, g: int) -> list[tuple[int, int, int]]:
-    """The members of a as (start, g, count) runs, in ascending order.
-
-    The stride g comes from the caller, who reads it off the set's
-    description (intset.stride): h for a family's A, 1 for N0 minus Y.
-    Any g >= 1 gives a's members; a good one gives few runs."""
-    return _runs_at(a, g)
 
 
 _Class = namedtuple("_Class", "starts counts lo hi terms holes")
@@ -116,12 +111,9 @@ def _classes(runs: list[tuple[int, int, int]], g: int) -> list[_Class]:
     return out
 
 
-def _class_table(a: DenseSet, g: int) -> tuple[int, list[_Class], bool]:
-    """The stride g, a's classes mod g from its stride-g chains, and whether
-    some class splits against a copy of itself: has more points than twice
-    its holes."""
-    classes = _classes(arith_chains(a, g), g)
-    return g, classes, any(_splits(c, c.terms, 2 * c.holes) for c in classes)
+def _class_table(a: DenseSet, g: int) -> tuple[int, list[_Class]]:
+    """The stride g and a's classes mod g, from its stride-g chains."""
+    return g, _classes(arith_chains(a, g), g)
 
 
 def _cut(c: _Class, g: int, x0: int, x1: int) -> Iterator[tuple[int, int]]:
@@ -149,7 +141,12 @@ def _walk(p: DenseSet, lo: int, hi: int, chains, g: int, target: Window) -> int:
     """Bits on target of (p cut to [lo, hi]) + the (start, count) chains of
     stride g, one dilation per chain; bits above target may remain."""
     lo, hi = max(lo, p.window.lo), min(hi, p.window.hi)
-    bits = (p.bits >> (lo - p.window.lo)) & ((1 << max(hi - lo + 1, 0)) - 1)
+    if lo > hi:
+        return 0
+    if hi - p.window.lo < p.window.hi - lo:  # cut from the nearer end: O(hi - lo) bits
+        bits = (p.bits & ((2 << (hi - p.window.lo)) - 1)) >> (lo - p.window.lo)
+    else:
+        bits = (p.bits >> (lo - p.window.lo)) & ((1 << (hi - lo + 1)) - 1)
     nbits, width, acc = bits.bit_length(), target.width, 0
     for a0, cnt in chains:
         off = lo + a0 - target.lo
@@ -166,46 +163,37 @@ def pairwise_sum(
     p: DenseSet,
     q: DenseSet,
     target: Window,
-    q_table: tuple[int, list[_Class], bool],
+    q_table: tuple[int, list[_Class]],
 ) -> DenseSet:
     """(p + q) intersected with target; exact as a set sum of the two sets.
 
-    p is split into residue classes mod the stride g of q's chains, from
-    q_table = _class_table(q, g), when some class of q splits against a copy
-    of itself, else it is one class of no terms.  p's classes come from its
-    stride-g runs, decoded as q's are, or are q's own when p equals q.  A
-    one-point class of p is one shift of q.  A class of q that _splits
-    against each class of p (both have more points than holes together) is
-    one filled progression per pair plus two end walks, each over p cut to
-    the hull of the end windows; any other class of q is walked whole.  Each
-    bit ORed in is a sum of a member of p and one of q, and every such sum
-    is covered."""
-    g, classes, can_split = q_table
-    if not can_split:
-        p_classes = [_Class((), (), p.window.lo, p.window.hi, 0, 0)]
-    elif p == q:
-        p_classes = classes
-    else:
-        p_classes = _classes(_runs_at(p, g), g)
-    points = sorted((pc.lo, 1) for pc in p_classes if pc.terms == 1)
-    acc = _walk(q, q.window.lo, q.window.hi, points, g, target) if points else 0
-    p_classes = [pc for pc in p_classes if pc.terms != 1]
-    if not p_classes:
-        return DenseSet(target, acc & ((1 << target.width) - 1))
-    p_lo, p_hi = min(pc.lo for pc in p_classes), max(pc.hi for pc in p_classes)
+    q_table = _class_table(q, g) holds q's classes mod the stride g of its
+    chains; p's are read the same way, or are q's own when p equals q.
+    Each pair of a class of q and a class of p is summed by one rule.  A
+    one-point class is one shift of the other class (of all of p, for a
+    class of q: its pairs with every class of p at once).  A pair that
+    _splits, m holes between its classes, is one filled progression plus
+    two end walks over p cut to the end windows, m - 1 steps wide; any
+    other pair is walked whole over p cut to the hull.  Each bit ORed in
+    is a sum of a member of p and one of q, and every such sum is covered."""
+    g, classes = q_table
+    p_classes = classes if p == q else _classes(arith_chains(p, g), g)
+    acc = 0
     for c in classes:
-        split = [(pc.lo, pc.hi, c.holes + pc.holes) for pc in p_classes
-                 if _splits(c, pc.terms, c.holes + pc.holes)]
-        if len(split) < len(p_classes):  # walking all of c over p covers every pair
-            acc |= _walk(p, p_lo, p_hi, zip(c.starts, c.counts), g, target)
+        if c.terms == 1:
+            acc |= _walk(p, p.window.lo, p.window.hi, ((c.lo, 1),), g, target)
             continue
-        for lo, hi, m in split:
-            acc |= ap_bits(c.lo + lo + m * g, g, c.hi + hi - m * g, target)
-        w = (max(m for _, _, m in split) - 1) * g
-        low_hi = max(lo + (m - 1) * g for lo, _, m in split)
-        acc |= _walk(p, p_lo, low_hi, _cut(c, g, c.lo, c.lo + w), g, target)
-        high_lo = min(hi - (m - 1) * g for _, hi, m in split)
-        acc |= _walk(p, high_lo, p_hi, _cut(c, g, c.hi - w, c.hi), g, target)
+        for pc in p_classes:
+            m = c.holes + pc.holes
+            if pc.terms == 1:
+                acc |= _walk(q, c.lo, c.hi, ((pc.lo, 1),), g, target)
+            elif _splits(c, pc.terms, m):
+                acc |= ap_bits(c.lo + pc.lo + m * g, g, c.hi + pc.hi - m * g, target)
+                w = (m - 1) * g
+                acc |= _walk(p, pc.lo, pc.lo + w, _cut(c, g, c.lo, c.lo + w), g, target)
+                acc |= _walk(p, pc.hi - w, pc.hi, _cut(c, g, c.hi - w, c.hi), g, target)
+            else:
+                acc |= _walk(p, pc.lo, pc.hi, zip(c.starts, c.counts), g, target)
     return DenseSet(target, acc & ((1 << target.width) - 1))
 
 

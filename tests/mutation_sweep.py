@@ -73,6 +73,12 @@ MUTANTS = (
     ("split bound admits as many holes as points", "src/nonbasis/sumset.py",
      "return min(c.terms, terms) - 1 >= m",
      "return min(c.terms, terms) >= m"),
+    ("pair rule end walks one step narrower", "src/nonbasis/sumset.py",
+     "w = (m - 1) * g",
+     "w = (m - 2) * g"),
+    ("classify replay always passes", "src/nonbasis/cli.py",
+     "if not verify.verify_certificate(fam, args.n, verdict):",
+     "if False:"),
     ("eq_s escape drops the N0 negative rule", "src/nonbasis/verify.py",
      "if (n0 and w_val < 0) or family.y_contains(w_val):",
      "if family.y_contains(w_val):"),

@@ -48,6 +48,23 @@ def test_classify_budget_exhaustion(capsys):
     assert json.loads(out)["verdict"]["kind"] == "unknown"
 
 
+@pytest.mark.parametrize(
+    "n, corrupted, kind",
+    [
+        (8, verify.InSumset(0, (1, 2)), "in_sumset"),  # sums to 8, but 1 and 2 lie in Y
+        (7, verify.OutShiftedY(3), "out_shifted_y"),  # 2*3 + 1 = 7, but 3 is not in Y
+        (8, verify.OutExceptional("F0"), "out_exceptional"),  # 8 = 1 + 7 is in hA
+    ],
+)
+def test_classify_exits_1_when_its_verdict_fails_the_replay(capsys, monkeypatch, n, corrupted, kind):
+    # classify's verdict is replayed by verify_certificate before it is
+    # printed; a verdict the replay rejects prints nothing to stdout
+    monkeypatch.setattr(verify, "classify", lambda fam, n, budget: corrupted)
+    code, out, err = run(capsys, ["classify", *FAM_ARGS, "--n", str(n)])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and f"n={n}" in err and kind in err
+
+
 def test_budget_env_var_is_not_read(capsys, monkeypatch):
     # --budget is the one way to set the probe budget
     monkeypatch.setenv("NONBASIS_BUDGET", "0")

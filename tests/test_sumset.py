@@ -716,6 +716,39 @@ def test_pairwise_sum_matches_brute_force_and_the_chain_walk(data):
     assert got.members() == brute_sumset_of(p.members(), q.members(), target)
 
 
+def stride_class(g, first, terms, holes=()):
+    """first + g*x for x in 0..terms-1, minus the steps in holes."""
+    return {first + g * x for x in range(terms) if x not in holes}
+
+
+@pytest.mark.parametrize(
+    "p_vals, q_vals",
+    [
+        # q's class (10 points, 5 holes) splits against p's long full class
+        # but not against itself
+        (stride_class(3, 2, 60), stride_class(3, 1, 10, (1, 3, 5, 7, 8))),
+        # one class of p splits against q's class, the other (2 points,
+        # 8 holes) does not
+        (stride_class(3, 1, 40) | stride_class(3, 2, 10, range(1, 9)),
+         stride_class(3, 0, 100, (1, 2, 50))),
+        # a one-point class of p beside a holed class of q
+        (stride_class(3, 0, 30) | {7}, stride_class(3, 2, 50, (1, 2, 30))),
+        # a one-point class of q beside a holed class of q and two of p
+        (stride_class(3, 0, 30, (1, 2)) | stride_class(3, 1, 20, (5,)),
+         stride_class(3, 2, 50, (1, 2, 30)) | {9}),
+    ],
+)
+def test_pairwise_sum_is_exact_on_mixed_class_pairs(p_vals, q_vals):
+    g = 3
+    p = dense_from_iter(p_vals, Window(min(p_vals) - 4, max(p_vals) + 4))
+    q = dense_from_iter(q_vals, Window(min(q_vals) - 4, max(q_vals) + 4))
+    for target in (Window(p.window.lo + q.window.lo, p.window.hi + q.window.hi),
+                   Window(min(p_vals) + min(q_vals) + 7, max(p_vals) + max(q_vals) - 7)):
+        got = sumset.pairwise_sum(p, q, target, sumset._class_table(q, g))
+        assert got == chain_walk(p, q, g, target)
+        assert got.members() == brute_sumset_of(p_vals, q_vals, target)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_pairwise_sum_stays_exact_when_hole_counts_over_count(data):
@@ -895,15 +928,15 @@ def per_residue_classes(p, g):
 @example(dense_from_iter([-7], Window(-9, 9)), 16)
 @example(dense_from_iter([-20, -4, 12, 3], Window(-20, 12)), 16)
 def test_partial_classes_match_a_per_residue_reference(p, g):
-    # q is one stride-g progression far from p, with its table set to
-    # split: so p is split into its classes mod g, each decoded from p's runs
+    # q is one stride-g progression far from p: p is split into its classes
+    # mod g, each decoded from p's runs
     q = dense_from_iter(range(5000, 5000 + 3 * g, g), Window(4990, 5000 + 3 * g))
-    _, classes, _ = sumset._class_table(q, g)
+    _, classes = sumset._class_table(q, g)
     read = []
     real = sumset._classes
     target = Window(p.window.lo + q.window.lo, p.window.hi + q.window.hi)
     with mock.patch.object(sumset, "_classes", lambda runs, g: read.append(real(runs, g)) or read[-1]):
-        got = sumset.pairwise_sum(p, q, target, (g, classes, True))
+        got = sumset.pairwise_sum(p, q, target, (g, classes))
     assert len(read) == 1
     assert sorted((c.lo, c.hi, c.terms, c.holes) for c in read[0]) == per_residue_classes(p, g)
     assert got.members() == brute_sumset_of(p.members(), q.members(), target)
