@@ -47,6 +47,18 @@ class SetSpec:
     __slots__ = ()
 
 
+def _hash_once(node: SetSpec, *fields) -> None:
+    # A node with children hashes its fields here, once: the memos keyed by
+    # a spec (verify.decide_kX, verify.n0_fold) would otherwise hash the
+    # whole tree on every lookup.  Equal nodes hash their equal fields, so
+    # they still hash alike.
+    object.__setattr__(node, "_hash", hash(fields))
+
+
+def _kept_hash(node) -> int:
+    return node._hash
+
+
 @dataclass(frozen=True)
 class Empty(SetSpec):
     pass
@@ -94,16 +106,31 @@ class GapTail(SetSpec):
 
     gen: gapset.GapGenerator
 
+    def __post_init__(self):
+        _hash_once(self, self.gen)
+
+    __hash__ = _kept_hash
+
 
 @dataclass(frozen=True)
 class Union(SetSpec):
     parts: tuple[SetSpec, ...]
+
+    def __post_init__(self):
+        _hash_once(self, self.parts)
+
+    __hash__ = _kept_hash
 
 
 @dataclass(frozen=True)
 class Diff(SetSpec):
     keep: SetSpec
     drop: SetSpec
+
+    def __post_init__(self):
+        _hash_once(self, self.keep, self.drop)
+
+    __hash__ = _kept_hash
 
 
 @dataclass(frozen=True)
@@ -117,6 +144,9 @@ class ShiftScale(SetSpec):
     def __post_init__(self):
         if self.d == 0:
             raise MalformedSpec("shift-scale with d = 0 is rejected")
+        _hash_once(self, self.inner, self.c, self.d)
+
+    __hash__ = _kept_hash
 
 
 def union_of(*parts: SetSpec) -> SetSpec:

@@ -107,6 +107,16 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _above_threshold(name: str, thr: int, window: Window, ok: bool | None, details: str) -> Check:
+    """A check of the window points from thr on: unknown when the window
+    ends below thr, since then it examines none; ok is read otherwise."""
+    if window.hi < thr:
+        return Check(
+            name, UNKNOWN, f"window {window.lo}:{window.hi} ends below the threshold {thr}"
+        )
+    return check(name, ok, details)
+
+
 def exit_code(checks: list[Check]) -> int:
     if any(c.status == FAIL for c in checks):
         return 1
@@ -157,8 +167,10 @@ def dichotomy_checks(family: Family, window: Window) -> list[Check]:
         if family.domain == DOMAIN_N0:
             above = (comp.bits >> max(thr - window.lo, 0)).bit_count()
             checks.append(
-                check(
+                _above_threshold(
                     "coverage_above_threshold",
+                    thr,
+                    window,
                     not above,
                     f"complement meets [{thr}, {window.hi}] in {above} points",
                 )
@@ -232,8 +244,10 @@ def lemma_checks(gen: gapset.GapGenerator, h: int, window: Window) -> list[Check
             bad == sum(1 << u for u in rep.bad_u),
             f"bad u set {list(rep.bad_u)}; threshold {rep.threshold}",
         ),
-        check(
+        _above_threshold(
             "covered_above_threshold",
+            rep.threshold,
+            window,
             rep.covered_above_threshold,
             f"oracle complement {format_ranges(list(rep.complement))}",
         ),

@@ -111,8 +111,9 @@ def _classes(runs: list[tuple[int, int, int]], g: int) -> list[_Class]:
     return out
 
 
-def _class_table(a: DenseSet, g: int) -> tuple[int, list[_Class]]:
-    """The stride g and a's classes mod g, from its stride-g chains."""
+def class_table(a: DenseSet, g: int) -> tuple[int, list[_Class]]:
+    """The stride g and a's classes mod g, from its stride-g chains: the
+    q_table that pairwise_sum reads for a as its q."""
     return g, _classes(arith_chains(a, g), g)
 
 
@@ -167,7 +168,7 @@ def pairwise_sum(
 ) -> DenseSet:
     """(p + q) intersected with target; exact as a set sum of the two sets.
 
-    q_table = _class_table(q, g) holds q's classes mod the stride g of its
+    q_table = class_table(q, g) holds q's classes mod the stride g of its
     chains; p's are read the same way, or are q's own when p equals q.
     Each pair of a class of q and a class of p is summed by one rule.  A
     one-point class is one shift of the other class (of all of p, for a
@@ -212,7 +213,7 @@ def _fold(a: DenseSet, h: int, target: Window, stride: int) -> tuple[DenseSet | 
     # through a's class table at stride, built once.  A nonempty clip window
     # has a nonempty one before it, so the empty windows are a suffix.
     windows = [_clip_window(k, h, a.window, target) for k in range(h + 1)]
-    table = _class_table(a, stride) if h > 1 and windows[2] is not None else None
+    table = class_table(a, stride) if h > 1 and windows[2] is not None else None
     out: list[DenseSet | None] = []
     for k, wk in enumerate(windows):
         if wk is None:

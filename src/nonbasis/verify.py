@@ -11,6 +11,7 @@ running out of probes yields a first-class Unknown, never a guess.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -406,31 +407,73 @@ def oracle_source(family: Family, window: Window) -> Window:
     return Window(-radius, radius)
 
 
-# The widest fold of h*X built so far per (h, X), for at most 8 (h, X).
-_widest_hx: dict[tuple[int, SetSpec], sumset.SumsetResult] = {}
+FoldStoreInfo = namedtuple("FoldStoreInfo", "hits steps builds evictions currsize maxsize")
 
 
-def hx_fold(h: int, xspec: SetSpec, hi: int) -> sumset.SumsetResult:
-    """h*X folded on its whole source [0, H] with its partials, for X over
-    N0 and the widest H >= hi kept so far.
+@dataclass
+class _KeptFold:
+    partials: list[DenseSet]  # kA on [0, H] for k = 0..depth
+    table: tuple | None = None  # sumset.class_table of A, from the first deepening step on
 
-    Every N0 family with this h and X builds its oracle on a window ending
-    at hi from it by shifts (sumset.hfold_point_union), whatever its s and
-    t.  The fold on [0, H] holds every sum up to hi that the fold on
-    [0, hi] holds, so h*X is folded only when hi passes the widest fold
-    kept for (h, X): a sweep of s, t and windows folds once, and classify's
-    prefix oracle below (h-2)s + ht reads the fold of a catalog on a
-    window reaching that far.
+
+class N0FoldStore:
+    """Exact h-fold sumsets of sets >= 0, one kept fold per set spec.
+
+    Every summand of a sum <= H of a set >= 0 is itself <= H.  So the fold
+    of A cut to [0, H] holds kA on [0, H] exactly for every k, whatever the
+    depth it was folded to, and its first h + 1 partials answer every
+    request (spec, h, hi) with hi <= H.  The store keeps one such fold per
+    spec, for at most maxsize specs, and evicts the least recently used.
+    A request whose kept fold reaches hi is a hit; when that fold is
+    shallower than h, it deepens by one sumset.pairwise_sum step per
+    missing k, with A's class table, computed at the first step and kept.
+    A request with no kept fold, or one narrower than hi, folds A on
+    [0, hi] to depth h (sumset.hfold_exact_bounded_below) and keeps that
+    instead.  The caller gets a depth-h view: source and target [0, H],
+    exactly the partials kA for k = 0..h, and hA as dense.  cache_info()
+    counts the hits, the deepening steps, the builds and the evictions;
+    cache_clear() empties the store and zeroes them.
     """
-    key = (h, xspec)
-    wide = _widest_hx.get(key)
-    if wide is None or wide.source.hi < hi:
-        spec = intset.ShiftScale(xspec, 0, h)
-        hx = intset.materialize(spec, Window(0, hi))
-        wide = _widest_hx[key] = sumset.hfold_exact_bounded_below(hx, h, stride=intset.stride(spec))
-        if len(_widest_hx) > 8:
-            del _widest_hx[next(iter(_widest_hx))]
-    return wide
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._kept: OrderedDict[SetSpec, _KeptFold] = OrderedDict()
+        self._hits = self._steps = self._builds = self._evictions = 0
+
+    def cache_info(self) -> FoldStoreInfo:
+        return FoldStoreInfo(
+            self._hits, self._steps, self._builds, self._evictions, len(self._kept), self.maxsize
+        )
+
+    def __call__(self, spec: SetSpec, h: int, hi: int) -> sumset.SumsetResult:
+        kept = self._kept.get(spec)
+        if kept is not None and kept.partials[1].window.hi >= hi:
+            self._hits += 1
+        else:
+            a = intset.materialize(spec, Window(0, hi))
+            fold = sumset.hfold_exact_bounded_below(a, h, stride=intset.stride(spec))
+            kept = self._kept[spec] = _KeptFold(list(fold.partials))
+            self._builds += 1
+            if len(self._kept) > self.maxsize:
+                self._kept.popitem(last=False)
+                self._evictions += 1
+        self._kept.move_to_end(spec)
+        partials = kept.partials
+        a = partials[1]
+        while len(partials) <= h:
+            if kept.table is None:
+                kept.table = sumset.class_table(a, intset.stride(spec))
+            partials.append(sumset.pairwise_sum(partials[-1], a, a.window, kept.table))
+            self._steps += 1
+        view = tuple(partials[: h + 1])
+        return sumset.SumsetResult(h, a.window, a.window, view[h], sumset.EXACT, view)
+
+
+# The one store of N0 folds: the oracles' folds of h*X and the lemma's of X.
+n0_fold = N0FoldStore(8)
 
 
 def fold_by_shifts(family: Family, bt: DenseSet, window: Window) -> sumset.SumsetResult:
@@ -472,14 +515,16 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
     classify also reads N0 points below the structural threshold off the
     oracle of [0, threshold - 1].  A = {s} u (h*X + t) and hA are built by
     shifts from a fold of h*X (sumset.hfold_point_union), so every fold
-    step sums one residue class mod h.  Over N0 that is hx_fold, one fold
-    per (h, X) for every s and t.  Over Z the source depends on s and t, so
-    h*X + t is materialized on it (fold_by_shifts).  The shifted-Y pairs
-    are Family.shifted_ys on the window, read off gapset's one walk of Y.
+    step sums one residue class mod h.  Over N0 that fold is n0_fold's
+    depth-h view of h*X, kept on [0, H] for some H >= window.hi and shared
+    by every s and t, every window up to H and classify's prefix oracle.
+    Over Z the source depends on s and t, so h*X + t is materialized on it
+    (fold_by_shifts).  The shifted-Y pairs are Family.shifted_ys on the
+    window, read off gapset's one walk of Y.
     """
     src = oracle_source(family, window)
     if family.domain == DOMAIN_N0:
-        hx = hx_fold(family.h, family.xspec, src.hi)
+        hx = n0_fold(intset.ShiftScale(family.xspec, 0, family.h), family.h, src.hi)
         folded = sumset.hfold_point_union(hx, family.s, family.t, src, window)
     else:
         bt = intset.materialize(intset.ShiftScale(family.xspec, family.t, family.h), src)
@@ -747,7 +792,7 @@ class LemmaReport:
     bad_u: tuple[int, ...]
     threshold: int
     complement: tuple[int, ...]
-    covered_above_threshold: bool
+    covered_above_threshold: bool | None
     predicted_complement: tuple[int, ...] | None
     matches_prediction: bool | None
 
@@ -762,7 +807,10 @@ def lemma_basis_check(
     computed from the close-pair radius; above 2*(max bad u + 1), plus
     (h-2) copies of the smallest X element for h > 2, the sumset has to
     cover everything.  The oracle complement is compared against that, and
-    for h = 2 against the exhaustively predicted miss set.
+    for h = 2 against the exhaustively predicted miss set.  A window that
+    ends below the threshold leaves the coverage undecided (None).  hX on
+    the window is read off n0_fold's depth-h view of X, so a sweep of h
+    and windows over one Y deepens one fold of X instead of refolding it.
     """
     if h < 2:
         raise DomainConstraint(f"lemma check needs h >= 2, got {h}")
@@ -782,11 +830,8 @@ def lemma_basis_check(
     threshold = thr2 + (h - 2) * x0
 
     xspec = Diff(ModClassNonneg(1, 0), GapTail(gen))
-    src = Window(0, window.hi)
-    dense = intset.materialize(xspec, src)
-    folded = sumset.hfold_exact_bounded_below(dense, h, target=window, stride=intset.stride(xspec))
-    comp = folded.dense.complement().members()
-    covered = all(c < threshold for c in comp)
+    comp = n0_fold(xspec, h, window.hi).dense.restrict(window).complement().members()
+    covered = all(c < threshold for c in comp) if window.hi >= threshold else None
 
     predicted = None
     matches = None

@@ -97,6 +97,12 @@ MUTANTS = (
     ("N0 full tail starts a class step late", "src/nonbasis/families.py",
      "intset.ModClassNonneg(h, t)",
      "intset.ModClassNonneg(h, t + h)"),
+    ("store serves a fold narrower than hi", "src/nonbasis/verify.py",
+     "if kept is not None and kept.partials[1].window.hi >= hi:",
+     "if kept is not None:"),
+    ("view keeps partials deeper than h", "src/nonbasis/verify.py",
+     "view = tuple(partials[: h + 1])",
+     "view = tuple(partials)"),
     ("k-fold decisions shared across budgets", "src/nonbasis/verify.py",
      "@lru_cache(maxsize=DECISIONS_KEPT)\ndef decide_kX(",
      "def _keyed_without_budget(search):\n"

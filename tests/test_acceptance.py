@@ -260,7 +260,7 @@ def test_criterion_8_kernel_properties():
         whole = sumset.hfold_exact_bounded_below(a_pos, h, stride=1)
         p = sumset.hfold_exact_bounded_below(a_pos, h1, stride=1).dense
         q = sumset.hfold_exact_bounded_below(a_pos, h2, stride=1).dense
-        part = sumset.pairwise_sum(p, q, whole.target, sumset._class_table(q, 1))
+        part = sumset.pairwise_sum(p, q, whole.target, sumset.class_table(q, 1))
         if part.bits != whole.dense.bits:
             failures += 1
 

@@ -147,6 +147,35 @@ def test_verify_thm1_dichotomy(capsys):
     assert {c["name"] for c in rep["checks"]} == {"residue_obstruction", "missed_classes"}
 
 
+@pytest.mark.parametrize(
+    "argv, name, details",
+    [
+        (["lemma", "--h", "2", "--gap", "geometric,2,1", "--window", "0:0"],
+         "covered_above_threshold", "window 0:0 ends below the threshold 8"),
+        (["lemma", "--h", "5", "--gap", "factorial", "--window", "0:5"],
+         "covered_above_threshold", "window 0:5 ends below the threshold 6"),
+        (["thm3", "--h", "6", "--s", "10", "--t", "9", "--window", "0:50"],
+         "coverage_above_threshold", "window 0:50 ends below the threshold 59"),
+    ],
+)
+def test_coverage_of_a_window_below_its_threshold_is_unknown(capsys, argv, name, details):
+    # the window holds no point from the threshold on, so the coverage
+    # check examines nothing and cannot pass
+    code, out, err = run(capsys, ["verify", *argv])
+    assert (code, err) == (3, "")
+    checks = {c["name"]: (c["status"], c["details"]) for c in json.loads(out)["checks"]}
+    assert checks[name] == ("unknown", details)
+
+
+def test_coverage_from_a_window_ending_at_its_threshold_is_checked(capsys):
+    code, out, _ = run(
+        capsys, ["verify", "lemma", "--h", "5", "--gap", "factorial", "--window", "0:6"]
+    )
+    assert code == 0
+    checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert checks["covered_above_threshold"] == "pass"
+
+
 def test_verify_lemma(capsys):
     code, out, _ = run(
         capsys,
@@ -520,7 +549,7 @@ def test_no_family_check_folds_a(capsys, monkeypatch, argv):
         or fold(a, h, target, stride)
     )
     verify.base_oracle.cache_clear()
-    verify._widest_hx.clear()
+    verify.n0_fold.cache_clear()
     code, _, err = run(capsys, argv)
     assert (code, err) == (0, "")
     assert inputs

@@ -24,9 +24,10 @@ GOLDEN = [
      "3d3000fe436a014b0ad5219b0bbbcc79439e83d3f2217a6414cf43a2f7bbb572"),
     ("verify thm3 --h 4 --s 1 --t 3 --window 0:800", 0,
      "1e13d6ab6659be209e603654458cc9b21971b8113da9655af15db9b5503a0d1f"),
-    # a window that ends below the first checked residue: uniqueness is unknown
+    # a window that ends below the threshold 59 and so below the first
+    # checked residue: the coverage above it and uniqueness are unknown
     ("verify thm3 --h 6 --s 10 --t 9 --window 0:50", 3,
-     "f84919b0b12b0233eda2c2278304a33441d68eabe14fdfba560a9f308e7aa1c9"),
+     "e60257c1c673cd9565de167c8818f3b3e117119c65baf6892bd52f130aec62f7"),
     ("verify thm2 --h 2 --s 0 --t 1 --gap geometric,2,1", 0,
      "05f3c5876a6e9ae7099446a4ad8b7d43296d85ac715c7595428981fa227b018c"),
     ("verify thm2 --h 3 --s 0 --t 1 --gap triangular --format text", 0,

@@ -1,8 +1,10 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonbasis import gapset, intset
+from nonbasis import gapset, grammar, intset
 from nonbasis.errors import MalformedSpec, WindowTooLarge
 from nonbasis.families import Params, build_gapped
 from nonbasis.intset import (
@@ -331,3 +333,31 @@ def test_dilate_or_matches_loop():
                 want |= base << (gap * i)
             want &= (1 << maxbits) - 1
             assert intset.dilate_or(base, gap, count, maxbits) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(SPECS)
+def test_specs_built_apart_compare_and_hash_equal(spec):
+    # the grammar's round trip builds every node of the tree afresh
+    again = grammar.parse_spec(grammar.format_spec(spec))
+    assert again == spec and hash(again) == hash(spec)
+
+
+def test_spec_lookups_do_not_rehash_the_tree():
+    # a node with children hashes them once, when it is built
+    hashed = []
+
+    @dataclass(frozen=True)
+    class Leaf(intset.SetSpec):
+        n: int
+
+        def __hash__(self):
+            hashed.append(self.n)
+            return hash(self.n)
+
+    spec = Diff(union_of(Leaf(1), ShiftScale(Leaf(2), 1, 3)), GapTail(GEOM2))
+    assert sorted(hashed) == [1, 2]
+    memo = {spec: "kept"}
+    for _ in range(3):
+        assert memo[spec] == "kept" and hash(spec) == hash(spec)
+    assert sorted(hashed) == [1, 2]

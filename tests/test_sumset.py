@@ -206,7 +206,7 @@ def test_associativity(vals, h1, h2):
     whole = sumset.hfold_exact_bounded_below(a, h, stride=g)
     p = sumset.hfold_exact_bounded_below(a, h1, stride=g)
     q = sumset.hfold_exact_bounded_below(a, h2, stride=g)
-    combined = sumset.pairwise_sum(p.dense, q.dense, whole.target, sumset._class_table(q.dense, g))
+    combined = sumset.pairwise_sum(p.dense, q.dense, whole.target, sumset.class_table(q.dense, g))
     assert combined.bits == whole.dense.bits
 
 
@@ -711,7 +711,7 @@ def test_pairwise_sum_matches_brute_force_and_the_chain_walk(data):
     g = data.draw(st.integers(1, 16))
     p, q = data.draw(holed_classes(g)), data.draw(holed_classes(g))
     target = end_cutting_target(data, p.window.lo + q.window.lo, p.window.hi + q.window.hi)
-    got = sumset.pairwise_sum(p, q, target, sumset._class_table(q, g))
+    got = sumset.pairwise_sum(p, q, target, sumset.class_table(q, g))
     assert got == chain_walk(p, q, g, target)
     assert got.members() == brute_sumset_of(p.members(), q.members(), target)
 
@@ -744,7 +744,7 @@ def test_pairwise_sum_is_exact_on_mixed_class_pairs(p_vals, q_vals):
     q = dense_from_iter(q_vals, Window(min(q_vals) - 4, max(q_vals) + 4))
     for target in (Window(p.window.lo + q.window.lo, p.window.hi + q.window.hi),
                    Window(min(p_vals) + min(q_vals) + 7, max(p_vals) + max(q_vals) - 7)):
-        got = sumset.pairwise_sum(p, q, target, sumset._class_table(q, g))
+        got = sumset.pairwise_sum(p, q, target, sumset.class_table(q, g))
         assert got == chain_walk(p, q, g, target)
         assert got.members() == brute_sumset_of(p_vals, q_vals, target)
 
@@ -764,7 +764,7 @@ def test_pairwise_sum_stays_exact_when_hole_counts_over_count(data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sumset, "_classes", over_counted)
-        got = sumset.pairwise_sum(p, q, target, sumset._class_table(q, g))
+        got = sumset.pairwise_sum(p, q, target, sumset.class_table(q, g))
     assert got.members() == brute_sumset_of(p.members(), q.members(), target)
 
 
@@ -794,7 +794,7 @@ def test_fill_spans_the_pigeonhole_middle(monkeypatch):
         sumset, "ap_bits", lambda *args: fills.append((args[0], args[2])) or real(*args)
     )
     target = Window(0, 2400)
-    got = sumset.pairwise_sum(a, a, target, sumset._class_table(a, 3))
+    got = sumset.pairwise_sum(a, a, target, sumset.class_table(a, 3))
     m, lo, hi = 6, 2 * 1, 2 * (3 * 399 + 1)
     assert fills == [(lo + 3 * m, hi - 3 * m)]
     assert got.members() == brute_sumset_of(a.members(), a.members(), target)
@@ -890,8 +890,8 @@ def test_one_decode_per_chain_split_and_one_class_table_per_fold(monkeypatch):
     # into classes.  A's are decoded once, with its class table; the exact
     # fold's first partial is A itself and reads them, and every other
     # partial is decoded once
-    real_table = sumset._class_table
-    monkeypatch.setattr(sumset, "_class_table", lambda a, g: tables.append(a) or real_table(a, g))
+    real_table = sumset.class_table
+    monkeypatch.setattr(sumset, "class_table", lambda a, g: tables.append(a) or real_table(a, g))
     a = sets[-1]
     for h in range(2, 9):
         decodes.clear()
@@ -931,7 +931,7 @@ def test_partial_classes_match_a_per_residue_reference(p, g):
     # q is one stride-g progression far from p: p is split into its classes
     # mod g, each decoded from p's runs
     q = dense_from_iter(range(5000, 5000 + 3 * g, g), Window(4990, 5000 + 3 * g))
-    _, classes = sumset._class_table(q, g)
+    _, classes = sumset.class_table(q, g)
     read = []
     real = sumset._classes
     target = Window(p.window.lo + q.window.lo, p.window.hi + q.window.hi)

@@ -264,7 +264,7 @@ def test_catalog_derives_the_family_facts_once(monkeypatch):
         verify.decide_kX,
     ):
         memo.cache_clear()
-    verify._widest_hx.clear()
+    verify.n0_fold.cache_clear()
     cat = verify.complement_catalog(fam, Window(0, 2000))
     assert cat.unknown == () and len(cat.exceptional) > 0
     assert len(walks) <= 6
@@ -281,7 +281,7 @@ def test_adjunction_checks_read_the_oracles_y_prefix(monkeypatch):
         verify.decide_kX,
     ):
         memo.cache_clear()
-    verify._widest_hx.clear()
+    verify.n0_fold.cache_clear()
     verify.pair_bound(fam.y), gapset.least_non_member(fam.y)
     walks = []
     values = gapset.values
@@ -306,7 +306,7 @@ def test_a_familys_checks_walk_y_once(monkeypatch, domain, window):
     fam = build_gapped(Params(3, 0, 1, domain), gapset.Triangular())
     for memo in (gapset._walk, verify.base_oracle, verify.decide_kX):
         memo.cache_clear()
-    verify._widest_hx.clear()
+    verify.n0_fold.cache_clear()
     verify.pair_bound(fam.y), gapset.least_non_member(fam.y)
     walks = []
     values = gapset.values
@@ -329,7 +329,7 @@ def test_escape_samples_fold_nothing(monkeypatch):
 
     for mod, name in [
         (verify, "base_oracle"),
-        (verify, "hx_fold"),
+        (verify, "n0_fold"),
         (sumset, "hfold_exact_bounded_below"),
         (sumset, "hfold_truncated"),
         (sumset, "hfold_point_union"),
@@ -681,7 +681,7 @@ def counting_folds(monkeypatch) -> list[str]:
             sumset, name, lambda *a, real=real, **k: calls.append(real.__name__) or real(*a, **k)
         )
     verify.base_oracle.cache_clear()
-    verify._widest_hx.clear()
+    verify.n0_fold.cache_clear()
     return calls
 
 
@@ -797,7 +797,7 @@ def test_z_oracle_and_augment_folds_each_sum_one_residue_class(monkeypatch):
         sumset, "_fold", lambda a, h, *rest: inputs.append((a, h)) or fold(a, h, *rest)
     )
     verify.base_oracle.cache_clear()
-    verify._widest_hx.clear()
+    verify.n0_fold.cache_clear()
     cases = [
         (build_full(Params(3, -5, 4, "z")), Window(-40, 90)),
         (build_gapped(Params(2, 0, 1, "z"), GEOM2), Window(-200, 200)),
@@ -813,6 +813,74 @@ def test_z_oracle_and_augment_folds_each_sum_one_residue_class(monkeypatch):
     assert len(inputs) == 10  # 3 Z oracles, 1 fold of h*X, 6 augments
     for a, h in inputs:
         assert len({m % h for m in a.members()}) == 1, (h, a.window)
+
+
+def lemma_x(gen):
+    return intset.Diff(intset.ModClassNonneg(1, 0), intset.GapTail(gen))
+
+
+def test_the_fold_store_counts_hits_steps_builds_and_evictions():
+    # an h-sweep on one window of X builds one fold and deepens it; a
+    # shallower request reads it as it is, and a wider window refolds
+    store = verify.n0_fold
+    store.cache_clear()
+    xspec = lemma_x(gapset.Triangular())
+    for h in range(2, 6):
+        store(xspec, h, 5000)
+    assert store.cache_info() == verify.FoldStoreInfo(3, 3, 1, 0, 1, 8)
+    store(xspec, 3, 5000)
+    assert store.cache_info() == verify.FoldStoreInfo(4, 3, 1, 0, 1, 8)
+    store(xspec, 3, 5001)
+    assert store.cache_info() == verify.FoldStoreInfo(4, 3, 2, 0, 1, 8)
+    # eight more sets: the least recently used one goes, the others stay
+    others = [intset.ShiftScale(xspec, 0, m) for m in range(2, 10)]
+    for spec in others[:7]:
+        store(spec, 2, 100)
+    store(xspec, 2, 100)
+    store(others[7], 2, 100)
+    assert store.cache_info() == verify.FoldStoreInfo(5, 3, 10, 1, 8, 8)
+    store(xspec, 2, 100)
+    store(others[0], 2, 100)
+    assert store.cache_info() == verify.FoldStoreInfo(6, 3, 11, 2, 8, 8)
+    store.cache_clear()
+    assert store.cache_info() == verify.FoldStoreInfo(0, 0, 0, 0, 0, 8)
+
+
+# The sets the store folds: the lemma's X = N0 minus Y for each gap kind,
+# an oracle's h*X, and N0 itself
+STORE_SETS = (
+    *(lemma_x(gen) for gen in ORACLE_GAPS + (gapset.CustomPrefixTail((0, 1, 2, 5, 13), GEOM2),)),
+    *(intset.ShiftScale(lemma_x(gen), 0, h) for gen, h in ((GEOM2, 2), (gapset.Triangular(), 3))),
+    intset.ModClassNonneg(1, 0),
+)
+STORE_REQUESTS = st.lists(
+    st.tuples(
+        st.integers(0, len(STORE_SETS) - 1),
+        st.integers(1, 6),
+        st.one_of(st.integers(0, 3000), st.sampled_from([0, 1, 700, 3000])),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(STORE_REQUESTS)
+@example([(0, 2, 700), (0, 5, 700), (0, 2, 700), (0, 3, 3000), (0, 1, 3000)])
+@example([(5, 3, 0), (5, 3, 1), (4, 6, 1), (6, 1, 3000), (7, 2, 50), (5, 2, 3000)])
+def test_every_view_of_the_fold_store_is_a_fresh_exact_fold(requests):
+    # widening, deepening and shallower-after-deeper requests over three
+    # kept folds at most, in any order
+    store = verify.N0FoldStore(3)
+    for i, h, hi in requests:
+        spec = STORE_SETS[i]
+        view = store(spec, h, hi)
+        a = materialize(spec, Window(0, hi))
+        fresh = sumset.hfold_exact_bounded_below(a, h, stride=intset.stride(spec))
+        assert view.h == h and len(view.partials) == h + 1
+        assert view.dense.restrict(fresh.target) == fresh.dense
+        for got, want in zip(view.partials, fresh.partials):
+            assert got.restrict(want.window) == want
 
 
 def test_escape_samples_below_t_take_no_eq_t_b():
@@ -977,7 +1045,8 @@ def test_an_s_sweep_walks_y_once(monkeypatch):
     window = Window(0, 3000)
     fams = [build_gapped(Params(3, s, 1, "n0"), GEOM2) for s in range(40) if s % 3 != 1]
     verify.base_oracle.cache_clear()
-    verify.hx_fold(3, fams[0].xspec, window.hi)  # the fold of h*X walks Y too
+    # the fold of h*X walks Y too
+    verify.n0_fold(intset.ShiftScale(fams[0].xspec, 0, 3), 3, window.hi)
     gapset._walk.cache_clear()
     walks = []
     values = gapset.values
