@@ -40,7 +40,8 @@ class SumsetResult:
     partials[k] is the k-fold sumset kA on the clip window of the k-th fold
     step (the k-element subtotals that h-k more source elements can still
     complete to a target value), or None where that window is empty, for
-    k = 0..h; adjoin and witness read them.
+    k = 0..h; adjoin and witness read them.  table is the class_table of A
+    that a fold's steps read, or None when it took none.
     """
 
     h: int
@@ -49,6 +50,7 @@ class SumsetResult:
     dense: DenseSet
     exactness: str
     partials: tuple[DenseSet | None, ...] = field(compare=False, repr=False)
+    table: tuple | None = field(default=None, compare=False, repr=False)
 
     def member(self, n: int) -> bool:
         return self.dense.member(n)
@@ -97,24 +99,48 @@ def arith_chains(a: DenseSet, g: int) -> list[tuple[int, int, int]]:
 _Class = namedtuple("_Class", "starts counts lo hi terms holes")
 
 
+def _class(starts: tuple[int, ...], counts: tuple[int, ...], g: int) -> _Class:
+    # one residue class from its runs' starts and counts, ascending
+    lo, hi = starts[0], starts[-1] + (counts[-1] - 1) * g
+    terms = (hi - lo) // g + 1
+    return _Class(starts, counts, lo, hi, terms, terms - sum(counts))
+
+
 def _classes(runs: list[tuple[int, int, int]], g: int) -> list[_Class]:
     """Per nonempty residue class mod g of the stride-g runs: its runs'
     starts and counts, and its hull [lo, hi] of `terms` points and `holes`."""
     grouped: dict[int, list[tuple[int, int]]] = {}
     for a0, _, cnt in runs:
         grouped.setdefault(a0 % g, []).append((a0, cnt))
-    out = []
-    for starts, counts in (zip(*run_list) for run_list in grouped.values()):
-        lo, hi = starts[0], starts[-1] + (counts[-1] - 1) * g
-        terms = (hi - lo) // g + 1
-        out.append(_Class(starts, counts, lo, hi, terms, terms - sum(counts)))
-    return out
+    return [_class(*zip(*run_list), g) for run_list in grouped.values()]
 
 
 def class_table(a: DenseSet, g: int) -> tuple[int, list[_Class]]:
     """The stride g and a's classes mod g, from its stride-g chains: the
     q_table that pairwise_sum reads for a as its q."""
     return g, _classes(arith_chains(a, g), g)
+
+
+def grow_class_table(
+    table: tuple[int, list[_Class]], band: DenseSet
+) -> tuple[int, list[_Class]]:
+    """The class_table of A on [0, hi], from table, A's on [0, H], and band,
+    A on [H + 1, hi].
+
+    Only the band's chains are decoded.  A band run one stride past the
+    last run of its class continues that run, so it joins it; the others
+    are appended, and a class first met in the band comes after the kept
+    ones, as it does in the class_table of A on [0, hi]."""
+    g, classes = table
+    runs = {c.lo % g: (list(c.starts), list(c.counts)) for c in classes}
+    for a0, _, cnt in arith_chains(band, g):
+        starts, counts = runs.setdefault(a0 % g, ([], []))
+        if starts and starts[-1] + counts[-1] * g == a0:
+            counts[-1] += cnt
+        else:
+            starts.append(a0)
+            counts.append(cnt)
+    return g, [_class(tuple(starts), tuple(counts), g) for starts, counts in runs.values()]
 
 
 def _cut(c: _Class, g: int, x0: int, x1: int) -> Iterator[tuple[int, int]]:
@@ -208,30 +234,35 @@ def _clip_window(k: int, h: int, src: Window, target: Window) -> Window | None:
     return Window(lo, hi)
 
 
-def _fold(a: DenseSet, h: int, target: Window, stride: int) -> tuple[DenseSet | None, ...]:
+def _fold(
+    a: DenseSet, h: int, target: Window, stride: int
+) -> tuple[tuple[DenseSet | None, ...], tuple | None]:
     # kA on its clip window for k = 0..h, each step one pairwise sum with a
-    # through a's class table at stride, built once.  A nonempty clip window
+    # through a's class table at stride, built once and handed back with
+    # the partials (None when no step is taken).  A nonempty clip window
     # has a nonempty one before it, so the empty windows are a suffix.
     windows = [_clip_window(k, h, a.window, target) for k in range(h + 1)]
     table = class_table(a, stride) if h > 1 and windows[2] is not None else None
     out: list[DenseSet | None] = []
     for k, wk in enumerate(windows):
         if wk is None:
-            return tuple(out) + (None,) * (h + 1 - k)
+            return tuple(out) + (None,) * (h + 1 - k), table
         if k == 0:
             out.append(DenseSet(wk, 1))  # the window is [0, 0]
         elif k == 1:
             out.append(a.restrict(wk))
         else:
             out.append(pairwise_sum(out[-1], a, wk, table))
-    return tuple(out)
+    return tuple(out), table
 
 
-def _result(partials, source: Window, target: Window, exactness: str) -> SumsetResult:
+def _result(partials, table, source: Window, target: Window, exactness: str) -> SumsetResult:
     # the fold result whose partials are kA for k = 0..h; hA is the last
     top = partials[-1]
     dense = DenseSet(target, 0) if top is None else top.restrict(target)
-    return SumsetResult(len(partials) - 1, source, target, dense, exactness, tuple(partials))
+    return SumsetResult(
+        len(partials) - 1, source, target, dense, exactness, tuple(partials), table
+    )
 
 
 def hfold_exact_bounded_below(
@@ -260,7 +291,7 @@ def hfold_exact_bounded_below(
         raise TargetExceedsSafeRange(
             f"target {target.lo}:{target.hi} outside safe range {safe.lo}:{safe.hi}"
         )
-    return _result(_fold(a, h, target, stride), a.window, target, EXACT)
+    return _result(*_fold(a, h, target, stride), a.window, target, EXACT)
 
 
 def hfold_truncated(a: DenseSet, h: int, target: Window, *, stride: int) -> SumsetResult:
@@ -272,7 +303,7 @@ def hfold_truncated(a: DenseSet, h: int, target: Window, *, stride: int) -> Sums
     """
     if h < 1:
         raise DomainConstraint(f"h must be >= 1, got {h}")
-    return _result(_fold(a, h, target, stride), a.window, target, LOWER_BOUND)
+    return _result(*_fold(a, h, target, stride), a.window, target, LOWER_BOUND)
 
 
 def _shift_union(terms, target: Window) -> DenseSet:
@@ -315,7 +346,7 @@ def hfold_point_union(
             terms = ((part, k * t), (partials[-1] if k and with_s else None, s))
             clip = _shift_union(terms, clip)  # kA on its clip window
         partials.append(clip)
-    return _result(partials, source, target, fold.exactness)
+    return _result(partials, None, source, target, fold.exactness)
 
 
 def adjoin(result: SumsetResult, b: int) -> DenseSet:

@@ -407,13 +407,33 @@ def oracle_source(family: Family, window: Window) -> Window:
     return Window(-radius, radius)
 
 
-FoldStoreInfo = namedtuple("FoldStoreInfo", "hits steps builds evictions currsize maxsize")
+FoldStoreInfo = namedtuple(
+    "FoldStoreInfo", "hits steps builds widenings evictions currsize maxsize"
+)
 
 
 @dataclass
 class _KeptFold:
     partials: list[DenseSet]  # kA on [0, H] for k = 0..depth
-    table: tuple | None = None  # sumset.class_table of A, from the first deepening step on
+    # sumset.class_table of A on [0, H], from the build's fold or the first
+    # deepening step on, grown by the band's chains at each widening
+    table: tuple | None = None
+
+    def widen(self, spec: SetSpec, hi: int) -> None:
+        """The fold of spec on [0, H], H < hi, widened to [0, hi] at its
+        depth: a sum in (H, hi] of k points of A >= 0 has every summand
+        <= hi, so the band of kA is that of (k-1)A + A, both on [0, hi]."""
+        top = self.partials[1].window.hi
+        band = intset.materialize(spec, Window(top + 1, hi))
+        wide = Window(0, hi)
+        a = DenseSet(wide, self.partials[1].bits | band.bits << band.window.lo)
+        if self.table is not None:
+            self.table = sumset.grow_class_table(self.table, band)
+        grown = [self.partials[0], a]
+        for low in self.partials[2:]:
+            step = sumset.pairwise_sum(grown[-1], a, band.window, self.table)
+            grown.append(DenseSet(wide, low.bits | step.bits << band.window.lo))
+        self.partials = grown
 
 
 class N0FoldStore:
@@ -424,14 +444,18 @@ class N0FoldStore:
     depth it was folded to, and its first h + 1 partials answer every
     request (spec, h, hi) with hi <= H.  The store keeps one such fold per
     spec, for at most maxsize specs, and evicts the least recently used.
-    A request whose kept fold reaches hi is a hit; when that fold is
-    shallower than h, it deepens by one sumset.pairwise_sum step per
-    missing k, with A's class table, computed at the first step and kept.
-    A request with no kept fold, or one narrower than hi, folds A on
-    [0, hi] to depth h (sumset.hfold_exact_bounded_below) and keeps that
-    instead.  The caller gets a depth-h view: source and target [0, H],
-    exactly the partials kA for k = 0..h, and hA as dense.  cache_info()
-    counts the hits, the deepening steps, the builds and the evictions;
+    A spec with no kept fold folds A on [0, hi] to depth h
+    (sumset.hfold_exact_bounded_below), and the store keeps the fold and
+    A's class table.  A request whose kept fold reaches hi is a hit.  A
+    request past the kept top H widens the fold instead of refolding it:
+    only the band (H, hi] of A is materialized, the class table grows by
+    the band's chains (sumset.grow_class_table), and each kept partial
+    k >= 2 gains the band of kA, ((k-1)A + A) on (H, hi] with both on
+    [0, hi], one sumset.pairwise_sum step each.  A kept fold shallower
+    than h then deepens by one step per missing k.  The caller gets a
+    depth-h view: source and target [0, H], exactly the partials kA for
+    k = 0..h, and hA as dense.  cache_info() counts the hits, the
+    deepening steps, the builds, the widenings and the evictions;
     cache_clear() empties the store and zeroes them.
     """
 
@@ -441,25 +465,29 @@ class N0FoldStore:
 
     def cache_clear(self) -> None:
         self._kept: OrderedDict[SetSpec, _KeptFold] = OrderedDict()
-        self._hits = self._steps = self._builds = self._evictions = 0
+        self._hits = self._steps = self._builds = self._widenings = self._evictions = 0
 
     def cache_info(self) -> FoldStoreInfo:
         return FoldStoreInfo(
-            self._hits, self._steps, self._builds, self._evictions, len(self._kept), self.maxsize
+            self._hits, self._steps, self._builds, self._widenings, self._evictions,
+            len(self._kept), self.maxsize,
         )
 
     def __call__(self, spec: SetSpec, h: int, hi: int) -> sumset.SumsetResult:
         kept = self._kept.get(spec)
-        if kept is not None and kept.partials[1].window.hi >= hi:
-            self._hits += 1
-        else:
+        if kept is None:
             a = intset.materialize(spec, Window(0, hi))
             fold = sumset.hfold_exact_bounded_below(a, h, stride=intset.stride(spec))
-            kept = self._kept[spec] = _KeptFold(list(fold.partials))
+            kept = self._kept[spec] = _KeptFold(list(fold.partials), fold.table)
             self._builds += 1
             if len(self._kept) > self.maxsize:
                 self._kept.popitem(last=False)
                 self._evictions += 1
+        elif kept.partials[1].window.hi < hi:
+            kept.widen(spec, hi)
+            self._widenings += 1
+        else:
+            self._hits += 1
         self._kept.move_to_end(spec)
         partials = kept.partials
         a = partials[1]
@@ -517,7 +545,8 @@ def base_oracle(family: Family, window: Window) -> BaseOracle:
     shifts from a fold of h*X (sumset.hfold_point_union), so every fold
     step sums one residue class mod h.  Over N0 that fold is n0_fold's
     depth-h view of h*X, kept on [0, H] for some H >= window.hi and shared
-    by every s and t, every window up to H and classify's prefix oracle.
+    by every s and t, every window up to H and classify's prefix oracle;
+    a wider window widens it by the band past H instead of refolding it.
     Over Z the source depends on s and t, so h*X + t is materialized on it
     (fold_by_shifts).  The shifted-Y pairs are Family.shifted_ys on the
     window, read off gapset's one walk of Y.
@@ -810,7 +839,9 @@ def lemma_basis_check(
     for h = 2 against the exhaustively predicted miss set.  A window that
     ends below the threshold leaves the coverage undecided (None).  hX on
     the window is read off n0_fold's depth-h view of X, so a sweep of h
-    and windows over one Y deepens one fold of X instead of refolding it.
+    and windows over one Y keeps one fold of X: a deeper h deepens it and
+    a wider window widens it by the band past its top, instead of
+    refolding it.
     """
     if h < 2:
         raise DomainConstraint(f"lemma check needs h >= 2, got {h}")

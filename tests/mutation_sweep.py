@@ -98,8 +98,14 @@ MUTANTS = (
      "intset.ModClassNonneg(h, t)",
      "intset.ModClassNonneg(h, t + h)"),
     ("store serves a fold narrower than hi", "src/nonbasis/verify.py",
-     "if kept is not None and kept.partials[1].window.hi >= hi:",
-     "if kept is not None:"),
+     "elif kept.partials[1].window.hi < hi:",
+     "elif False:"),
+    ("band starts one past the kept top", "src/nonbasis/verify.py",
+     "band = intset.materialize(spec, Window(top + 1, hi))",
+     "band = intset.materialize(spec, Window(top + 2, hi))"),
+    ("widened partial drops its kept bits", "src/nonbasis/verify.py",
+     "grown.append(DenseSet(wide, low.bits | step.bits << band.window.lo))",
+     "grown.append(DenseSet(wide, step.bits << band.window.lo))"),
     ("view keeps partials deeper than h", "src/nonbasis/verify.py",
      "view = tuple(partials[: h + 1])",
      "view = tuple(partials)"),

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -555,6 +559,29 @@ def test_no_family_check_folds_a(capsys, monkeypatch, argv):
     assert inputs
     for a, stride in inputs:
         assert len({m % stride for m in a.members()}) <= 1, (argv, stride, a.window)
+
+
+def fresh_cli(argv):
+    """(exit code, stdout, stderr) of the CLI in a new process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    main = "import sys; from nonbasis import cli; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", main, *argv],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_lemma_sweep_widens_its_fold_and_reports_as_fresh_calls(capsys):
+    # tops a little apart, as a seeded sweep has them: the first call folds
+    # X, a wider top widens that fold by its band, a narrower one reads it
+    verify.n0_fold.cache_clear()
+    for h, top in ((2, 50000), (3, 50100), (4, 50050), (5, 50200)):
+        argv = ["verify", "lemma", "--h", str(h), "--gap", "triangular", "--window", f"0:{top}"]
+        got = run(capsys, argv)
+        assert got[0] == 0 and got == fresh_cli(argv)
+    info = verify.n0_fold.cache_info()
+    assert (info.builds, info.widenings, info.hits, info.steps) == (1, 2, 1, 3)
 
 
 def test_thm2_stability_past_the_window_cap_is_unknown(capsys, monkeypatch):

@@ -942,6 +942,40 @@ def test_partial_classes_match_a_per_residue_reference(p, g):
     assert got.members() == brute_sumset_of(p.members(), q.members(), target)
 
 
+@st.composite
+def cut_holed_runs(draw):
+    """A set on [0, hi] of stride-g runs with holes, g in (1, 2, 3, 5), and
+    a cut H in [0, hi - 1]."""
+    g = draw(st.sampled_from((1, 2, 3, 5)))
+    hi = draw(st.integers(1, 300))
+    vals = set()
+    for _ in range(draw(st.integers(0, 6))):
+        first = draw(st.integers(0, hi))
+        vals.update(range(first, min(hi, first + g * draw(st.integers(0, 60))) + 1, g))
+    vals -= draw(st.sets(st.integers(0, hi), max_size=12))
+    return dense_from_iter(vals, Window(0, hi)), g, draw(st.integers(0, hi - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_holed_runs())
+@example((dense_from_iter(range(0, 101, 2), Window(0, 100)), 2, 51))  # inside a chain
+@example((dense_from_iter(range(0, 101, 2), Window(0, 100)), 2, 50))  # at a chain's point
+@example((dense_from_iter(range(0, 101), Window(0, 100)), 1, 0))  # one point kept
+@example((dense_from_iter([*range(0, 60, 3), *range(40, 90, 3)], Window(0, 90)), 3, 20))
+@example((dense_from_iter([], Window(0, 9)), 5, 4))
+def test_a_class_table_grown_by_a_band_is_the_whole_sets(case):
+    # the band (H, hi] joins the table of [0, H]: a run the cut split, a
+    # class first met past H, and classes only on one side
+    whole, g, cut = case
+    low = whole.restrict(Window(0, cut))
+    band = whole.restrict(Window(cut + 1, whole.window.hi))
+    grown = sumset.grow_class_table(sumset.class_table(low, g), band)
+    assert grown == sumset.class_table(whole, g)
+    for c in grown[1]:
+        chains = sorted(a0 + g * i for a0, cnt in zip(c.starts, c.counts) for i in range(cnt))
+        assert chains == [v for v in whole.members() if v % g == c.lo % g]
+
+
 def test_witnesses_reverse_the_source_once_and_probe_only_the_target(monkeypatch):
     # no decode of A, one reversal of A per result, and one member test per
     # witness: its entry test of n

@@ -821,37 +821,38 @@ def lemma_x(gen):
 
 def test_the_fold_store_counts_hits_steps_builds_and_evictions():
     # an h-sweep on one window of X builds one fold and deepens it; a
-    # shallower request reads it as it is, and a wider window refolds
+    # shallower request reads it as it is, and a wider window widens it
     store = verify.n0_fold
     store.cache_clear()
     xspec = lemma_x(gapset.Triangular())
     for h in range(2, 6):
         store(xspec, h, 5000)
-    assert store.cache_info() == verify.FoldStoreInfo(3, 3, 1, 0, 1, 8)
+    assert store.cache_info() == verify.FoldStoreInfo(3, 3, 1, 0, 0, 1, 8)
     store(xspec, 3, 5000)
-    assert store.cache_info() == verify.FoldStoreInfo(4, 3, 1, 0, 1, 8)
+    assert store.cache_info() == verify.FoldStoreInfo(4, 3, 1, 0, 0, 1, 8)
     store(xspec, 3, 5001)
-    assert store.cache_info() == verify.FoldStoreInfo(4, 3, 2, 0, 1, 8)
+    assert store.cache_info() == verify.FoldStoreInfo(4, 3, 1, 1, 0, 1, 8)
     # eight more sets: the least recently used one goes, the others stay
     others = [intset.ShiftScale(xspec, 0, m) for m in range(2, 10)]
     for spec in others[:7]:
         store(spec, 2, 100)
     store(xspec, 2, 100)
     store(others[7], 2, 100)
-    assert store.cache_info() == verify.FoldStoreInfo(5, 3, 10, 1, 8, 8)
+    assert store.cache_info() == verify.FoldStoreInfo(5, 3, 9, 1, 1, 8, 8)
     store(xspec, 2, 100)
     store(others[0], 2, 100)
-    assert store.cache_info() == verify.FoldStoreInfo(6, 3, 11, 2, 8, 8)
+    assert store.cache_info() == verify.FoldStoreInfo(6, 3, 10, 1, 2, 8, 8)
     store.cache_clear()
-    assert store.cache_info() == verify.FoldStoreInfo(0, 0, 0, 0, 0, 8)
+    assert store.cache_info() == verify.FoldStoreInfo(0, 0, 0, 0, 0, 0, 8)
 
 
 # The sets the store folds: the lemma's X = N0 minus Y for each gap kind,
-# an oracle's h*X, and N0 itself
+# an oracle's h*X, N0 itself, and an h*X + t with t > 0
 STORE_SETS = (
     *(lemma_x(gen) for gen in ORACLE_GAPS + (gapset.CustomPrefixTail((0, 1, 2, 5, 13), GEOM2),)),
     *(intset.ShiftScale(lemma_x(gen), 0, h) for gen, h in ((GEOM2, 2), (gapset.Triangular(), 3))),
     intset.ModClassNonneg(1, 0),
+    intset.ShiftScale(lemma_x(gapset.Triangular()), 5, 3),
 )
 STORE_REQUESTS = st.lists(
     st.tuples(
@@ -868,6 +869,10 @@ STORE_REQUESTS = st.lists(
 @given(STORE_REQUESTS)
 @example([(0, 2, 700), (0, 5, 700), (0, 2, 700), (0, 3, 3000), (0, 1, 3000)])
 @example([(5, 3, 0), (5, 3, 1), (4, 6, 1), (6, 1, 3000), (7, 2, 50), (5, 2, 3000)])
+@example([(2, 3, 700), (2, 3, 701)])  # widened by one point
+@example([(0, 6, 700), (0, 2, 3000)])  # a kept fold deeper than the request widens
+@example([(8, 3, 400), (8, 2, 1200), (8, 4, 1201)])  # h*X + t, t > 0
+@example([(1, 1, 500), (1, 3, 900)])  # built at h = 1, so with no class table yet
 def test_every_view_of_the_fold_store_is_a_fresh_exact_fold(requests):
     # widening, deepening and shallower-after-deeper requests over three
     # kept folds at most, in any order
