@@ -58,47 +58,36 @@ def _add_io_args(p: argparse.ArgumentParser, budget: bool = False):
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="nonbasis",
-        description="Construct nonbasis families, compute h-fold sumsets, "
-        "and verify their structure on integer windows.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build a family and print its spec")
+def _add_construct_args(p: argparse.ArgumentParser):
     _add_family_args(p)
     _add_io_args(p)
 
-    p = sub.add_parser("sumset", help="brute-force h-fold sumset on a window")
+
+def _add_sumset_args(p: argparse.ArgumentParser):
     _add_family_args(p, required=False)
     p.add_argument("--spec", help="set spec literal instead of family parameters")
     p.add_argument("--window", required=True, help="target window LO:HI")
     p.add_argument("--source", help="source window LO:HI (defaults to target)")
     _add_io_args(p)
 
-    p = sub.add_parser("classify", help="membership verdict for one integer")
+
+def _add_classify_args(p: argparse.ArgumentParser):
     _add_family_args(p)
     p.add_argument("--n", type=int, required=True)
     _add_io_args(p, budget=True)
 
-    p = sub.add_parser("catalog", help="complement catalog on a window")
+
+def _add_catalog_args(p: argparse.ArgumentParser):
     _add_family_args(p)
     p.add_argument("--window", required=True)
     _add_io_args(p, budget=True)
 
-    p = sub.add_parser("verify", help="run a theorem verification preset")
+
+def _add_verify_args(p: argparse.ArgumentParser):
     p.add_argument("preset", choices=list(_PRESETS))
     _add_family_args(p, required=False)
     p.add_argument("--window")
     _add_io_args(p, budget=True)
-    return ap
-
-
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # Parsing leaves the parser unchanged, so one serves every call.
-    return build_parser()
 
 
 def _family_from_args(args, domain: str | None = None) -> Family:
@@ -263,19 +252,48 @@ def _cmd_verify(args) -> int:
     return report.exit_code(checks)
 
 
-_DISPATCH = {
-    "construct": _cmd_construct,
-    "sumset": _cmd_sumset,
-    "classify": _cmd_classify,
-    "catalog": _cmd_catalog,
-    "verify": _cmd_verify,
+# command: (help line, argument adder, handler)
+_COMMANDS = {
+    "construct": ("build a family and print its spec", _add_construct_args, _cmd_construct),
+    "sumset": ("brute-force h-fold sumset on a window", _add_sumset_args, _cmd_sumset),
+    "classify": ("membership verdict for one integer", _add_classify_args, _cmd_classify),
+    "catalog": ("complement catalog on a window", _add_catalog_args, _cmd_catalog),
+    "verify": ("run a theorem verification preset", _add_verify_args, _cmd_verify),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, for the calls whose first token names no command."""
+    ap = argparse.ArgumentParser(
+        prog="nonbasis",
+        description="Construct nonbasis families, compute h-fold sumsets, "
+        "and verify their structure on integer windows.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args, _) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_line))
+    return ap
+
+
+@functools.cache
+def _parser(command: str) -> argparse.ArgumentParser:
+    # The tree's subparser for this command on its own: the same prog, so
+    # the same help. Parsing leaves a parser unchanged, so one serves every call.
+    p = argparse.ArgumentParser(prog=f"nonbasis {command}")
+    _COMMANDS[command][1](p)
+    p.set_defaults(command=command)
+    return p
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _COMMANDS:
+        args = _parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except NonbasisError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -459,24 +460,6 @@ def test_augment_on_a_window_ending_below_t_reads_no_y(capsys):
     assert "fail" not in {c["status"] for c in checks.values()}
 
 
-def test_parser_is_built_once(capsys, monkeypatch):
-    built = []
-    original = cli.build_parser
-
-    def counting_build():
-        built.append(1)
-        return original()
-
-    monkeypatch.setattr(cli, "build_parser", counting_build)
-    cli._parser.cache_clear()
-    try:
-        for n in ("5", "6"):
-            assert run(capsys, ["classify", *FAM_ARGS, "--n", n])[0] == 0
-    finally:
-        cli._parser.cache_clear()
-    assert len(built) == 1
-
-
 @pytest.mark.parametrize(
     "argv,line",
     [
@@ -510,7 +493,9 @@ def test_sumset_folds_h_times_only(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sumset", *FAM_ARGS, "--window", "0:10", "--fold", "3"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --fold" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nonbasis sumset ")
+    assert err.endswith("nonbasis sumset: error: unrecognized arguments: --fold 3\n")
 
 
 @pytest.mark.parametrize(
@@ -597,3 +582,81 @@ def test_thm2_stability_past_the_window_cap_is_unknown(capsys, monkeypatch):
     assert stability["status"] == "unknown"
     assert "exceeds cap 3000" in stability["details"]
     assert all(c["status"] == "pass" for c in checks.values()), checks
+
+
+# every command and every preset, each on a small window
+EVERY_CALL = [
+    ["construct", *FAM_ARGS],
+    ["verify", "thm1", "--h", "3", "--s", "-5", "--t", "4", "--window=-300:300"],
+    ["sumset", *FAM_ARGS, "--window", "0:60"],
+    ["verify", "thm2", *TRIANGULAR, "--window=-200:400"],
+    ["classify", *FAM_ARGS, "--n", "5", "--format", "text"],
+    ["verify", "thm3", "--h", "3", "--s", "2", "--t", "6", "--window", "0:500"],
+    ["catalog", *FAM_ARGS, "--window", "0:400", "--budget", "4"],
+    ["verify", "thm4", *TRIANGULAR, "--window", "0:1500", "--budget", "3"],
+    ["verify", "lemma", "--h", "4", "--gap", "triangular", "--window", "0:1500"],
+    # the same commands again without the flags the calls above set
+    ["classify", *FAM_ARGS, "--n", "6"],
+    ["catalog", *FAM_ARGS, "--window", "0:400"],
+    ["verify", "thm4", *TRIANGULAR, "--window", "0:1500"],
+]
+
+
+def subparsers(tree):
+    return next(a for a in tree._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        for argv in EVERY_CALL:
+            assert run(capsys, argv)[0] in (0, 3), argv
+        info = cli._parser.cache_info()
+    finally:
+        cli._parser.cache_clear()
+    assert (info.misses, info.hits, built) == (5, len(EVERY_CALL) - 5, [])
+    # a first token that names no command parses with the whole tree
+    for argv, code in (([], 2), (["-h"], 0), (["bogus"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code, argv
+    assert len(built) == 3
+    assert "usage: nonbasis [-h] {construct,sumset,classify,catalog,verify}" in (
+        capsys.readouterr().out
+    )
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_command_parser_prints_its_subparser_help(command):
+    alone, sub = cli._parser(command), subparsers(cli.build_parser())[command]
+    assert alone.format_help() == sub.format_help()
+    assert alone.format_usage() == sub.format_usage()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", *FAM_ARGS, "--n", "5"],
+     ["verify", "lemma", "--h", "3", "--gap", "triangular", "--window", "0:600"]],
+)
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, argv):
+    # the console script calls main() with no arguments
+    expected = run(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["nonbasis", *argv])
+    code = cli.main()
+    captured = capsys.readouterr()
+    assert expected[0] == 0
+    assert (code, captured.out, captured.err) == expected
+
+
+def test_interleaved_calls_report_as_fresh_calls(capsys):
+    # the cached parsers carry no state from one call to the next
+    for argv in EVERY_CALL:
+        assert run(capsys, argv) == fresh_cli(argv), argv
