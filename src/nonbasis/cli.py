@@ -264,10 +264,13 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole command tree, for the calls whose first token names no command."""
+    # No abbreviations at the top level: a family flag before the command,
+    # such as --h, would otherwise be read as --help.
     ap = argparse.ArgumentParser(
         prog="nonbasis",
         description="Construct nonbasis families, compute h-fold sumsets, "
         "and verify their structure on integer windows.",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_line, add_args, _) in _COMMANDS.items():

@@ -1,7 +1,8 @@
 """Run a fixed list of mutants of the checks and bounds in src/ against tier-1.
 
     python3 tests/mutation_sweep.py            # every mutant
-    python3 tests/mutation_sweep.py stability  # the mutants whose name holds "stability"
+    python3 tests/mutation_sweep.py stability oracle_source
+        # the mutants whose name holds "stability" or "oracle_source"
 
 Each mutant replaces one exact snippet of one source file in a temporary
 copy of the tree, then runs the tier-1 suite there with `pytest -x`, leaving
@@ -13,7 +14,8 @@ kill every mutant and stop `-x` before the later test files.  A mutant that
 passes every test survives.  The script prints one line per mutant, then
 the survivors, and exits 1 if there are any.  A snippet that no longer
 occurs exactly once is reported as stale, and counts as a survivor, so the
-list cannot rot silently.
+list cannot rot silently.  A filter that selects no mutant exits 2 with a
+message, so a stale filter cannot pass either.
 
 It uses only the standard library and the test dependencies, and pytest
 does not collect it (the name does not start with test_).  One mutant runs
@@ -34,9 +36,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (name, file, old, new): each switches off a check, loosens a bound or
 # breaks the oracle route, the walk of Y or a family's own spec
 MUTANTS = (
-    ("stability_check compares the oracle with itself", "src/nonbasis/report.py",
-     "wide = verify.fold_by_shifts(family, bt, window).dense",
-     "wide = oracle.folded.dense"),
+    ("stability_check passes whatever the complement holds", "src/nonbasis/report.py",
+     "if oracle.folded.dense.complement().bits == oracle.shifted.bits:",
+     "if True:"),
+    ("oracle_source drops the witness reach", "src/nonbasis/verify.py",
+     "radius = max(radius, z_summand_bound(family, reach))",
+     "radius = radius"),
     ("missed_classes always passes", "src/nonbasis/report.py",
      "len(missed) >= need,",
      "True,"),
@@ -153,6 +158,9 @@ def run_mutant(file: str, old: str, new: str) -> str:
 
 def main(argv: list[str]) -> int:
     chosen = [m for m in MUTANTS if not argv or any(a in m[0] for a in argv)]
+    if not chosen:
+        print(f"no mutant name holds any of {argv}", file=sys.stderr)
+        return 2
     survivors = []
     for name, file, old, new in chosen:
         start = time.perf_counter()

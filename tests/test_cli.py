@@ -569,18 +569,16 @@ def test_a_lemma_sweep_widens_its_fold_and_reports_as_fresh_calls(capsys):
     assert (info.builds, info.widenings, info.hits, info.steps) == (1, 2, 1, 3)
 
 
-def test_thm2_stability_past_the_window_cap_is_unknown(capsys, monkeypatch):
+def test_thm2_passes_when_twice_its_source_exceeds_the_window_cap(capsys, monkeypatch):
     # the oracle's source on -1000:1000 fits 3000 bits, its double does not:
-    # the stability check alone is unknown and every other check runs
+    # stability is read off that oracle, so no check needs the wider source
     monkeypatch.setattr(intset, "WINDOW_CAP", 3000)
     verify.base_oracle.cache_clear()
     argv = ["verify", "thm2", "--h", "2", "--s", "0", "--t", "1", "--gap", "geometric,2,1"]
     code, out, err = run(capsys, argv)
-    assert (code, err) == (3, "")
+    assert (code, err) == (0, "")
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    stability = checks.pop("truncation_stability")
-    assert stability["status"] == "unknown"
-    assert "exceeds cap 3000" in stability["details"]
+    assert "truncation_stability" in checks
     assert all(c["status"] == "pass" for c in checks.values()), checks
 
 
@@ -631,6 +629,20 @@ def test_parser_is_built_once(capsys, monkeypatch):
     assert len(built) == 3
     assert "usage: nonbasis [-h] {construct,sumset,classify,catalog,verify}" in (
         capsys.readouterr().out
+    )
+
+
+def test_a_family_flag_before_the_command_is_an_error(capsys):
+    # the top level takes no abbreviations, so --h is not read as --help;
+    # a command's own flags still abbreviate
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--h", "2", "classify", "--s", "0", "--t", "1", "--domain", "n0", "--n", "5"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "error:" in err
+    short = [a.replace("--domain", "--dom") for a in FAM_ARGS]
+    assert run(capsys, ["classify", *short, "--n", "5"]) == run(
+        capsys, ["classify", *FAM_ARGS, "--n", "5"]
     )
 
 

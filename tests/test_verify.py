@@ -18,7 +18,7 @@ from nonbasis.verify import (
     YPrimeFilter,
 )
 
-from test_families import any_families
+from test_families import FAMILY_GAPS, any_families
 
 GEOM2 = gapset.Geometric(2, 1)
 
@@ -301,8 +301,9 @@ def test_adjunction_checks_read_the_oracles_y_prefix(monkeypatch):
 
 @pytest.mark.parametrize("domain, window", [("n0", Window(0, 3000)), ("z", Window(-1500, 1500))])
 def test_a_familys_checks_walk_y_once(monkeypatch, domain, window):
-    # the catalog, the escapes, the augments and, over Z, the stability
-    # refold read Y through one walk; x0 and R(3) have their own memos
+    # the catalog, the escapes and the augments read Y through one walk,
+    # and over Z the stability check reads the catalog's oracle, not Y;
+    # x0 and R(3) have their own memos
     fam = build_gapped(Params(3, 0, 1, domain), gapset.Triangular())
     for memo in (gapset._walk, verify.base_oracle, verify.decide_kX):
         memo.cache_clear()
@@ -313,7 +314,9 @@ def test_a_familys_checks_walk_y_once(monkeypatch, domain, window):
     monkeypatch.setattr(gapset, "values", lambda gen: walks.append(gen) or values(gen))
     checks = report.catalog_checks(fam, window)[1]
     if domain == "z":
+        built = verify.base_oracle.cache_info().misses
         checks.append(report.stability_check(fam, window))
+        assert verify.base_oracle.cache_info().misses == built
     checks += report.escape_checks(fam, window) + report.augment_checks(fam, window)
     assert all(c.status == report.PASS for c in checks), checks
     assert walks == [fam.y]
@@ -1105,24 +1108,53 @@ def test_eq_t_escape_is_inconclusive_when_it_adds_an_unexplained_point(monkeypat
     assert 17 in rep.added
 
 
-def test_truncation_stability_fails_when_the_wider_fold_gains_a_point(monkeypatch):
-    # the refold at twice the source radius must match the oracle on the
-    # window; one that gains the complement point 3 does not
+@pytest.mark.parametrize("change", ["drop_a_member", "gain_a_shifted_y"])
+def test_truncation_stability_is_unknown_unless_the_complement_is_the_shifted_ys(
+    monkeypatch, change
+):
+    # an oracle whose window complement gains a point off the shifted-Y
+    # set, or loses one of that set, leaves the check unknown
     fam = build_gapped(Params(2, 0, 1, "z"), GEOM2)
     window = Window(-200, 200)
     oracle = verify.base_oracle(fam, window)
-    assert not oracle.folded.dense.member(3)
     assert report.stability_check(fam, window).status == "pass"
-    fold = verify.fold_by_shifts
+    hit = oracle.folded.dense.bits
+    flip = hit & ~oracle.shifted.bits if change == "drop_a_member" else oracle.shifted.bits
+    bits = hit ^ (flip & -flip)
+    folded = dataclasses.replace(oracle.folded, dense=intset.DenseSet(window, bits))
+    f_window = intset.DenseSet(window, folded.dense.complement().bits & ~oracle.shifted.bits)
+    changed = verify.BaseOracle(folded, oracle.shifted_ys, oracle.shifted, f_window)
+    monkeypatch.setattr(verify, "base_oracle", lambda family, w: changed)
+    got = report.stability_check(fam, window)
+    off, held = (1, 0) if change == "drop_a_member" else (0, 1)
+    assert (got.status, got.details) == (
+        "unknown",
+        f"{off} complement points off the shifted-Y set; {held} shifted-Y values in the oracle",
+    )
 
-    def gaining(family, bt, target):
-        # the base oracle is cached, so only the refold gains the point
-        got = fold(family, bt, target)
-        bits = got.dense.bits | 1 << (3 - target.lo)
-        return dataclasses.replace(got, dense=intset.DenseSet(target, bits))
 
-    monkeypatch.setattr(verify, "fold_by_shifts", gaining)
-    assert report.stability_check(fam, window).status == "fail"
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.sampled_from(FAMILY_GAPS),
+    st.integers(50, 400),
+    st.integers(50, 400),
+    st.integers(2, 3),
+)
+def test_a_stable_truncation_matches_a_wider_independent_fold(h, s, t, gen, below, above, k):
+    # the check's derivation, tested: whenever it passes, A materialized
+    # from its spec on k times the oracle's source folds to the same window
+    assume(math.gcd(h, abs(s - t)) == 1)
+    fam = build_gapped(Params(h, s, t, "z"), gen)
+    window = Window(-below, above)
+    assume(report.stability_check(fam, window).status == "pass")
+    oracle = verify.base_oracle(fam, window).folded
+    wide = Window(k * oracle.source.lo, k * oracle.source.hi)
+    a = materialize(fam.spec, wide)
+    fold = sumset.hfold_truncated(a, h, window, stride=intset.stride(fam.spec))
+    assert fold.dense == oracle.dense
 
 
 def test_disjoint_partition_fails_on_overlapping_parts(monkeypatch):
