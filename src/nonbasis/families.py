@@ -10,31 +10,26 @@ lands in {h*x + t}, so the defining union is disjoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import gapset, intset
 from .errors import DomainConstraint, GcdViolation
+from .record import Record
 
 DOMAIN_Z = "z"
 DOMAIN_N0 = "n0"
 
 
-@dataclass(frozen=True)
-class Params:
-    h: int
-    s: int
-    t: int
-    domain: str
+class Params(Record):
+    __slots__ = _fields = ("h", "s", "t", "domain")
 
-    def __post_init__(self):
-        if self.h < 2:
-            raise DomainConstraint(f"h must be >= 2, got {self.h}")
-        if self.domain not in (DOMAIN_Z, DOMAIN_N0):
-            raise DomainConstraint(f"domain must be 'z' or 'n0', got {self.domain!r}")
-        if self.domain == DOMAIN_N0 and (self.s < 0 or self.t < 0):
-            raise DomainConstraint(
-                f"domain n0 needs nonnegative s and t, got s={self.s} t={self.t}"
-            )
+    def __init__(self, h: int, s: int, t: int, domain: str):
+        if h < 2:
+            raise DomainConstraint(f"h must be >= 2, got {h}")
+        if domain not in (DOMAIN_Z, DOMAIN_N0):
+            raise DomainConstraint(f"domain must be 'z' or 'n0', got {domain!r}")
+        if domain == DOMAIN_N0 and (s < 0 or t < 0):
+            raise DomainConstraint(f"domain n0 needs nonnegative s and t, got s={s} t={t}")
+        self.h, self.s, self.t, self.domain = h, s, t, domain
 
 
 def gcd_case(h: int, s: int, t: int) -> int:
@@ -45,45 +40,38 @@ def gcd_case(h: int, s: int, t: int) -> int:
     return math.gcd(h, abs(s - t))
 
 
-@dataclass(frozen=True)
 class Family(Params):
     """A = {s} u {h*x + t : x in X}, fixed by (h, s, t, domain, y).
 
     X is the carrier (Z or N0), minus the gap set Y when y is set.
-    Construction derives X's spec (`xspec`) and A's (`spec`) from the
-    fields once, and raises GcdViolation for a gapped family whose
+    Construction derives X's spec (`xspec`), A's (`spec`) and `is_gapped`
+    from the fields once, and raises GcdViolation for a gapped family whose
     gcd(h, s - t) is not 1.
     """
 
-    y: gapset.GapGenerator | None
+    __slots__ = ("y", "is_gapped", "xspec", "spec", "_st_inv", "_hash")
+    _fields = Params._fields + ("y",)
 
-    def __post_init__(self):
-        super().__post_init__()
-        h, s, t = self.h, self.s, self.t
+    def __init__(self, h: int, s: int, t: int, domain: str, y: gapset.GapGenerator | None):
+        super().__init__(h, s, t, domain)
         d = gcd_case(h, s, t)
-        z = self.domain == DOMAIN_Z
+        z = domain == DOMAIN_Z
         xspec = intset.ModClass(1, 0) if z else intset.ModClassNonneg(1, 0)
-        if self.y is None:
+        if y is None:
             tail = intset.ModClass(h, t) if z else intset.ModClassNonneg(h, t)
         elif d != 1:
             raise GcdViolation(f"gcd({h}, {s}-{t}) = {d}; gapped families need 1")
         else:
-            xspec = intset.Diff(xspec, intset.GapTail(self.y))
+            xspec = intset.Diff(xspec, intset.GapTail(y))
             tail = intset.ShiftScale(xspec, t, h)
-        derive = object.__setattr__  # frozen: the derived values are set once, here
-        derive(self, "xspec", xspec)
-        derive(self, "spec", intset.union_of(intset.Singleton(s), tail))
-        # residue's (s - t)^-1 mod h; None when gcd(h, s - t) != 1
-        derive(self, "_st_inv", pow(s - t, -1, h) if d == 1 else None)
+        self.y, self.is_gapped, self.xspec = y, y is not None, xspec
+        self.spec = intset.union_of(intset.Singleton(s), tail)
+        self._st_inv = pow(s - t, -1, h) if d == 1 else None  # residue's (s - t)^-1 mod h
         # Caches keyed by a family hash it on every lookup; y is walked once, here.
-        derive(self, "_hash", hash((h, s, t, self.domain, self.y)))
+        self._hash = hash((h, s, t, domain, y))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def is_gapped(self) -> bool:
-        return self.y is not None
 
     def residue(self, n: int) -> tuple[int, int]:
         """The unique (i, q) with n = i(s - t) + h*q and 0 <= i < h.

@@ -12,43 +12,43 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import MalformedSpec, UncertifiableTail
+from .record import Record
 
 
-class GapGenerator:
+class GapGenerator(Record):
     """Marker base class for gap sequence generators."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Geometric(GapGenerator):
     """y_i = scale * base**i for i >= 0."""
 
-    base: int
-    scale: int = 1
+    __slots__ = _fields = ("base", "scale")
 
-    def __post_init__(self):
-        if self.base < 2:
-            raise MalformedSpec(f"geometric base must be >= 2, got {self.base}")
-        if self.scale < 1:
-            raise MalformedSpec(f"geometric scale must be >= 1, got {self.scale}")
+    def __init__(self, base: int, scale: int = 1):
+        if base < 2:
+            raise MalformedSpec(f"geometric base must be >= 2, got {base}")
+        if scale < 1:
+            raise MalformedSpec(f"geometric scale must be >= 1, got {scale}")
+        self.base, self.scale = base, scale
 
 
-@dataclass(frozen=True)
 class Triangular(GapGenerator):
     """0, 1, 3, 6, 10, ...: consecutive gaps 1, 2, 3, ..."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Factorial(GapGenerator):
     """1, 2, 6, 24, ...: the factorials i! for i >= 1."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class CustomPrefixTail(GapGenerator):
     """A finite sorted prefix followed by one of the certified families.
 
@@ -57,18 +57,18 @@ class CustomPrefixTail(GapGenerator):
     i.e. nesting custom prefixes is rejected.
     """
 
-    prefix: tuple[int, ...]
-    tail: GapGenerator
+    __slots__ = _fields = ("prefix", "tail")
 
-    def __post_init__(self):
-        if not self.prefix:
+    def __init__(self, prefix: tuple[int, ...], tail: GapGenerator):
+        if not prefix:
             raise MalformedSpec("custom prefix must be non-empty")
-        if any(b <= a for a, b in zip(self.prefix, self.prefix[1:])):
+        if any(b <= a for a, b in zip(prefix, prefix[1:])):
             raise MalformedSpec("custom prefix must be strictly increasing")
-        if self.prefix[0] < 0:
+        if prefix[0] < 0:
             raise MalformedSpec("custom prefix must be nonnegative")
-        if isinstance(self.tail, CustomPrefixTail) or not isinstance(self.tail, GapGenerator):
+        if isinstance(tail, CustomPrefixTail) or not isinstance(tail, GapGenerator):
             raise UncertifiableTail("custom tail must be a certified closed-form family")
+        self.prefix, self.tail = prefix, tail
 
 
 def values(gen: GapGenerator) -> Iterator[int]:

@@ -4,85 +4,75 @@ A SetSpec is a small algebraic tree (residue classes, singletons, gap
 sequences, union/difference, affine images) whose membership is decidable
 pointwise.  A DenseSet is the exact materialization of such a set on a
 finite window [lo, hi], stored as one membership bit per integer inside a
-single Python int.  All values are immutable.
+single Python int.  No value changes once it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import gapset
 from .errors import MalformedSpec, WindowTooLarge
+from .record import Record
 
 WINDOW_CAP = 1 << 26
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Record):
     """Inclusive integer interval [lo, hi]; the finite viewport onto Z."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi", "width")
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise MalformedSpec(f"window {self.lo}:{self.hi} has lo > hi")
-        if self.hi - self.lo + 1 > WINDOW_CAP:
-            raise WindowTooLarge(
-                f"window width {self.hi - self.lo + 1} exceeds cap {WINDOW_CAP}"
-            )
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise MalformedSpec(f"window {lo}:{hi} has lo > hi")
+        self.lo, self.hi, self.width = lo, hi, hi - lo + 1
+        if self.width > WINDOW_CAP:
+            raise WindowTooLarge(f"window width {self.width} exceeds cap {WINDOW_CAP}")
 
     def contains(self, n: int) -> bool:
         return self.lo <= n <= self.hi
 
 
-class SetSpec:
+class SetSpec(Record):
     """Marker base class for set descriptions."""
 
     __slots__ = ()
 
 
-def _hash_once(node: SetSpec, *fields) -> None:
-    # A node with children hashes its fields here, once: the memos keyed by
-    # a spec (verify.decide_kX, verify.n0_fold) would otherwise hash the
-    # whole tree on every lookup.  Equal nodes hash their equal fields, so
-    # they still hash alike.
-    object.__setattr__(node, "_hash", hash(fields))
+class _HashOnce(SetSpec):
+    # A node with children hashes its fields once, when built: the memos
+    # keyed by a spec (verify.decide_kX, verify.n0_fold) would otherwise
+    # hash the whole tree on every lookup.  Equal nodes still hash alike.
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-def _kept_hash(node) -> int:
-    return node._hash
-
-
-@dataclass(frozen=True)
 class Empty(SetSpec):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Singleton(SetSpec):
-    a: int
+    __slots__ = _fields = ("a",)
+
+    def __init__(self, a: int):
+        self.a = a
 
 
-@dataclass(frozen=True)
 class ModClass(SetSpec):
     """{m*z + r : z in Z}; r is normalized into [0, m)."""
 
-    m: int
-    r: int
+    __slots__ = _fields = ("m", "r")
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise MalformedSpec(f"modulus must be >= 1, got {self.m}")
-        object.__setattr__(self, "r", self.r % self.m)
+    def __init__(self, m: int, r: int):
+        if m < 1:
+            raise MalformedSpec(f"modulus must be >= 1, got {m}")
+        self.m, self.r = m, r % m
 
 
-@dataclass(frozen=True)
 class ModClassNonneg(SetSpec):
     """{m*z + r : z >= 0}.
 
@@ -90,63 +80,48 @@ class ModClassNonneg(SetSpec):
     reducing it would change the set.
     """
 
-    m: int
-    r: int
+    __slots__ = _fields = ("m", "r")
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise MalformedSpec(f"modulus must be >= 1, got {self.m}")
-        if self.r < 0:
-            raise MalformedSpec(f"nonneg class start must be >= 0, got {self.r}")
+    def __init__(self, m: int, r: int):
+        if m < 1:
+            raise MalformedSpec(f"modulus must be >= 1, got {m}")
+        if r < 0:
+            raise MalformedSpec(f"nonneg class start must be >= 0, got {r}")
+        self.m, self.r = m, r
 
 
-@dataclass(frozen=True)
-class GapTail(SetSpec):
+class GapTail(_HashOnce):
     """The set of values of a gap generator."""
 
-    gen: gapset.GapGenerator
+    __slots__ = _fields = ("gen",)
 
-    def __post_init__(self):
-        _hash_once(self, self.gen)
-
-    __hash__ = _kept_hash
+    def __init__(self, gen: gapset.GapGenerator):
+        self.gen, self._hash = gen, hash((gen,))
 
 
-@dataclass(frozen=True)
-class Union(SetSpec):
-    parts: tuple[SetSpec, ...]
+class Union(_HashOnce):
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        _hash_once(self, self.parts)
-
-    __hash__ = _kept_hash
+    def __init__(self, parts: tuple[SetSpec, ...]):
+        self.parts, self._hash = parts, hash((parts,))
 
 
-@dataclass(frozen=True)
-class Diff(SetSpec):
-    keep: SetSpec
-    drop: SetSpec
+class Diff(_HashOnce):
+    __slots__ = _fields = ("keep", "drop")
 
-    def __post_init__(self):
-        _hash_once(self, self.keep, self.drop)
-
-    __hash__ = _kept_hash
+    def __init__(self, keep: SetSpec, drop: SetSpec):
+        self.keep, self.drop, self._hash = keep, drop, hash((keep, drop))
 
 
-@dataclass(frozen=True)
-class ShiftScale(SetSpec):
+class ShiftScale(_HashOnce):
     """{d*x + c : x in inner}; the dilation-plus-shift image."""
 
-    inner: SetSpec
-    c: int
-    d: int
+    __slots__ = _fields = ("inner", "c", "d")
 
-    def __post_init__(self):
-        if self.d == 0:
+    def __init__(self, inner: SetSpec, c: int, d: int):
+        if d == 0:
             raise MalformedSpec("shift-scale with d = 0 is rejected")
-        _hash_once(self, self.inner, self.c, self.d)
-
-    __hash__ = _kept_hash
+        self.inner, self.c, self.d, self._hash = inner, c, d, hash((inner, c, d))
 
 
 def union_of(*parts: SetSpec) -> SetSpec:
@@ -195,16 +170,20 @@ def _bits_at(offsets, width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-@dataclass(frozen=True, slots=True)
-class DenseSet:
+class DenseSet(Record):
     """Exact bitset on a window: bit i set iff window.lo + i is a member.
 
     This class owns that layout: members() decodes it, dense_from_iter and
     materialize encode it, and restrict moves a set onto another window.
     """
 
-    window: Window
-    bits: int
+    __slots__ = _fields = ("window", "bits")
+
+    def __init__(self, window: Window, bits: int):
+        self.window, self.bits = window, bits
+
+    def __repr__(self) -> str:  # hex: str() of an int past 4300 digits raises
+        return f"DenseSet(window={self.window!r}, bits={self.bits:#x})"
 
     def member(self, n: int) -> bool:
         return self.window.contains(n) and (self.bits >> (n - self.window.lo)) & 1 == 1

@@ -11,23 +11,23 @@ so identical configurations serialize to byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import gapset, grammar, intset, sumset, verify
 from .errors import DomainConstraint, OracleDisagreement
 from .families import DOMAIN_N0, Family, gcd_case
 from .intset import Window
+from .record import Record
 
 PASS = "pass"
 FAIL = "fail"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    status: str
-    details: str
+class Check(Record):
+    __slots__ = _fields = ("name", "status", "details")
+
+    def __init__(self, name: str, status: str, details: str):
+        self.name, self.status, self.details = name, status, details
 
     def as_dict(self) -> dict:
         return {"name": self.name, "status": self.status, "details": self.details}

@@ -24,33 +24,30 @@ from __future__ import annotations
 import bisect
 from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DomainConstraint, TargetExceedsSafeRange
 from .intset import DenseSet, Window, ap_bits, dilate_or
+from .record import Record
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
 
-@dataclass(frozen=True)
-class SumsetResult:
+class SumsetResult(Record):
     """An h-fold sumset on target, folded from a set on source.
 
     partials[k] is the k-fold sumset kA on the clip window of the k-th fold
     step (the k-element subtotals that h-k more source elements can still
     complete to a target value), or None where that window is empty, for
     k = 0..h; adjoin and witness read them.  table is the class_table of A
-    that a fold's steps read, or None when it took none.
+    that a fold's steps read, or None.  Neither is compared or printed.
     """
 
-    h: int
-    source: Window
-    target: Window
-    dense: DenseSet
-    exactness: str
-    partials: tuple[DenseSet | None, ...] = field(compare=False, repr=False)
-    table: tuple | None = field(default=None, compare=False, repr=False)
+    _fields = ("h", "source", "target", "dense", "exactness")
+
+    def __init__(self, h, source, target, dense, exactness, partials, table=None):
+        self.h, self.source, self.target, self.dense = h, source, target, dense
+        self.exactness, self.partials, self.table = exactness, partials, table
 
     def member(self, n: int) -> bool:
         return self.dense.member(n)

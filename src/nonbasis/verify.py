@@ -25,6 +25,7 @@ from .errors import (
 )
 from .families import DOMAIN_N0, DOMAIN_Z, Family
 from .intset import DenseSet, Diff, GapTail, ModClass, ModClassNonneg, SetSpec, Window
+from .record import Record
 
 DEFAULT_BUDGET = 1_000_000
 # decide_kX's memo size.  One pass of the benchmark's catalog workload asks
@@ -37,29 +38,36 @@ class _BudgetExhausted(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class InSumset:
+class InSumset(Record):
     """n = s_count * s + sum(h * x + t for x in xs), every x in X."""
 
-    s_count: int
-    xs: tuple[int, ...]
+    __slots__ = _fields = ("s_count", "xs")
+
+    def __init__(self, s_count: int, xs: tuple[int, ...]):
+        self.s_count, self.xs = s_count, xs
 
 
-@dataclass(frozen=True)
-class OutShiftedY:
+class OutShiftedY(Record):
     """n = (h-1)s + h*y + t with y in Y."""
 
-    y: int
+    __slots__ = _fields = ("y",)
+
+    def __init__(self, y: int):
+        self.y = y
 
 
-@dataclass(frozen=True)
-class OutExceptional:
-    tag: str  # "F0" or "F1"
+class OutExceptional(Record):
+    __slots__ = _fields = ("tag",)
+
+    def __init__(self, tag: str):
+        self.tag = tag  # "F0" or "F1"
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str
+class Unknown(Record):
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
 Verdict = InSumset | OutShiftedY | OutExceptional | Unknown
@@ -342,21 +350,16 @@ def predicted_exceptional(family: Family, window: Window) -> int:
     return bits
 
 
-@dataclass(frozen=True)
-class Catalog:
-    shifted_y: tuple[int, ...]
-    exceptional: tuple[int, ...]
-    unknown: tuple[int, ...]
-    # Window points the oracle contains that classify left Unknown: no
-    # contradiction, and not part of the complement.
-    unknown_members: tuple[int, ...] = ()
+class Catalog(Record):
+    __slots__ = _fields = ("shifted_y", "exceptional", "unknown", "unknown_members")
+
+    def __init__(self, shifted_y, exceptional, unknown, unknown_members=()):
+        # window points; unknown_members: in the oracle, left Unknown by classify
+        self.shifted_y, self.exceptional, self.unknown = shifted_y, exceptional, unknown
+        self.unknown_members = unknown_members
 
     def as_dict(self) -> dict:
-        return {
-            "shifted_y": list(self.shifted_y),
-            "exceptional": list(self.exceptional),
-            "unknown": list(self.unknown),
-        }
+        return {name: list(getattr(self, name)) for name in ("shifted_y", "exceptional", "unknown")}
 
 
 def z_summand_bound(family: Family, n: int) -> int:
@@ -412,12 +415,14 @@ FoldStoreInfo = namedtuple(
 )
 
 
-@dataclass
 class _KeptFold:
-    partials: list[DenseSet]  # kA on [0, H] for k = 0..depth
-    # sumset.class_table of A on [0, H], from the build's fold or the first
-    # deepening step on, grown by the band's chains at each widening
-    table: tuple | None = None
+    __slots__ = ("partials", "table")
+
+    def __init__(self, partials: list[DenseSet], table: tuple | None):
+        # partials: kA on [0, H] for k = 0..depth; table: sumset.class_table of A
+        # on [0, H], from the build's fold or the first deepening step on, grown
+        # by the band's chains at each widening
+        self.partials, self.table = partials, table
 
     def widen(self, spec: SetSpec, hi: int) -> None:
         """The fold of spec on [0, H], H < hi, widened to [0, hi] at its
@@ -518,7 +523,6 @@ def fold_by_shifts(family: Family, bt: DenseSet, window: Window) -> sumset.Sumse
     return sumset.hfold_point_union(fold, family.s, t, src, window)
 
 
-@dataclass(frozen=True, eq=False)
 class BaseOracle:
     """hA of one family on one window, and the sets read off it.
 
@@ -527,13 +531,15 @@ class BaseOracle:
     pairs (y, (h-1)s + h*y + t) with the value in the window, and shifted
     and f_window are bitsets on the window: shifted holds the shifted-Y
     values, and f_window the points outside hA that are not shifted-Y
-    values.  Y itself is read through gapset, which walks it once.
+    values.  Y itself is read through gapset, which walks it once.  Oracles
+    compare by identity.
     """
 
-    folded: sumset.SumsetResult
-    shifted_ys: tuple[tuple[int, int], ...]
-    shifted: DenseSet
-    f_window: DenseSet
+    __slots__ = ("folded", "shifted_ys", "shifted", "f_window")
+
+    def __init__(self, folded: sumset.SumsetResult, shifted_ys, shifted: DenseSet, f_window):
+        self.folded, self.shifted_ys = folded, shifted_ys
+        self.shifted, self.f_window = shifted, f_window
 
 
 @lru_cache(maxsize=8)
@@ -723,20 +729,19 @@ def escape_check(
     return EscapeReport(b, case, verdict, tuple(predicted), comp_ab, ())
 
 
-@dataclass(frozen=True)
-class YPrimeFilter:
+class YPrimeFilter(Record):
     """Index/value selection of a subset Y' of Y.
 
     "even_indices" leaves infinitely many elements of Y out;
     "drop_values" leaves out only the listed values, so Y minus Y' is finite.
     """
 
-    kind: str  # "even_indices" | "drop_values"
-    values: tuple[int, ...] = ()
+    __slots__ = _fields = ("kind", "values")
 
-    def __post_init__(self):
-        if self.kind not in ("even_indices", "drop_values"):
-            raise DomainConstraint(f"unknown y-prime filter {self.kind!r}")
+    def __init__(self, kind: str, values: tuple[int, ...] = ()):
+        if kind not in ("even_indices", "drop_values"):
+            raise DomainConstraint(f"unknown y-prime filter {kind!r}")
+        self.kind, self.values = kind, values
 
     def selects(self, index: int, y: int) -> bool:
         if self.kind == "even_indices":
@@ -748,14 +753,15 @@ class YPrimeFilter:
         return self.kind == "drop_values"
 
 
-@dataclass(frozen=True)
-class AugmentReport:
-    filter_kind: str
-    verdict: str  # "stays_nonbasis" | "becomes_basis_on_window" | "inconclusive"
-    missing_shifted: tuple[int, ...]
-    extras: tuple[int, ...]
-    leftover: tuple[int, ...]
-    dropped_in_window: int  # shifted-Y values of Y minus Y' inside the window
+class AugmentReport(Record):
+    # verdict is "stays_nonbasis" | "becomes_basis_on_window" | "inconclusive",
+    # dropped_in_window the count of shifted-Y values of Y minus Y' in the window
+    __slots__ = _fields = ("filter_kind", "verdict", "missing_shifted", "extras", "leftover",
+                           "dropped_in_window")
+
+    def __init__(self, filter_kind, verdict, missing_shifted, extras, leftover, dropped_in_window):
+        self.filter_kind, self.verdict, self.missing_shifted = filter_kind, verdict, missing_shifted
+        self.extras, self.leftover, self.dropped_in_window = extras, leftover, dropped_in_window
 
 
 
@@ -816,14 +822,15 @@ def augment_check(
     )
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    bad_u: tuple[int, ...]
-    threshold: int
-    complement: tuple[int, ...]
-    covered_above_threshold: bool | None
-    predicted_complement: tuple[int, ...] | None
-    matches_prediction: bool | None
+class LemmaReport(Record):
+    __slots__ = _fields = ("bad_u", "threshold", "complement", "covered_above_threshold",
+                           "predicted_complement", "matches_prediction")
+
+    def __init__(self, bad_u, threshold, complement, covered_above_threshold,
+                 predicted_complement, matches_prediction):
+        self.bad_u, self.threshold, self.complement = bad_u, threshold, complement
+        self.covered_above_threshold = covered_above_threshold
+        self.predicted_complement, self.matches_prediction = predicted_complement, matches_prediction
 
 
 

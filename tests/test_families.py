@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -215,7 +214,7 @@ def test_a_family_is_built_from_its_fields():
     with pytest.raises(DomainConstraint):
         Family(3, -1, 0, "n0", None)
     assert Family(3, 0, 0, "n0", None).spec == build_full(Params(3, 0, 0, "n0")).spec
-    assert [f.name for f in dataclasses.fields(Family)] == ["h", "s", "t", "domain", "y"]
+    assert Family(h=3, s=2, t=1, domain="n0", y=GEOM2) == Family(3, 2, 1, "n0", GEOM2)
     for params, y in ((Params(4, 1, 0, "z"), None), (Params(3, 2, 1, "n0"), GEOM2)):
         built = build_full(params) if y is None else build_gapped(params, y)
         direct = Family(params.h, params.s, params.t, params.domain, y)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonbasis import gapset, grammar, intset
+from nonbasis import gapset, grammar, intset, sumset
 from nonbasis.errors import MalformedSpec, WindowTooLarge
 from nonbasis.families import Params, build_gapped
 from nonbasis.intset import (
@@ -295,6 +295,15 @@ def test_members_matches_per_bit_loop(d):
 @example(DenseSet(Window(0, 10**5 - 1), 0))
 def test_members_matches_per_bit_loop_on_wide_sparse_sets(d):
     assert d.members() == per_bit_members(d)
+
+
+def test_a_wide_dense_set_prints_its_bits_in_hex():
+    # a decimal str() of an int past 4300 digits raises ValueError; hex has no limit
+    d = DenseSet(Window(0, 20000), 1 << 20000)
+    assert repr(d) == f"DenseSet(window=Window(lo=0, hi=20000), bits={1 << 20000:#x})"
+    fold = sumset.hfold_truncated(d, 2, Window(0, 40000), stride=1)
+    bits = 1 << 40000  # 2 * 20000
+    assert repr(fold).endswith(f"bits={bits:#x}), exactness='lower_bound')")
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -1068,10 +1067,16 @@ def test_an_s_sweep_walks_y_once(monkeypatch):
         assert oracle.shifted_ys == tuple((y, n) for y, n in pairs if window.contains(n))
 
 
+def with_dense(folded, dense):
+    """The fold result folded with hA replaced by dense."""
+    f = folded
+    return sumset.SumsetResult(f.h, f.source, f.target, dense, f.exactness, f.partials, f.table)
+
+
 def replace_folded(oracle, bits):
     """oracle with hA replaced by bits on its window."""
-    dense = intset.DenseSet(oracle.folded.dense.window, bits)
-    return dataclasses.replace(oracle, folded=dataclasses.replace(oracle.folded, dense=dense))
+    folded = with_dense(oracle.folded, intset.DenseSet(oracle.folded.dense.window, bits))
+    return verify.BaseOracle(folded, oracle.shifted_ys, oracle.shifted, oracle.f_window)
 
 
 def test_missed_classes_fails_when_the_sumset_meets_every_class(monkeypatch):
@@ -1121,7 +1126,7 @@ def test_truncation_stability_is_unknown_unless_the_complement_is_the_shifted_ys
     hit = oracle.folded.dense.bits
     flip = hit & ~oracle.shifted.bits if change == "drop_a_member" else oracle.shifted.bits
     bits = hit ^ (flip & -flip)
-    folded = dataclasses.replace(oracle.folded, dense=intset.DenseSet(window, bits))
+    folded = with_dense(oracle.folded, intset.DenseSet(window, bits))
     f_window = intset.DenseSet(window, folded.dense.complement().bits & ~oracle.shifted.bits)
     changed = verify.BaseOracle(folded, oracle.shifted_ys, oracle.shifted, f_window)
     monkeypatch.setattr(verify, "base_oracle", lambda family, w: changed)
@@ -1162,7 +1167,8 @@ def test_disjoint_partition_fails_on_overlapping_parts(monkeypatch):
 
     def overlapping(fam, window, budget):
         cat = real(fam, window, budget)
-        return dataclasses.replace(cat, exceptional=cat.exceptional + cat.shifted_y[:1])
+        exceptional = cat.exceptional + cat.shifted_y[:1]
+        return verify.Catalog(cat.shifted_y, exceptional, cat.unknown, cat.unknown_members)
 
     monkeypatch.setattr(verify, "complement_catalog", overlapping)
     _, checks = report.catalog_checks(fam201(), Window(0, 400))
@@ -1535,8 +1541,8 @@ def corrupt_oracle(mp, window, *points):
         bits = oracle.folded.dense.bits
         for n in points:
             bits ^= 1 << (n - w.lo)
-        folded = dataclasses.replace(oracle.folded, dense=intset.DenseSet(w, bits))
-        return dataclasses.replace(oracle, folded=folded)
+        folded = with_dense(oracle.folded, intset.DenseSet(w, bits))
+        return verify.BaseOracle(folded, oracle.shifted_ys, oracle.shifted, oracle.f_window)
 
     mp.setattr(verify, "base_oracle", corrupted)
 
@@ -1743,11 +1749,9 @@ def test_shifted_y_match_rederives_the_values_from_y(monkeypatch):
         oracle = real(fam, w)
         bit = 1 << (100 - w.lo)
         dense = intset.DenseSet(w, oracle.folded.dense.bits & ~bit)
-        return dataclasses.replace(
-            oracle,
-            folded=dataclasses.replace(oracle.folded, dense=dense),
-            shifted=intset.DenseSet(w, oracle.shifted.bits | bit),
-        )
+        shifted = intset.DenseSet(w, oracle.shifted.bits | bit)
+        folded = with_dense(oracle.folded, dense)
+        return verify.BaseOracle(folded, oracle.shifted_ys, shifted, oracle.f_window)
 
     monkeypatch.setattr(verify, "base_oracle", extra_shifted_point)
     catalog, checks = report.catalog_checks(fam201(), window)
