@@ -110,32 +110,18 @@ def _reject_unread(args, command: str, flags) -> None:
             raise NonbasisError(f"{command} takes no --{flag}")
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _render(args, rep: dict) -> str:
-    return report.render_json(rep) if args.format == "json" else report.render_text(rep)
-
-
-def _cmd_construct(args) -> int:
+# A handler returns (report or None, its own text form or None, exit code).
+def _cmd_construct(args):
     fam = _family_from_args(args)
-    rep = report.report_dict(report.family_to_dict(fam), None, None, [])
-    _emit(args, _render(args, rep))
-    return 0
+    return report.report_dict(report.family_to_dict(fam), None, None, []), None, 0
 
 
-def _cmd_sumset(args) -> int:
+def _cmd_sumset(args):
     target = _parse_window(args.window)
     if args.spec:
         _reject_unread(args, "sumset --spec", ("s", "t", "domain", "gap"))
         spec = grammar.parse_spec(args.spec)
-        fam_dict = {"h": args.h, "s": None, "t": None, "domain": None, "gap": None,
-                    "spec": grammar.format_spec(spec)}
+        fam_dict = report.family_dict(args.h, spec=grammar.format_spec(spec))
         bounded_below = False
     else:
         if args.s is None or args.t is None or args.domain is None:
@@ -154,25 +140,18 @@ def _cmd_sumset(args) -> int:
         result = sumset.hfold_exact_bounded_below(dense, args.h, target=tgt, stride=stride)
     else:
         result = sumset.hfold_truncated(dense, args.h, target=target, stride=stride)
-    members = result.members()
+    members, window = result.members(), result.target
     rep = {
         "family": fam_dict,
-        "window": [result.target.lo, result.target.hi],
+        "window": [window.lo, window.hi],
         "source": [source.lo, source.hi],
         "h": args.h,
         "exactness": result.exactness,
         "count": len(members),
         "ranges": report.format_ranges(members),
     }
-    if args.format == "json":
-        _emit(args, report.render_json(rep))
-    else:
-        _emit(
-            args,
-            f"{args.h}-fold sumset on {result.target.lo}:{result.target.hi} "
-            f"({result.exactness})\nmembers: {report.format_ranges(members)}\n",
-        )
-    return 0
+    text = f"{args.h}-fold sumset on {window.lo}:{window.hi} ({result.exactness})\n"
+    return rep, text + f"members: {rep['ranges']}\n", 0
 
 
 def _verdict_dict(v: verify.Verdict) -> dict:
@@ -185,35 +164,26 @@ def _verdict_dict(v: verify.Verdict) -> dict:
     return {"kind": "unknown", "reason": v.reason}
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     fam = _family_from_args(args)
     verdict = verify.classify(fam, args.n, _budget(args))
+    vd = _verdict_dict(verdict)
     if not verify.verify_certificate(fam, args.n, verdict):
-        kind = _verdict_dict(verdict)["kind"]
-        print(f"error: the {kind} verdict for n={args.n} fails its replay", file=sys.stderr)
-        return 1
-    rep = {
-        "family": report.family_to_dict(fam),
-        "n": args.n,
-        "verdict": _verdict_dict(verdict),
-    }
-    if args.format == "json":
-        _emit(args, report.render_json(rep))
-    else:
-        _emit(args, f"n={args.n}: {_verdict_dict(verdict)}\n")
-    return 3 if isinstance(verdict, verify.Unknown) else 0
+        print(f"error: the {vd['kind']} verdict for n={args.n} fails its replay", file=sys.stderr)
+        return None, None, 1
+    rep = {"family": report.family_to_dict(fam), "n": args.n, "verdict": vd}
+    return rep, f"n={args.n}: {vd}\n", 3 if isinstance(verdict, verify.Unknown) else 0
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args):
     fam = _family_from_args(args)
     window = _parse_window(args.window)
     catalog, checks = report.catalog_checks(fam, window, _budget(args))
     rep = report.report_dict(report.family_to_dict(fam), window, catalog, checks)
-    _emit(args, _render(args, rep))
-    return report.exit_code(checks)
+    return rep, None, report.exit_code(checks)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     preset = args.preset
     domain, default_window, unread = _PRESETS[preset]
     window = _parse_window(args.window or default_window)
@@ -231,8 +201,7 @@ def _cmd_verify(args) -> int:
     if preset == "lemma":
         gen = grammar.parse_generator(args.gap)
         catalog, checks = None, report.lemma_checks(gen, args.h, window)
-        fam_dict = {"h": args.h, "s": None, "t": None, "domain": domain,
-                    "gap": grammar.format_generator(gen), "spec": None}
+        fam_dict = report.family_dict(args.h, domain=domain, gap=grammar.format_generator(gen))
     else:
         fam = _family_from_args(args, domain)
         fam_dict = report.family_to_dict(fam)
@@ -247,9 +216,7 @@ def _cmd_verify(args) -> int:
                 checks.append(report.stability_check(fam, window))
             checks.extend(report.escape_checks(fam, window, budget))
             checks.extend(report.augment_checks(fam, window))
-    rep = report.report_dict(fam_dict, window, catalog, checks)
-    _emit(args, _render(args, rep))
-    return report.exit_code(checks)
+    return report.report_dict(fam_dict, window, catalog, checks), None, report.exit_code(checks)
 
 
 # command: (help line, argument adder, handler)
@@ -296,7 +263,18 @@ def main(argv: list[str] | None = None) -> int:
     else:
         args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][2](args)
+        rep, text, code = _COMMANDS[args.command][2](args)
+        if rep is not None:
+            if args.format == "json":
+                text = report.render_json(rep)
+            elif text is None:
+                text = report.render_text(rep)
+            if args.output:
+                with open(args.output, "w") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+        return code
     except NonbasisError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

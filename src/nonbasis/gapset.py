@@ -179,7 +179,9 @@ def gap_radius(gen: GapGenerator, c: int) -> int:
 
     For the closed-form families the consecutive gaps are monotone
     increasing, so R is the element just before the first gap > c.  For a
-    custom prefix the pairs below max(prefix) + c are enumerated directly.
+    custom prefix R = max(prefix[-1] + c, the tail's R): a close pair lies
+    in the prefix (both at most prefix[-1]), across prefix and tail (the
+    later one at most prefix[-1] + c) or in the tail (within the tail's R).
     Generators are frozen values, so R is memoized per (gen, c).
     """
     if c < 1:

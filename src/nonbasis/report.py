@@ -37,15 +37,15 @@ def check(name: str, ok: bool, details: str) -> Check:
     return Check(name, PASS if ok else FAIL, details)
 
 
+def family_dict(h: int, s=None, t=None, domain=None, gap=None, spec=None) -> dict:
+    """A report's "family" entry: a field the call does not fix is None."""
+    return {"h": h, "s": s, "t": t, "domain": domain, "gap": gap, "spec": spec}
+
+
 def family_to_dict(family: Family) -> dict:
-    return {
-        "h": family.h,
-        "s": family.s,
-        "t": family.t,
-        "domain": family.domain,
-        "gap": None if family.y is None else grammar.format_generator(family.y),
-        "spec": grammar.format_spec(family.spec),
-    }
+    gap = None if family.y is None else grammar.format_generator(family.y)
+    return family_dict(family.h, family.s, family.t, family.domain, gap,
+                       grammar.format_spec(family.spec))
 
 
 def report_dict(

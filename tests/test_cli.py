@@ -61,13 +61,19 @@ def test_classify_budget_exhaustion(capsys):
         (8, verify.OutExceptional("F0"), "out_exceptional"),  # 8 = 1 + 7 is in hA
     ],
 )
-def test_classify_exits_1_when_its_verdict_fails_the_replay(capsys, monkeypatch, n, corrupted, kind):
+def test_classify_exits_1_when_its_verdict_fails_the_replay(
+    capsys, monkeypatch, tmp_path, n, corrupted, kind
+):
     # classify's verdict is replayed by verify_certificate before it is
-    # printed; a verdict the replay rejects prints nothing to stdout
+    # written; a verdict the replay rejects prints nothing to stdout and
+    # creates no --output file
     monkeypatch.setattr(verify, "classify", lambda fam, n, budget: corrupted)
-    code, out, err = run(capsys, ["classify", *FAM_ARGS, "--n", str(n)])
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and f"n={n}" in err and kind in err
+    path = tmp_path / "report"
+    for output in ([], ["--output", str(path)]):
+        code, out, err = run(capsys, ["classify", *FAM_ARGS, "--n", str(n), *output])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and f"n={n}" in err and kind in err
+    assert not path.exists()
 
 
 def test_budget_env_var_is_not_read(capsys, monkeypatch):
@@ -344,6 +350,29 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     rep = json.loads(path.read_text())
     assert rep["catalog"]["shifted_y"] == [3, 5, 9, 17]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", *FAM_ARGS],
+        ["sumset", *FAM_ARGS, "--window", "0:20", "--source", "0:40"],
+        ["classify", *FAM_ARGS, "--n", "8"],  # in_sumset, exit 0
+        ["classify", *FAM_ARGS, "--n", "444444", "--budget", "0"],  # unknown, exit 3
+        ["catalog", *FAM_ARGS, "--window", "0:20"],
+        ["verify", "thm4", *FAM_ARGS, "--window", "0:300"],
+        ["verify", "lemma", "--h", "2", "--gap", "triangular", "--window", "0:500"],
+    ],
+    ids=["construct", "sumset", "classify-in", "classify-unknown", "catalog", "thm4", "lemma"],
+)
+def test_output_file_holds_the_bytes_stdout_would(tmp_path, capsys, argv, fmt):
+    argv = [*argv, "--format", fmt]
+    code, printed, _ = run(capsys, argv)
+    path = tmp_path / "report"
+    assert run(capsys, [*argv, "--output", str(path)])[:2] == (code, "")
+    assert path.read_bytes() == printed.encode()
+    assert printed and code == (3 if "--budget" in argv else 0)
 
 
 def test_verify_thm3_nonbasis_case(capsys):
