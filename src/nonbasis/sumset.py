@@ -303,6 +303,33 @@ def hfold_truncated(a: DenseSet, h: int, target: Window, *, stride: int) -> Sums
     return _result(*_fold(a, h, target, stride), a.window, target, LOWER_BOUND)
 
 
+def widen(fold: SumsetResult, band: DenseSet) -> SumsetResult:
+    """fold, the exact fold of A >= 0 on [0, H], widened to [0, hi] at its
+    depth, given band, A on (H, hi].  A sum in (H, hi] of k points of A >= 0
+    has every summand <= hi, so the band of kA is that of (k-1)A + A, both
+    on [0, hi]: one pairwise_sum step per partial k >= 2, through fold's
+    class table grown by the band's chains (grow_class_table)."""
+    wide = Window(0, band.window.hi)
+    a = DenseSet(wide, fold.partials[1].bits | band.bits << band.window.lo)
+    table = None if fold.table is None else grow_class_table(fold.table, band)
+    grown = [fold.partials[0], a]
+    for low in fold.partials[2:]:
+        step = pairwise_sum(grown[-1], a, band.window, table)
+        grown.append(DenseSet(wide, low.bits | step.bits << band.window.lo))
+    return _result(grown, table, wide, wide, EXACT)
+
+
+def deepen(fold: SumsetResult, h: int, stride: int) -> SumsetResult:
+    """fold, the exact fold of A >= 0 on [0, H], deepened to depth h: one
+    pairwise_sum step per missing k.  A fold built at h = 1 has no class
+    table yet, so it gets one at stride."""
+    partials, a = list(fold.partials), fold.partials[1]
+    table = fold.table or class_table(a, stride)
+    while len(partials) <= h:
+        partials.append(pairwise_sum(partials[-1], a, a.window, table))
+    return _result(partials, table, a.window, a.window, EXACT)
+
+
 def _shift_union(terms, target: Window) -> DenseSet:
     """The union of p + c over the (p, c) terms, cut to target, one shift
     each; a None p is empty."""

@@ -415,32 +415,6 @@ FoldStoreInfo = namedtuple(
 )
 
 
-class _KeptFold:
-    __slots__ = ("partials", "table")
-
-    def __init__(self, partials: list[DenseSet], table: tuple | None):
-        # partials: kA on [0, H] for k = 0..depth; table: sumset.class_table of A
-        # on [0, H], from the build's fold or the first deepening step on, grown
-        # by the band's chains at each widening
-        self.partials, self.table = partials, table
-
-    def widen(self, spec: SetSpec, hi: int) -> None:
-        """The fold of spec on [0, H], H < hi, widened to [0, hi] at its
-        depth: a sum in (H, hi] of k points of A >= 0 has every summand
-        <= hi, so the band of kA is that of (k-1)A + A, both on [0, hi]."""
-        top = self.partials[1].window.hi
-        band = intset.materialize(spec, Window(top + 1, hi))
-        wide = Window(0, hi)
-        a = DenseSet(wide, self.partials[1].bits | band.bits << band.window.lo)
-        if self.table is not None:
-            self.table = sumset.grow_class_table(self.table, band)
-        grown = [self.partials[0], a]
-        for low in self.partials[2:]:
-            step = sumset.pairwise_sum(grown[-1], a, band.window, self.table)
-            grown.append(DenseSet(wide, low.bits | step.bits << band.window.lo))
-        self.partials = grown
-
-
 class N0FoldStore:
     """Exact h-fold sumsets of sets >= 0, one kept fold per set spec.
 
@@ -448,20 +422,17 @@ class N0FoldStore:
     of A cut to [0, H] holds kA on [0, H] exactly for every k, whatever the
     depth it was folded to, and its first h + 1 partials answer every
     request (spec, h, hi) with hi <= H.  The store keeps one such fold per
-    spec, for at most maxsize specs, and evicts the least recently used.
-    A spec with no kept fold folds A on [0, hi] to depth h
-    (sumset.hfold_exact_bounded_below), and the store keeps the fold and
-    A's class table.  A request whose kept fold reaches hi is a hit.  A
-    request past the kept top H widens the fold instead of refolding it:
-    only the band (H, hi] of A is materialized, the class table grows by
-    the band's chains (sumset.grow_class_table), and each kept partial
-    k >= 2 gains the band of kA, ((k-1)A + A) on (H, hi] with both on
-    [0, hi], one sumset.pairwise_sum step each.  A kept fold shallower
-    than h then deepens by one step per missing k.  The caller gets a
-    depth-h view: source and target [0, H], exactly the partials kA for
-    k = 0..h, and hA as dense.  cache_info() counts the hits, the
-    deepening steps, the builds, the widenings and the evictions;
-    cache_clear() empties the store and zeroes them.
+    spec, for at most maxsize specs, and evicts the least recently used;
+    it only chooses how a request is served.  A spec with no kept fold
+    folds A on [0, hi] to depth h (sumset.hfold_exact_bounded_below).  A
+    request whose kept fold reaches hi is a hit.  A request past the kept
+    top H materializes only the band (H, hi] of A and widens the fold
+    (sumset.widen).  A kept fold shallower than h then deepens
+    (sumset.deepen), one step per missing k.  The caller gets a depth-h
+    view: source and target [0, H], exactly the partials kA for k = 0..h,
+    and hA as dense.  cache_info() counts the hits, the deepening steps,
+    the builds, the widenings and the evictions; cache_clear() empties the
+    store and zeroes them.
     """
 
     def __init__(self, maxsize: int):
@@ -469,7 +440,7 @@ class N0FoldStore:
         self.cache_clear()
 
     def cache_clear(self) -> None:
-        self._kept: OrderedDict[SetSpec, _KeptFold] = OrderedDict()
+        self._kept: OrderedDict[SetSpec, sumset.SumsetResult] = OrderedDict()
         self._hits = self._steps = self._builds = self._widenings = self._evictions = 0
 
     def cache_info(self) -> FoldStoreInfo:
@@ -479,30 +450,26 @@ class N0FoldStore:
         )
 
     def __call__(self, spec: SetSpec, h: int, hi: int) -> sumset.SumsetResult:
-        kept = self._kept.get(spec)
-        if kept is None:
+        fold = self._kept.pop(spec, None)
+        if fold is None:
             a = intset.materialize(spec, Window(0, hi))
             fold = sumset.hfold_exact_bounded_below(a, h, stride=intset.stride(spec))
-            kept = self._kept[spec] = _KeptFold(list(fold.partials), fold.table)
             self._builds += 1
-            if len(self._kept) > self.maxsize:
-                self._kept.popitem(last=False)
-                self._evictions += 1
-        elif kept.partials[1].window.hi < hi:
-            kept.widen(spec, hi)
+        elif fold.target.hi < hi:
+            band = intset.materialize(spec, Window(fold.target.hi + 1, hi))
+            fold = sumset.widen(fold, band)
             self._widenings += 1
         else:
             self._hits += 1
-        self._kept.move_to_end(spec)
-        partials = kept.partials
-        a = partials[1]
-        while len(partials) <= h:
-            if kept.table is None:
-                kept.table = sumset.class_table(a, intset.stride(spec))
-            partials.append(sumset.pairwise_sum(partials[-1], a, a.window, kept.table))
-            self._steps += 1
-        view = tuple(partials[: h + 1])
-        return sumset.SumsetResult(h, a.window, a.window, view[h], sumset.EXACT, view)
+        if fold.h < h:
+            self._steps += h - fold.h
+            fold = sumset.deepen(fold, h, intset.stride(spec))
+        self._kept[spec] = fold  # the most recently used
+        if len(self._kept) > self.maxsize:
+            self._kept.popitem(last=False)
+            self._evictions += 1
+        view = fold.partials[: h + 1]
+        return sumset.SumsetResult(h, fold.source, fold.target, view[h], sumset.EXACT, view)
 
 
 # The one store of N0 folds: the oracles' folds of h*X and the lemma's of X.

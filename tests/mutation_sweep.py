@@ -103,17 +103,23 @@ MUTANTS = (
      "intset.ModClassNonneg(h, t)",
      "intset.ModClassNonneg(h, t + h)"),
     ("store serves a fold narrower than hi", "src/nonbasis/verify.py",
-     "elif kept.partials[1].window.hi < hi:",
+     "elif fold.target.hi < hi:",
      "elif False:"),
     ("band starts one past the kept top", "src/nonbasis/verify.py",
-     "band = intset.materialize(spec, Window(top + 1, hi))",
-     "band = intset.materialize(spec, Window(top + 2, hi))"),
-    ("widened partial drops its kept bits", "src/nonbasis/verify.py",
+     "band = intset.materialize(spec, Window(fold.target.hi + 1, hi))",
+     "band = intset.materialize(spec, Window(fold.target.hi + 2, hi))"),
+    ("widened partial drops its kept bits", "src/nonbasis/sumset.py",
      "grown.append(DenseSet(wide, low.bits | step.bits << band.window.lo))",
      "grown.append(DenseSet(wide, step.bits << band.window.lo))"),
+    ("widen keeps the kept class table", "src/nonbasis/sumset.py",
+     "table = None if fold.table is None else grow_class_table(fold.table, band)",
+     "table = fold.table"),
     ("view keeps partials deeper than h", "src/nonbasis/verify.py",
-     "view = tuple(partials[: h + 1])",
-     "view = tuple(partials)"),
+     "view = fold.partials[: h + 1]",
+     "view = fold.partials"),
+    ("deepen stops one step short", "src/nonbasis/sumset.py",
+     "while len(partials) <= h:",
+     "while len(partials) < h:"),
     ("k-fold decisions shared across budgets", "src/nonbasis/verify.py",
      "@lru_cache(maxsize=DECISIONS_KEPT)\ndef decide_kX(",
      "def _keyed_without_budget(search):\n"

@@ -401,6 +401,13 @@ def test_uniqueness_applies_to_full_families_only():
         rpt.uniqueness_check(build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular()), 50)
 
 
+def test_uniqueness_fails_outside_gcd_case_1():
+    from nonbasis import report as rpt
+
+    c = rpt.uniqueness_check(build_full(Params(2, 0, 2, "n0")), 50)  # d = gcd(2, -2) = 2
+    assert (c.status, c.details) == ("fail", "gcd case is not 1")
+
+
 def test_uniqueness_region_below_the_first_residue_is_unknown(capsys):
     # The cap -2500 lies below the first checked residue 7, so there is no
     # region to check and no source window to build from the cap.
@@ -506,10 +513,41 @@ def test_augment_on_a_window_ending_below_t_reads_no_y(capsys):
         (["verify", "thm4", *FAM_ARGS, "--budget=-1"], "probe budget must be >= 0, got -1"),
         (["verify", "thm3", "--h", "3", "--s", "0", "--t", "1", "--window=-5:100"],
          "preset thm3 needs a window in N0, got -5:100"),
+        (["catalog", *FAM_ARGS, "--window", "a:5"],
+         "bad window 'a:5': invalid literal for int() with base 10: 'a'"),
+        (["sumset", "--h", "2", "--s", "0", "--window", "0:5"],
+         "sumset needs either --spec or full family parameters"),
+        (["sumset", "--h", "2", "--s", "0", "--t", "1", "--window", "0:5"],
+         "sumset needs either --spec or full family parameters"),
     ],
 )
 def test_verify_error_line(capsys, argv, line):
     assert run(capsys, argv) == (2, "", f"error: NonbasisError: {line}\n")
+
+
+def test_a_failing_check_outranks_an_unknown_one():
+    from nonbasis import report as rpt
+
+    checks = [rpt.Check("a", rpt.UNKNOWN, ""), rpt.Check("b", rpt.FAIL, ""),
+              rpt.Check("c", rpt.PASS, "")]
+    assert rpt.exit_code(checks) == 1
+    assert rpt.exit_code(checks[::2]) == 3 and rpt.exit_code(checks[2:]) == 0
+
+
+def test_a_failing_check_exits_1_and_still_reports(capsys, monkeypatch):
+    from nonbasis import report as rpt
+
+    failed = rpt.Check("truncation_stability", rpt.FAIL, "forced")
+    monkeypatch.setattr(rpt, "stability_check", lambda fam, window: failed)
+    code, out, err = run(
+        capsys,
+        ["verify", "thm2", "--h", "2", "--s", "0", "--t", "1",
+         "--gap", "geometric,2,1", "--window=-400:400"],
+    )
+    assert (code, err) == (1, "")
+    checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert checks.pop("truncation_stability") == "fail"
+    assert checks and set(checks.values()) == {"pass"}
 
 
 def test_verify_reports_the_first_error_in_order(capsys):

@@ -1,6 +1,6 @@
 """The package's value records against dataclasses of the same fields.
 
-Every value class of the package but BaseOracle, _KeptFold and EscapeReport
+Every value class of the package but BaseOracle and EscapeReport
 derives from record.Record, which compares, hashes and prints the fields a
 dataclass of the class would have held.  Each class is checked against such
 a dataclass, built here with dataclasses.make_dataclass, on drawn values.

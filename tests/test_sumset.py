@@ -1036,3 +1036,17 @@ def test_witness_matches_the_per_element_walk(r, data):
     points += data.draw(st.lists(st.integers(r.target.lo, r.target.hi), max_size=5))
     for n in points:
         assert sumset.witness(r, n) == per_element_witness(r, n), n
+
+
+def test_widen_and_deepen_match_a_fresh_fold_and_leave_theirs_as_it_was():
+    # a kept fold is a value: growing it returns a new fold, wider by a band
+    # or deeper by steps, equal to the fold of A on the wider window
+    spec = Diff(ModClassNonneg(1, 0), GapTail(gapset.Triangular()))
+    fold = sumset.hfold_exact_bounded_below(materialize(spec, Window(0, 300)), 2, stride=1)
+    before = [p.bits for p in fold.partials], list(fold.table[1])
+    deep = sumset.deepen(sumset.widen(fold, materialize(spec, Window(301, 700))), 4, 1)
+    fresh = sumset.hfold_exact_bounded_below(materialize(spec, Window(0, 700)), 4, stride=1)
+    assert (deep.h, deep.source, deep.target) == (4, fresh.source, fresh.target)
+    assert (deep.partials, deep.dense, deep.table) == (fresh.partials, fresh.dense, fresh.table)
+    assert ([p.bits for p in fold.partials], fold.table[1]) == before
+    assert (fold.h, fold.target) == (2, Window(0, 300))

@@ -6,7 +6,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nonbasis import gapset, grammar, intset, report, sumset, verify
-from nonbasis.errors import BNotOutside, DomainConstraint, GcdViolation, OracleDisagreement
+from nonbasis.errors import (
+    BNotOutside,
+    DomainConstraint,
+    GcdViolation,
+    MalformedSpec,
+    OracleDisagreement,
+)
 from nonbasis.families import Params, build_full, build_gapped
 from nonbasis.intset import Window, materialize
 from nonbasis.verify import (
@@ -1777,3 +1783,64 @@ def test_augment_window_without_dropped_values():
     even = checks[0]
     assert (even.name, even.status) == ("augment_even_indices", "unknown")
     assert "no dropped shifted-Y value" in even.details
+
+
+def test_an_augment_fold_that_loses_a_value_is_inconclusive(monkeypatch):
+    # Y's index-0 element is in the even-index Y', so its shifted value 1 is
+    # adjoined and covered; a fold that loses it leaves 1 outside the
+    # prediction, which no verdict but inconclusive can hold
+    fam = build_gapped(Params(3, 0, 1, "n0"), gapset.Triangular())
+    window = Window(0, 400)
+    lost = fam.shifted_y_value(gapset.elements_in(fam.y, Window(0, 10))[0])
+    real = verify.fold_by_shifts
+
+    def losing(family, bt, win):
+        r = real(family, bt, win)
+        dense = intset.DenseSet(r.target, r.dense.bits & ~(1 << (lost - r.target.lo)))
+        return sumset.SumsetResult(r.h, r.source, r.target, dense, r.exactness, r.partials)
+
+    monkeypatch.setattr(verify, "fold_by_shifts", losing)
+    rep = verify.augment_check(fam, YPrimeFilter("even_indices"), window)
+    assert (rep.extras, rep.verdict) == ((1,), "inconclusive")
+    even = report.augment_checks(fam, window)[0]
+    assert (even.name, even.status) == ("augment_even_indices", "fail")
+
+
+FULL = build_full(Params(2, 0, 1, "n0"))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: verify.classify(fam201(), -1), DomainConstraint,
+                     "-1 is outside N0", id="classify-negative-n"),
+        pytest.param(lambda: verify.exceptional_bound(FULL), GcdViolation,
+                     "exceptional bound applies to gapped families only", id="bound-full"),
+        pytest.param(lambda: verify.complement_catalog(FULL, Window(0, 10)), GcdViolation,
+                     "catalog applies to gapped families only", id="catalog-full"),
+        pytest.param(lambda: verify.escape_check(FULL, 3, Window(0, 10)), GcdViolation,
+                     "escape check applies to gapped families only", id="escape-full"),
+        pytest.param(lambda: verify.augment_check(FULL, YPrimeFilter("even_indices"),
+                                                  Window(0, 10)), GcdViolation,
+                     "augment check applies to gapped families only", id="augment-full"),
+        pytest.param(lambda: verify.complement_catalog(fam201(), Window(-1, 10)),
+                     DomainConstraint, "N0 catalog window must start at 0 or above",
+                     id="catalog-below-0"),
+        pytest.param(lambda: verify.escape_check(fam201(), -2, Window(0, 10)),
+                     DomainConstraint, "b = -2 is outside N0", id="escape-negative-b"),
+        pytest.param(lambda: verify.lemma_basis_check(GEOM2, 1, Window(0, 10)),
+                     DomainConstraint, "lemma check needs h >= 2, got 1", id="lemma-h-1"),
+        pytest.param(lambda: verify.lemma_basis_check(GEOM2, 2, Window(-1, 10)),
+                     DomainConstraint, "lemma check runs over N0 windows", id="lemma-below-0"),
+        pytest.param(lambda: intset.ModClassNonneg(0, 0), MalformedSpec,
+                     "modulus must be >= 1, got 0", id="nonneg-modulus-0"),
+        pytest.param(lambda: grammar.parse_generator("custom,[0,1],foo=triangular"),
+                     MalformedSpec,
+                     "expected tail= at position 16 in 'custom,[0,1],foo=triangular'",
+                     id="custom-without-tail"),
+    ],
+)
+def test_a_guard_raises_its_error(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
