@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 
 from .errors import DomainConstraint, TargetExceedsSafeRange
@@ -40,7 +40,9 @@ class SumsetResult(Record):
     step (the k-element subtotals that h-k more source elements can still
     complete to a target value), or None where that window is empty, for
     k = 0..h; adjoin and witness read them.  table is the class_table of A
-    that a fold's steps read, or None.  Neither is compared or printed.
+    that a fold's steps read: every fold carries it, from the one builder,
+    and it is None only on a result no fold built (a point union or a
+    store's view).  Neither is compared or printed.
     """
 
     _fields = ("h", "source", "target", "dense", "exactness")
@@ -103,41 +105,29 @@ def _class(starts: tuple[int, ...], counts: tuple[int, ...], g: int) -> _Class:
     return _Class(starts, counts, lo, hi, terms, terms - sum(counts))
 
 
-def _classes(runs: list[tuple[int, int, int]], g: int) -> list[_Class]:
-    """Per nonempty residue class mod g of the stride-g runs: its runs'
-    starts and counts, and its hull [lo, hi] of `terms` points and `holes`."""
+def class_table(a: DenseSet, g: int, below: Sequence[_Class] = ()) -> tuple[int, list[_Class]]:
+    """The stride g and, per nonempty class mod g of a's stride-g chains,
+    its runs' starts and counts and its hull [lo, hi] of `terms` points and
+    `holes`: the q_table that pairwise_sum reads for a as its q.
+
+    With below, the classes of A on [0, H], and a = A on [H + 1, hi], it
+    is A's table on [0, hi], from a's chains only: a class's first run in
+    a joins its last in below when it continues it, and a class first met
+    in a comes after the kept ones."""
     grouped: dict[int, list[tuple[int, int]]] = {}
-    for a0, _, cnt in runs:
+    for a0, _, cnt in arith_chains(a, g):
         grouped.setdefault(a0 % g, []).append((a0, cnt))
-    return [_class(*zip(*run_list), g) for run_list in grouped.values()]
-
-
-def class_table(a: DenseSet, g: int) -> tuple[int, list[_Class]]:
-    """The stride g and a's classes mod g, from its stride-g chains: the
-    q_table that pairwise_sum reads for a as its q."""
-    return g, _classes(arith_chains(a, g), g)
-
-
-def grow_class_table(
-    table: tuple[int, list[_Class]], band: DenseSet
-) -> tuple[int, list[_Class]]:
-    """The class_table of A on [0, hi], from table, A's on [0, H], and band,
-    A on [H + 1, hi].
-
-    Only the band's chains are decoded.  A band run one stride past the
-    last run of its class continues that run, so it joins it; the others
-    are appended, and a class first met in the band comes after the kept
-    ones, as it does in the class_table of A on [0, hi]."""
-    g, classes = table
-    runs = {c.lo % g: (list(c.starts), list(c.counts)) for c in classes}
-    for a0, _, cnt in arith_chains(band, g):
-        starts, counts = runs.setdefault(a0 % g, ([], []))
-        if starts and starts[-1] + counts[-1] * g == a0:
-            counts[-1] += cnt
-        else:
-            starts.append(a0)
-            counts.append(cnt)
-    return g, [_class(tuple(starts), tuple(counts), g) for starts, counts in runs.values()]
+    classes = []
+    for c in below:
+        runs = grouped.pop(c.lo % g, None)
+        if runs is not None:
+            starts, counts = zip(*runs)
+            last = c.counts[-1]
+            if starts[0] == c.hi + g:  # a continues the class's last kept run
+                starts, counts, last = starts[1:], counts[1:], last + counts[0]
+            c = _class(c.starts + starts, c.counts[:-1] + (last,) + counts, g)
+        classes.append(c)
+    return g, classes + [_class(*zip(*runs), g) for runs in grouped.values()]
 
 
 def _cut(c: _Class, g: int, x0: int, x1: int) -> Iterator[tuple[int, int]]:
@@ -201,13 +191,13 @@ def pairwise_sum(
     other pair is walked whole over p cut to the hull.  Each bit ORed in
     is a sum of a member of p and one of q, and every such sum is covered."""
     g, classes = q_table
-    p_classes = classes if p == q else _classes(arith_chains(p, g), g)
+    p_table = classes if p == q else class_table(p, g)[1]
     acc = 0
     for c in classes:
         if c.terms == 1:
             acc |= _walk(p, p.window.lo, p.window.hi, ((c.lo, 1),), g, target)
             continue
-        for pc in p_classes:
+        for pc in p_table:
             m = c.holes + pc.holes
             if pc.terms == 1:
                 acc |= _walk(q, c.lo, c.hi, ((pc.lo, 1),), g, target)
@@ -236,20 +226,15 @@ def _fold(
 ) -> tuple[tuple[DenseSet | None, ...], tuple | None]:
     # kA on its clip window for k = 0..h, each step one pairwise sum with a
     # through a's class table at stride, built once and handed back with
-    # the partials (None when no step is taken).  A nonempty clip window
-    # has a nonempty one before it, so the empty windows are a suffix.
+    # the partials.  Each clip window is nonempty just when the target meets
+    # [h*lo, h*hi], a's window being [lo, hi]: all are empty or none is.
     windows = [_clip_window(k, h, a.window, target) for k in range(h + 1)]
-    table = class_table(a, stride) if h > 1 and windows[2] is not None else None
-    out: list[DenseSet | None] = []
-    for k, wk in enumerate(windows):
-        if wk is None:
-            return tuple(out) + (None,) * (h + 1 - k), table
-        if k == 0:
-            out.append(DenseSet(wk, 1))  # the window is [0, 0]
-        elif k == 1:
-            out.append(a.restrict(wk))
-        else:
-            out.append(pairwise_sum(out[-1], a, wk, table))
+    if windows[0] is None:
+        return (None,) * (h + 1), None
+    table = class_table(a, stride)
+    out = [DenseSet(windows[0], 1), a.restrict(windows[1])]  # windows[0] is [0, 0]
+    for wk in windows[2:]:
+        out.append(pairwise_sum(out[-1], a, wk, table))
     return tuple(out), table
 
 
@@ -308,10 +293,10 @@ def widen(fold: SumsetResult, band: DenseSet) -> SumsetResult:
     depth, given band, A on (H, hi].  A sum in (H, hi] of k points of A >= 0
     has every summand <= hi, so the band of kA is that of (k-1)A + A, both
     on [0, hi]: one pairwise_sum step per partial k >= 2, through fold's
-    class table grown by the band's chains (grow_class_table)."""
+    class table joined with the band's chains (class_table with below)."""
     wide = Window(0, band.window.hi)
     a = DenseSet(wide, fold.partials[1].bits | band.bits << band.window.lo)
-    table = None if fold.table is None else grow_class_table(fold.table, band)
+    table = class_table(band, *fold.table)
     grown = [fold.partials[0], a]
     for low in fold.partials[2:]:
         step = pairwise_sum(grown[-1], a, band.window, table)
@@ -319,15 +304,14 @@ def widen(fold: SumsetResult, band: DenseSet) -> SumsetResult:
     return _result(grown, table, wide, wide, EXACT)
 
 
-def deepen(fold: SumsetResult, h: int, stride: int) -> SumsetResult:
+def deepen(fold: SumsetResult, h: int) -> SumsetResult:
     """fold, the exact fold of A >= 0 on [0, H], deepened to depth h: one
-    pairwise_sum step per missing k.  A fold built at h = 1 has no class
-    table yet, so it gets one at stride."""
+    pairwise_sum step per missing k, through the class table the fold
+    carries (one built at h = 1 carries it too)."""
     partials, a = list(fold.partials), fold.partials[1]
-    table = fold.table or class_table(a, stride)
     while len(partials) <= h:
-        partials.append(pairwise_sum(partials[-1], a, a.window, table))
-    return _result(partials, table, a.window, a.window, EXACT)
+        partials.append(pairwise_sum(partials[-1], a, a.window, fold.table))
+    return _result(partials, fold.table, a.window, a.window, EXACT)
 
 
 def _shift_union(terms, target: Window) -> DenseSet:

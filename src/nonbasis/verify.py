@@ -19,7 +19,6 @@ from . import gapset, intset, sumset
 from .errors import (
     BNotOutside,
     DomainConstraint,
-    GcdViolation,
     OracleDisagreement,
     UncertifiableTail,
 )
@@ -182,10 +181,15 @@ def decide_kX(
         return Unknown("probe budget exhausted")
 
 
+def _require_gapped(family: Family, what: str) -> None:
+    # a full family is a domain error here, whatever its gcd case
+    if not family.is_gapped:
+        raise DomainConstraint(f"{what} applies to gapped families only")
+
+
 def classify(family: Family, n: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Theorem-backed membership verdict for n against the h-fold sumset."""
-    if not family.is_gapped:
-        raise GcdViolation("classification applies to gapped families only")
+    _require_gapped(family, "classification")
     h, s, t = family.h, family.s, family.t
     n0 = family.domain == DOMAIN_N0
     if n0 and n < 0:
@@ -268,8 +272,7 @@ def exceptional_bound(family: Family) -> int:
     bounded by the threshold itself, and the wrong-sign class F1 by
     (h-1)s + t.
     """
-    if not family.is_gapped:
-        raise GcdViolation("exceptional bound applies to gapped families only")
+    _require_gapped(family, "exceptional bound")
     h, s, t = family.h, family.s, family.t
     x0 = gapset.least_non_member(family.y)
     out_cap = pair_bound(family.y) + 1 + (h - 2) * x0
@@ -463,7 +466,7 @@ class N0FoldStore:
             self._hits += 1
         if fold.h < h:
             self._steps += h - fold.h
-            fold = sumset.deepen(fold, h, intset.stride(spec))
+            fold = sumset.deepen(fold, h)
         self._kept[spec] = fold  # the most recently used
         if len(self._kept) > self.maxsize:
             self._kept.popitem(last=False)
@@ -559,8 +562,7 @@ def complement_catalog(
     complement, and the lowest disagreeing bit names the first
     disagreeing point in window order.
     """
-    if not family.is_gapped:
-        raise GcdViolation("catalog applies to gapped families only")
+    _require_gapped(family, "catalog")
     n0 = family.domain == DOMAIN_N0
     if n0 and window.lo < 0:
         raise DomainConstraint("N0 catalog window must start at 0 or above")
@@ -635,8 +637,7 @@ def escape_check(
     fixed_branch_probes, so with at least that budget the later values
     predict nothing.
     """
-    if not family.is_gapped:
-        raise GcdViolation("escape check applies to gapped families only")
+    _require_gapped(family, "escape check")
     h, s, t = family.h, family.s, family.t
     n0 = family.domain == DOMAIN_N0
     if n0 and b < 0:
@@ -743,8 +744,7 @@ def augment_check(
     for the augmented set to stay a nonbasis; a co-finite Y' leaves only
     finitely many of them plus exceptional-set residue.
     """
-    if not family.is_gapped:
-        raise GcdViolation("augment check applies to gapped families only")
+    _require_gapped(family, "augment check")
     oracle = base_oracle(family, window)
     # Over Z, adjoined elements above the window can still reach it with
     # negative partners, so B is collected across the whole oracle source:

@@ -112,14 +112,21 @@ MUTANTS = (
      "grown.append(DenseSet(wide, low.bits | step.bits << band.window.lo))",
      "grown.append(DenseSet(wide, step.bits << band.window.lo))"),
     ("widen keeps the kept class table", "src/nonbasis/sumset.py",
-     "table = None if fold.table is None else grow_class_table(fold.table, band)",
+     "table = class_table(band, *fold.table)",
      "table = fold.table"),
+    ("the seam join never fires", "src/nonbasis/sumset.py",
+     "if starts[0] == c.hi + g:",
+     "if False:"),
     ("view keeps partials deeper than h", "src/nonbasis/verify.py",
      "view = fold.partials[: h + 1]",
      "view = fold.partials"),
     ("deepen stops one step short", "src/nonbasis/sumset.py",
      "while len(partials) <= h:",
      "while len(partials) < h:"),
+    ("the gapped guard raises GcdViolation", "src/nonbasis/verify.py",
+     'raise DomainConstraint(f"{what} applies to gapped families only")',
+     "from .errors import GcdViolation\n"
+     '        raise GcdViolation(f"{what} applies to gapped families only")'),
     ("k-fold decisions shared across budgets", "src/nonbasis/verify.py",
      "@lru_cache(maxsize=DECISIONS_KEPT)\ndef decide_kX(",
      "def _keyed_without_budget(search):\n"

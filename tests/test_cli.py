@@ -40,6 +40,19 @@ def test_construct_gcd_violation_exits_2(capsys):
     assert "GcdViolation" in err
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [pytest.param(["catalog", "--window", "0:20"], "catalog", id="catalog"),
+     pytest.param(["classify", "--n", "5"], "classification", id="classify")],
+)
+def test_a_full_family_is_a_domain_error_for_the_gapped_commands(capsys, argv, what):
+    # gcd(2, 0 - 1) = 1, so the error names the family's shape, not its gcd
+    full = ["--h", "2", "--s", "0", "--t", "1", "--domain", "n0"]
+    code, out, err = run(capsys, [argv[0], *full, *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err == f"error: DomainConstraint: {what} applies to gapped families only\n"
+
+
 def test_classify_out_shifted_y(capsys):
     code, out, _ = run(capsys, ["classify", *FAM_ARGS, "--n", "5"])
     assert code == 0

@@ -118,6 +118,8 @@ def test_truncated_empty_and_tiny():
     assert sumset.hfold_truncated(empty, 3, Window(-9, 9), stride=1).members() == []
     pm1 = dense_from_iter([-1, 1], Window(-1, 1))
     assert sumset.hfold_truncated(pm1, 2, Window(-2, 2), stride=2).members() == [-2, 0, 2]
+    far = sumset.hfold_truncated(pm1, 2, Window(5, 9), stride=2)  # out of 2A's reach
+    assert (far.members(), far.partials, far.table) == ([], (None, None, None), None)
 
 
 def test_safe_range_enforced():
@@ -757,13 +759,14 @@ def test_pairwise_sum_stays_exact_when_hole_counts_over_count(data):
     g = data.draw(st.integers(1, 16))
     p, q = data.draw(holed_classes(g)), data.draw(holed_classes(g))
     target = end_cutting_target(data, p.window.lo + q.window.lo, p.window.hi + q.window.hi)
-    classes = sumset._classes
+    real = sumset._class
 
-    def over_counted(runs, g):
-        return [c._replace(holes=c.holes + data.draw(st.integers(0, 3))) for c in classes(runs, g)]
+    def over_counted(starts, counts, g):
+        c = real(starts, counts, g)
+        return c._replace(holes=c.holes + data.draw(st.integers(0, 3)))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sumset, "_classes", over_counted)
+        mp.setattr(sumset, "_class", over_counted)
         got = sumset.pairwise_sum(p, q, target, sumset.class_table(q, g))
     assert got.members() == brute_sumset_of(p.members(), q.members(), target)
 
@@ -889,10 +892,16 @@ def test_one_decode_per_chain_split_and_one_class_table_per_fold(monkeypatch):
     # N0 minus the triangular numbers: every fold step splits its partial
     # into classes.  A's are decoded once, with its class table; the exact
     # fold's first partial is A itself and reads them, and every other
-    # partial is decoded once
+    # partial is decoded once, by a class table of its own
     real_table = sumset.class_table
-    monkeypatch.setattr(sumset, "class_table", lambda a, g: tables.append(a) or real_table(a, g))
     a = sets[-1]
+
+    def counting(t, g, below=()):
+        if t is a:
+            tables.append(t)
+        return real_table(t, g, below)
+
+    monkeypatch.setattr(sumset, "class_table", counting)
     for h in range(2, 9):
         decodes.clear()
         tables.clear()
@@ -933,12 +942,12 @@ def test_partial_classes_match_a_per_residue_reference(p, g):
     q = dense_from_iter(range(5000, 5000 + 3 * g, g), Window(4990, 5000 + 3 * g))
     _, classes = sumset.class_table(q, g)
     read = []
-    real = sumset._classes
+    real = sumset.class_table
     target = Window(p.window.lo + q.window.lo, p.window.hi + q.window.hi)
-    with mock.patch.object(sumset, "_classes", lambda runs, g: read.append(real(runs, g)) or read[-1]):
+    with mock.patch.object(sumset, "class_table", lambda a, g: read.append(real(a, g)) or read[-1]):
         got = sumset.pairwise_sum(p, q, target, (g, classes))
-    assert len(read) == 1
-    assert sorted((c.lo, c.hi, c.terms, c.holes) for c in read[0]) == per_residue_classes(p, g)
+    assert len(read) == 1 and read[0][0] == g
+    assert sorted((c.lo, c.hi, c.terms, c.holes) for c in read[0][1]) == per_residue_classes(p, g)
     assert got.members() == brute_sumset_of(p.members(), q.members(), target)
 
 
@@ -963,13 +972,19 @@ def cut_holed_runs(draw):
 @example((dense_from_iter(range(0, 101), Window(0, 100)), 1, 0))  # one point kept
 @example((dense_from_iter([*range(0, 60, 3), *range(40, 90, 3)], Window(0, 90)), 3, 20))
 @example((dense_from_iter([], Window(0, 9)), 5, 4))
+# the even class's first band run continues its kept run, the odd one's not
+@example((dense_from_iter([*range(0, 101, 2), *range(1, 22, 2), *range(61, 100, 2)],
+                          Window(0, 100)), 2, 50))
+# class 0 continues, class 1 resumes past a gap, class 2 is first met past H
+@example((dense_from_iter([*range(0, 91, 3), *range(1, 17, 3), *range(25, 91, 3),
+                           *range(62, 90, 3)], Window(0, 90)), 3, 20))
 def test_a_class_table_grown_by_a_band_is_the_whole_sets(case):
     # the band (H, hi] joins the table of [0, H]: a run the cut split, a
     # class first met past H, and classes only on one side
     whole, g, cut = case
     low = whole.restrict(Window(0, cut))
     band = whole.restrict(Window(cut + 1, whole.window.hi))
-    grown = sumset.grow_class_table(sumset.class_table(low, g), band)
+    grown = sumset.class_table(band, g, sumset.class_table(low, g)[1])
     assert grown == sumset.class_table(whole, g)
     for c in grown[1]:
         chains = sorted(a0 + g * i for a0, cnt in zip(c.starts, c.counts) for i in range(cnt))
@@ -1044,9 +1059,27 @@ def test_widen_and_deepen_match_a_fresh_fold_and_leave_theirs_as_it_was():
     spec = Diff(ModClassNonneg(1, 0), GapTail(gapset.Triangular()))
     fold = sumset.hfold_exact_bounded_below(materialize(spec, Window(0, 300)), 2, stride=1)
     before = [p.bits for p in fold.partials], list(fold.table[1])
-    deep = sumset.deepen(sumset.widen(fold, materialize(spec, Window(301, 700))), 4, 1)
+    deep = sumset.deepen(sumset.widen(fold, materialize(spec, Window(301, 700))), 4)
     fresh = sumset.hfold_exact_bounded_below(materialize(spec, Window(0, 700)), 4, stride=1)
     assert (deep.h, deep.source, deep.target) == (4, fresh.source, fresh.target)
     assert (deep.partials, deep.dense, deep.table) == (fresh.partials, fresh.dense, fresh.table)
     assert ([p.bits for p in fold.partials], fold.table[1]) == before
     assert (fold.h, fold.target) == (2, Window(0, 300))
+
+
+@pytest.mark.parametrize(
+    "a, g",
+    [
+        (materialize(Diff(ModClassNonneg(1, 0), GapTail(gapset.Triangular())), Window(0, 500)), 1),
+        (dense_from_iter([*range(1, 200, 3), *range(2, 60, 3), *range(260, 400, 3)],
+                         Window(0, 400)), 3),
+    ],
+)
+def test_a_fold_built_at_h_1_carries_its_table_and_deepens_to_the_fresh_fold(a, g):
+    # the one table builder runs at h = 1 too, so deepen needs no stride
+    fold = sumset.hfold_exact_bounded_below(a, 1, stride=g)
+    assert fold.table == sumset.class_table(a, g)
+    deep = sumset.deepen(fold, 3)
+    fresh = sumset.hfold_exact_bounded_below(a, 3, stride=g)
+    assert (deep.h, deep.source, deep.target) == (3, fresh.source, fresh.target)
+    assert (deep.partials, deep.dense, deep.table) == (fresh.partials, fresh.dense, fresh.table)

@@ -204,7 +204,7 @@ def test_classify_all_s_representation():
 
 
 def test_classify_needs_gapped():
-    with pytest.raises(GcdViolation):
+    with pytest.raises(DomainConstraint, match="classification applies to gapped families only"):
         verify.classify(build_full(Params(2, 0, 1, "n0")), 5)
 
 
@@ -1814,14 +1814,14 @@ FULL = build_full(Params(2, 0, 1, "n0"))
     [
         pytest.param(lambda: verify.classify(fam201(), -1), DomainConstraint,
                      "-1 is outside N0", id="classify-negative-n"),
-        pytest.param(lambda: verify.exceptional_bound(FULL), GcdViolation,
+        pytest.param(lambda: verify.exceptional_bound(FULL), DomainConstraint,
                      "exceptional bound applies to gapped families only", id="bound-full"),
-        pytest.param(lambda: verify.complement_catalog(FULL, Window(0, 10)), GcdViolation,
+        pytest.param(lambda: verify.complement_catalog(FULL, Window(0, 10)), DomainConstraint,
                      "catalog applies to gapped families only", id="catalog-full"),
-        pytest.param(lambda: verify.escape_check(FULL, 3, Window(0, 10)), GcdViolation,
+        pytest.param(lambda: verify.escape_check(FULL, 3, Window(0, 10)), DomainConstraint,
                      "escape check applies to gapped families only", id="escape-full"),
         pytest.param(lambda: verify.augment_check(FULL, YPrimeFilter("even_indices"),
-                                                  Window(0, 10)), GcdViolation,
+                                                  Window(0, 10)), DomainConstraint,
                      "augment check applies to gapped families only", id="augment-full"),
         pytest.param(lambda: verify.complement_catalog(fam201(), Window(-1, 10)),
                      DomainConstraint, "N0 catalog window must start at 0 or above",
