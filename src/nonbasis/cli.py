@@ -138,19 +138,21 @@ def _cmd_sumset(args):
         lo, hi = max(target.lo, 0), min(target.hi, source.hi)
         tgt = Window(lo, hi) if lo <= hi else target
         result = sumset.hfold_exact_bounded_below(dense, args.h, target=tgt, stride=stride)
+        exactness = "exact"
     else:
         result = sumset.hfold_truncated(dense, args.h, target=target, stride=stride)
+        exactness = "lower_bound"
     members, window = result.members(), result.target
     rep = {
         "family": fam_dict,
         "window": [window.lo, window.hi],
         "source": [source.lo, source.hi],
         "h": args.h,
-        "exactness": result.exactness,
+        "exactness": exactness,
         "count": len(members),
         "ranges": report.format_ranges(members),
     }
-    text = f"{args.h}-fold sumset on {window.lo}:{window.hi} ({result.exactness})\n"
+    text = f"{args.h}-fold sumset on {window.lo}:{window.hi} ({exactness})\n"
     return rep, text + f"members: {rep['ranges']}\n", 0
 
 
@@ -230,7 +232,8 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree, for the calls whose first token names no command."""
+    """The command tree, for the calls whose first token names no command: they
+    only print help or an error, so it holds each command's help line only."""
     # No abbreviations at the top level: a family flag before the command,
     # such as --h, would otherwise be read as --help.
     ap = argparse.ArgumentParser(
@@ -240,15 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_args, _) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_line))
+    for name, (help_line, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_line)
     return ap
 
 
 @functools.cache
 def _parser(command: str) -> argparse.ArgumentParser:
-    # The tree's subparser for this command on its own: the same prog, so
-    # the same help. Parsing leaves a parser unchanged, so one serves every call.
+    # The parser of every call that names this command, under the prog
+    # "nonbasis CMD". Parsing leaves a parser unchanged, so one serves every call.
     p = argparse.ArgumentParser(prog=f"nonbasis {command}")
     _COMMANDS[command][1](p)
     p.set_defaults(command=command)

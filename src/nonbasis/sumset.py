@@ -30,8 +30,6 @@ from .errors import DomainConstraint, TargetExceedsSafeRange
 from .intset import DenseSet, Window, ap_bits, dilate_or
 from .record import Record
 
-EXACT = "exact"
-LOWER_BOUND = "lower_bound"
 
 class SumsetResult(Record):
     """An h-fold sumset on target, folded from a set on source.
@@ -42,14 +40,15 @@ class SumsetResult(Record):
     k = 0..h; adjoin and witness read them.  table is the class_table of A
     that a fold's steps read: every fold carries it, from the one builder,
     and it is None only on a result no fold built (a point union or a
-    store's view).  Neither is compared or printed.
+    store's view).  Neither is compared or printed.  Whether hA is exact
+    is the claim of the entry point that folded it, not of the result.
     """
 
-    _fields = ("h", "source", "target", "dense", "exactness")
+    _fields = ("h", "source", "target", "dense")
 
-    def __init__(self, h, source, target, dense, exactness, partials, table=None):
+    def __init__(self, h, source, target, dense, partials, table=None):
         self.h, self.source, self.target, self.dense = h, source, target, dense
-        self.exactness, self.partials, self.table = exactness, partials, table
+        self.partials, self.table = partials, table
 
     def member(self, n: int) -> bool:
         return self.dense.member(n)
@@ -238,13 +237,11 @@ def _fold(
     return tuple(out), table
 
 
-def _result(partials, table, source: Window, target: Window, exactness: str) -> SumsetResult:
+def _result(partials, table, source: Window, target: Window) -> SumsetResult:
     # the fold result whose partials are kA for k = 0..h; hA is the last
     top = partials[-1]
     dense = DenseSet(target, 0) if top is None else top.restrict(target)
-    return SumsetResult(
-        len(partials) - 1, source, target, dense, exactness, tuple(partials), table
-    )
+    return SumsetResult(len(partials) - 1, source, target, dense, tuple(partials), table)
 
 
 def hfold_exact_bounded_below(
@@ -273,7 +270,7 @@ def hfold_exact_bounded_below(
         raise TargetExceedsSafeRange(
             f"target {target.lo}:{target.hi} outside safe range {safe.lo}:{safe.hi}"
         )
-    return _result(*_fold(a, h, target, stride), a.window, target, EXACT)
+    return _result(*_fold(a, h, target, stride), a.window, target)
 
 
 def hfold_truncated(a: DenseSet, h: int, target: Window, *, stride: int) -> SumsetResult:
@@ -285,7 +282,7 @@ def hfold_truncated(a: DenseSet, h: int, target: Window, *, stride: int) -> Sums
     """
     if h < 1:
         raise DomainConstraint(f"h must be >= 1, got {h}")
-    return _result(*_fold(a, h, target, stride), a.window, target, LOWER_BOUND)
+    return _result(*_fold(a, h, target, stride), a.window, target)
 
 
 def widen(fold: SumsetResult, band: DenseSet) -> SumsetResult:
@@ -301,7 +298,7 @@ def widen(fold: SumsetResult, band: DenseSet) -> SumsetResult:
     for low in fold.partials[2:]:
         step = pairwise_sum(grown[-1], a, band.window, table)
         grown.append(DenseSet(wide, low.bits | step.bits << band.window.lo))
-    return _result(grown, table, wide, wide, EXACT)
+    return _result(grown, table, wide, wide)
 
 
 def deepen(fold: SumsetResult, h: int) -> SumsetResult:
@@ -311,7 +308,7 @@ def deepen(fold: SumsetResult, h: int) -> SumsetResult:
     partials, a = list(fold.partials), fold.partials[1]
     while len(partials) <= h:
         partials.append(pairwise_sum(partials[-1], a, a.window, fold.table))
-    return _result(partials, fold.table, a.window, a.window, EXACT)
+    return _result(partials, fold.table, a.window, a.window)
 
 
 def _shift_union(terms, target: Window) -> DenseSet:
@@ -329,8 +326,7 @@ def hfold_point_union(
     fold: SumsetResult, s: int, t: int, source: Window, target: Window
 ) -> SumsetResult:
     """hA on target for A = {s} u (B + t) on source, by shifts of the
-    partials of a fold of B; equal, partials and exactness too, to the fold
-    of A.
+    partials of a fold of B; equal, partials too, to the fold of A.
 
     A k-element sum with no copy of s is k*t plus one of kB, and one with a
     copy is s plus a (k-1)-element sum: kA = (k*t + kB) u (s + (k-1)A) on
@@ -354,7 +350,7 @@ def hfold_point_union(
             terms = ((part, k * t), (partials[-1] if k and with_s else None, s))
             clip = _shift_union(terms, clip)  # kA on its clip window
         partials.append(clip)
-    return _result(partials, None, source, target, fold.exactness)
+    return _result(partials, None, source, target)
 
 
 def adjoin(result: SumsetResult, b: int) -> DenseSet:

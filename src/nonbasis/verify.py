@@ -270,7 +270,8 @@ def exceptional_bound(family: Family) -> int:
     decision to fail, which confines q - t below the close-pair region
     2*R(3) + 5 plus the repeated-minimum slack; below the threshold n is
     bounded by the threshold itself, and the wrong-sign class F1 by
-    (h-1)s + t.
+    (h-1)s + t, which never binds: f0_high exceeds it by
+    (h-1)(|s-t| - s + t) + h*out_cap >= h*out_cap > 0 for every s and t.
     """
     _require_gapped(family, "exceptional bound")
     h, s, t = family.h, family.s, family.t
@@ -278,8 +279,7 @@ def exceptional_bound(family: Family) -> int:
     out_cap = pair_bound(family.y) + 1 + (h - 2) * x0
     f0_high = (h - 1) * abs(s - t) + h * t + h * out_cap
     f0_low = (h - 2) * s + h * t
-    f1 = (h - 1) * s + t
-    return max(f0_high, f0_low, f1)
+    return max(f0_high, f0_low)
 
 
 def class_fronts(family: Family) -> tuple[int, ...]:
@@ -381,13 +381,14 @@ def z_summand_bound(family: Family, n: int) -> int:
       t - h and P - t + h.  When m' >= -1, m' + j <= max(m' + 2, R(1) + 1),
       because three or more consecutive Y elements lie at or below R(1), so
       j <= R(3) + 2 and m' + j <= 2*R(3) + 5 (m' < pair_bound).
+    A copy of x0 (summand h*x0 + t) is within the last term: x0 <= R(3) + 1
+    < pair_bound + 1, as x0 - 2 and x0 - 1 are a close pair of Y if x0 >= 2.
     The bound depends on n only through |n|, and grows with it.
     """
     h, s, t = family.h, family.s, family.t
     x0 = gapset.least_non_member(family.y)
     return max(
         abs(n) + (h - 1) * abs(s),
-        h * x0 + abs(t),
         abs(n) + (h - 2) * (abs(s) + abs(t) + h * x0) + abs(t) + h,
         h * (pair_bound(family.y) + 1) + abs(t),
     )
@@ -472,7 +473,7 @@ class N0FoldStore:
             self._kept.popitem(last=False)
             self._evictions += 1
         view = fold.partials[: h + 1]
-        return sumset.SumsetResult(h, fold.source, fold.target, view[h], sumset.EXACT, view)
+        return sumset.SumsetResult(h, fold.source, fold.target, view[h], view)
 
 
 # The one store of N0 folds: the oracles' folds of h*X and the lemma's of X.

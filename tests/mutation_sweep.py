@@ -84,6 +84,9 @@ MUTANTS = (
     ("classify replay always passes", "src/nonbasis/cli.py",
      "if not verify.verify_certificate(fam, args.n, verdict):",
      "if False:"),
+    ("sumset labels every fold exact", "src/nonbasis/cli.py",
+     'exactness = "lower_bound"',
+     'exactness = "exact"'),
     ("eq_s escape drops the N0 negative rule", "src/nonbasis/verify.py",
      "if (n0 and w_val < 0) or family.y_contains(w_val):",
      "if family.y_contains(w_val):"),

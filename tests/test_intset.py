@@ -303,7 +303,7 @@ def test_a_wide_dense_set_prints_its_bits_in_hex():
     assert repr(d) == f"DenseSet(window=Window(lo=0, hi=20000), bits={1 << 20000:#x})"
     fold = sumset.hfold_truncated(d, 2, Window(0, 40000), stride=1)
     bits = 1 << 40000  # 2 * 20000
-    assert repr(fold).endswith(f"bits={bits:#x}), exactness='lower_bound')")
+    assert repr(fold).endswith(f"bits={bits:#x}))")
 
 
 @settings(max_examples=300, deadline=None)

@@ -59,8 +59,8 @@ CASES = [
     (Params, ("h", "s", "t", "domain"), family_args().map(lambda a: a[:4])),
     (Family, ("h", "s", "t", "domain", "y"), family_args()),
     # partials and table are drawn but not compared or printed
-    (sumset.SumsetResult, ("h", "source", "target", "dense", "exactness"),
-     st.tuples(st.integers(1, 2), windows, windows, denses, texts,
+    (sumset.SumsetResult, ("h", "source", "target", "dense"),
+     st.tuples(st.integers(1, 2), windows, windows, denses,
                st.sampled_from([(None,), ()]), st.sampled_from([None, (1, [])]))),
     (verify.InSumset, ("s_count", "xs"), st.tuples(small, ints)),
     (verify.OutShiftedY, ("y",), st.tuples(small)),
@@ -137,12 +137,12 @@ def test_no_verdict_equals_a_tuple():
 def test_sumset_results_compare_and_print_without_partials_and_table():
     w = intset.Window(0, 3)
     d = intset.DenseSet(w, 5)
-    a = sumset.SumsetResult(2, w, w, d, "exact", (None,), None)
-    b = sumset.SumsetResult(2, w, w, d, "exact", (d, d, d), (1, []))
+    a = sumset.SumsetResult(2, w, w, d, (None,), None)
+    b = sumset.SumsetResult(2, w, w, d, (d, d, d), (1, []))
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == (
         "SumsetResult(h=2, source=Window(lo=0, hi=3), target=Window(lo=0, hi=3), "
-        "dense=DenseSet(window=Window(lo=0, hi=3), bits=0x5), exactness='exact')"
+        "dense=DenseSet(window=Window(lo=0, hi=3), bits=0x5))"
     )
 
 

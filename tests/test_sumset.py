@@ -85,7 +85,6 @@ def test_exact_small_example():
     a = dense_from_iter([0, 1, 3], Window(0, 6))
     r = sumset.hfold_exact_bounded_below(a, 2, stride=1)
     assert r.members() == [0, 1, 2, 3, 4, 6]
-    assert r.exactness == sumset.EXACT
     assert r.members() == brute_sumset([0, 1, 3], 2, r.target)
 
 
@@ -110,7 +109,6 @@ def test_truncated_full_family_covers_window():
     a = materialize(fam.spec, Window(-9, 9))
     r = sumset.hfold_truncated(a, 2, Window(-4, 4), stride=intset.stride(fam.spec))
     assert r.members() == list(range(-4, 5))
-    assert r.exactness == sumset.LOWER_BOUND
 
 
 def test_truncated_empty_and_tiny():
@@ -494,6 +492,20 @@ def test_partials_are_clipped_kfolds(a, h, target):
 
 
 @settings(max_examples=200, deadline=None)
+@given(SMALL_SETS, st.integers(1, 4), st.integers(1, 9), st.data())
+def test_the_two_fold_entry_points_agree_inside_the_safe_range(a, h, stride, data):
+    # a result carries no exactness claim, so on a target both accept the
+    # two entry points return the same fold, partials and table too
+    lo, hi = h * a.window.lo, a.window.hi + (h - 1) * a.window.lo
+    t_lo = data.draw(st.integers(lo, hi))
+    target = data.draw(st.sampled_from([None, Window(t_lo, data.draw(st.integers(t_lo, hi)))]))
+    exact = sumset.hfold_exact_bounded_below(a, h, target, stride=stride)
+    cut = sumset.hfold_truncated(a, h, target or Window(lo, hi), stride=stride)
+    assert exact == cut
+    assert (exact.partials, exact.table) == (cut.partials, cut.table)
+
+
+@settings(max_examples=200, deadline=None)
 @given(SMALL_SETS, st.integers(1, 4), TARGETS, st.integers(-20, 30))
 def test_adjoin_matches_direct_fold(a, h, target, b):
     base = sumset.hfold_truncated(a, h, target, stride=two_decode_stride(a))
@@ -531,7 +543,6 @@ def test_point_union_matches_the_fold_of_a(b_and_target, h, s, t, zb, z_target, 
     a = dense_from_iter({s} | {v + t for v in b.members()}, src)
     want = sumset.hfold_exact_bounded_below(a, h, target, stride=two_decode_stride(a))
     assert got == want and got.partials == want.partials
-    assert got.exactness == sumset.EXACT
     assert got.members() == brute_sumset(a.members(), h, target)
 
     # over Z: B on source - t, folded as a truncated set with target moved
@@ -544,7 +555,6 @@ def test_point_union_matches_the_fold_of_a(b_and_target, h, s, t, zb, z_target, 
     za = dense_from_iter({zs} | {v + zt for v in zb.members()}, zsrc)
     want = sumset.hfold_truncated(za, h, z_target, stride=two_decode_stride(za))
     assert got == want and got.partials == want.partials
-    assert got.exactness == sumset.LOWER_BOUND
     assert got.members() == brute_sumset(za.members(), h, z_target)
 
 
@@ -565,7 +575,10 @@ def test_point_union_needs_partials_that_cover_its_clip_windows():
     zb = dense_from_iter([-9, -6, 0, 3, 9], Window(-10, 10))
     zsrc, target = Window(-14, 6), Window(-7, 5)
     ok = sumset.hfold_truncated(zb, 2, Window(1, 13), stride=3)
-    assert sumset.hfold_point_union(ok, -1, -4, zsrc, target).exactness == sumset.LOWER_BOUND
+    za = dense_from_iter({-1} | {v - 4 for v in zb.members()}, zsrc)
+    assert sumset.hfold_point_union(ok, -1, -4, zsrc, target) == sumset.hfold_truncated(
+        za, 2, target, stride=1
+    )
     with pytest.raises(DomainConstraint):
         sumset.hfold_point_union(
             sumset.hfold_truncated(zb, 2, Window(3, 15), stride=3), -1, -4, zsrc, target

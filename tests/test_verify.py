@@ -623,6 +623,32 @@ def test_exceptional_bound_covers_the_oracle_complement(fam):
     assert all(n <= bound for n in outside), (bound, outside[-5:])
 
 
+@st.composite
+def wide_gapped_families(draw):
+    """A gapped family with h up to 12 and s, t up to 300 in size, over N0 or Z."""
+    n0 = draw(st.booleans())
+    h = draw(st.integers(2, 12))
+    s = draw(st.integers(0 if n0 else -300, 300))
+    t = draw(st.integers(0 if n0 else -300, 300))
+    assume(math.gcd(h, abs(s - t)) == 1)
+    return build_gapped(Params(h, s, t, "n0" if n0 else "z"), draw(GAP_GENERATORS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_gapped_families())
+def test_exceptional_bound_covers_the_f1_top_without_a_term_for_it(fam):
+    # the wrong-sign class F1 lies below (h-1)s + t, which f0_high exceeds
+    assert (fam.h - 1) * fam.s + fam.t < verify.exceptional_bound(fam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_gapped_families(), st.integers(-1000, 1000))
+def test_z_summand_bound_covers_a_copy_of_x0_without_a_term_for_it(fam, n):
+    # a copy of x0 is the summand h*x0 + t, within h*(pair_bound + 1) + |t|
+    x0 = gapset.least_non_member(fam.y)
+    assert fam.h * x0 + abs(fam.t) <= verify.z_summand_bound(fam, n)
+
+
 @settings(max_examples=80, deadline=None)
 @given(escape_cases())
 def test_escape_check_matches_direct_fold(case):
@@ -792,7 +818,6 @@ def test_z_oracles_by_shifts_match_the_fold_of_a(case):
     src = verify.oracle_source(fam, window)
     want = sumset.hfold_truncated(materialize(fam.spec, src), fam.h, window, stride=fam.h)
     assert oracle.folded == want and oracle.folded.partials == want.partials
-    assert oracle.folded.exactness == sumset.LOWER_BOUND
 
 
 def test_z_oracle_and_augment_folds_each_sum_one_residue_class(monkeypatch):
@@ -1076,7 +1101,7 @@ def test_an_s_sweep_walks_y_once(monkeypatch):
 def with_dense(folded, dense):
     """The fold result folded with hA replaced by dense."""
     f = folded
-    return sumset.SumsetResult(f.h, f.source, f.target, dense, f.exactness, f.partials, f.table)
+    return sumset.SumsetResult(f.h, f.source, f.target, dense, f.partials, f.table)
 
 
 def replace_folded(oracle, bits):
@@ -1797,7 +1822,7 @@ def test_an_augment_fold_that_loses_a_value_is_inconclusive(monkeypatch):
     def losing(family, bt, win):
         r = real(family, bt, win)
         dense = intset.DenseSet(r.target, r.dense.bits & ~(1 << (lost - r.target.lo)))
-        return sumset.SumsetResult(r.h, r.source, r.target, dense, r.exactness, r.partials)
+        return sumset.SumsetResult(r.h, r.source, r.target, dense, r.partials)
 
     monkeypatch.setattr(verify, "fold_by_shifts", losing)
     rep = verify.augment_check(fam, YPrimeFilter("even_indices"), window)
